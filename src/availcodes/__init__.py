@@ -53,6 +53,7 @@ from .fields import FiniteField, matrix_rank, prime_power
 from .figures import FigureSpec, emit_figure_data
 from .lp import (
     InfeasibleRelaxationError,
+    LPBoundResult,
     LPModel,
     LPSolution,
     PivotLimitError,

@@ -24,8 +24,8 @@ from .constructions import (
     projective_functionals,
 )
 from .fields import FiniteField
-from .figures import LP_DEFAULT_BUDGET, FigureSpec, emit_figure_data
-from .lp import InfeasibleRelaxationError, build_lp, lp_dimension_bound, solve_lp
+from .figures import FIGURE_IDS, LP_DEFAULT_BUDGET, FigureSpec, emit_figure_data
+from .lp import InfeasibleRelaxationError, lp_dimension_bound
 from .verification import (
     check_availability,
     check_strict_availability,
@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--ghw", type=int, metavar="I")
 
     p_fig = sub.add_parser("figure", help="emit figure data as CSV")
-    p_fig.add_argument("figure_id", choices=["rate3", "rate4", "dmin3", "dmin3_mdelta", "lp3"])
+    p_fig.add_argument("figure_id", choices=FIGURE_IDS)
     p_fig.add_argument("--rmin", type=int, required=True)
     p_fig.add_argument("--rmax", type=int, required=True)
     p_fig.add_argument("--budget", type=int, default=LP_DEFAULT_BUDGET)
@@ -196,10 +196,10 @@ def _cmd_bounds(args) -> int:
         except InfeasibleRelaxationError as exc:
             _print_json({"status": "no code exists under relaxation", "detail": str(exc)})
             return 0
-        model = build_lp(args.q, args.n, args.r, args.t, strengthen=args.strengthen)
-        sol = solve_lp(model, mode=mode)
         doc = result.to_json()
-        doc["A"] = {str(i): _num_str(v) for i, v in sol.variables.items() if v}
+        doc["A"] = {
+            str(i): _num_str(v) for i, v in result.solution.variables.items() if v
+        }
         _print_json(doc)
     return 0
 

@@ -8,15 +8,15 @@ column marks skipped rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import bounds as bd
-from .lp import lp_dimension_bound
+from .lp import LPBoundResult, lp_dimension_bound
 from .weights import binomial
 
 FIGURE_IDS = ("rate3", "rate4", "dmin3", "dmin3_mdelta", "lp3")
-LP_DEFAULT_BUDGET = 6  # largest r the LP figure solves without an override
+LP_DEFAULT_BUDGET = 7  # largest r whose exact lp3 row solves within about 1 s
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,8 @@ def _row_lp3(r: int) -> dict:
     p = _sweep_params("lp3", r)
     n = p["n"]
     lp = lp_dimension_bound(2, n, r, 3)
-    lp_rate = bd.BoundResult(
-        "lp_rate",
-        {"q": 2, "n": n, "r": r, "t": 3},
-        None,
-        "rate",
-        value=lp.value / n,
-        diagnostics=lp.diagnostics,
-    )
     return {
-        "lp_bound_rate": lp_rate,
+        "lp_bound_rate": replace(lp, name="lp_rate", kind="rate", value=lp.value / n),
         "tamo_barg": bd.rate_tamo_barg(r, 3),
         "huang_griesmer": _huang_rate(n, r),
     }
@@ -133,13 +125,9 @@ _BUILDERS = {
 
 
 def _exact_of(result: bd.BoundResult) -> Fraction | None:
-    if result.value_exact is not None:
-        return result.value_exact
-    m_str = result.diagnostics.get("M")
-    if m_str and "/" in m_str:
-        num, den = m_str.split("/")
-        return Fraction(int(num), int(den))
-    return None
+    if isinstance(result, LPBoundResult):
+        return result.solution.value
+    return result.value_exact
 
 
 def emit_figure_data(spec: FigureSpec, lp_budget: int = LP_DEFAULT_BUDGET) -> str:

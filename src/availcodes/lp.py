@@ -13,6 +13,7 @@ they are deliberately not modeled here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -71,6 +72,15 @@ class LPSolution:
     status: str  # optimal | infeasible | unbounded
     value: Fraction | float | None
     variables: dict
+
+
+@dataclass(frozen=True)
+class LPBoundResult(BoundResult):
+    """The LP dimension bound together with the solve it came from:
+    `solution.value` is the optimum M (a Fraction in exact mode) and
+    `solution.variables` the optimal A-vector."""
+
+    solution: LPSolution = field(kw_only=True)
 
 
 def build_lp(q: int, n: int, r: int, t: int, strengthen: bool = False) -> LPModel:
@@ -162,6 +172,29 @@ def point_violations(model: LPModel, a_by_weight: dict[int, int | Fraction]) -> 
 # -- two-phase simplex --------------------------------------------------
 
 
+def _integer_row(values: Sequence) -> list[int]:
+    """The content-reduced integer multiple of a row of ints and Fractions."""
+    den = math.lcm(*(v.denominator for v in values))
+    return _reduce_content([v.numerator * (den // v.denominator) for v in values], 0)
+
+
+def _reduce_content(row: list[int], basic: int) -> list[int]:
+    """Exact-mode rescale: divide out the gcd of the row's entries."""
+    g = math.gcd(*row)
+    return row if g == 1 else [v // g for v in row]
+
+
+def _unit_basic(row: list[float], basic: int) -> list[float]:
+    """Float-mode rescale: divide by the basic entry, which becomes exactly 1."""
+    p = row[basic]
+    if p == 1.0:
+        return row
+    inv = 1.0 / p
+    row = [v * inv for v in row]
+    row[basic] = 1.0
+    return row
+
+
 def _simplex_max(
     obj: Sequence,
     rows: list[list],
@@ -174,15 +207,28 @@ def _simplex_max(
 
     Bland's rule on both the entering and leaving choices; two phases with
     artificial variables for rows whose right side is negative.
+
+    Every tableau row, the objective row included, is stored as a positive
+    multiple of its rational row: its basic entry is the row's scale, so a
+    basic value is `row[-1] / row[basic]` and a sign test needs no division.
+    The objective row is the row of an extra column `z` (index `total`,
+    never entering) that no constraint row touches; its `z` entry is its
+    denominator.  A pivot updates each row to `p*row - f*pivot_row`, a
+    positive multiple again, and rescales it: exact mode keeps Python ints
+    and divides out their gcd, float mode divides by the basic entry.
     """
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    tol = zero if exact else FLOAT_TOL
+    if exact:
+        zero, one, tol, feas_tol = 0, 1, 0, 0
+        new_row, rescale, quotient = _integer_row, _reduce_content, Fraction
+    else:
+        zero, one, tol, feas_tol = 0.0, 1.0, FLOAT_TOL, 1e-7
+        new_row, rescale, quotient = list, _unit_basic, operator.truediv
     nv = len(obj)
     m = len(rows)
     neg_rows = [i for i in range(m) if rhs[i] < -tol]
     n_art = len(neg_rows)
     total = nv + m + n_art
+    width = total + 2  # columns, z, right-hand side
     tableau: list[list] = []
     basis: list[int] = []
     art_pos = {row_i: nv + m + a for a, row_i in enumerate(neg_rows)}
@@ -194,14 +240,22 @@ def _simplex_max(
             coeffs = [-c for c in coeffs]
             b = -b
             slack = -one
-        row = coeffs + [zero] * (m + n_art) + [b]
+        row = coeffs + [zero] * (m + n_art + 1) + [b]
         row[nv + i] = slack
         if i in art_pos:
             row[art_pos[i]] = one
             basis.append(art_pos[i])
         else:
             basis.append(nv + i)
-        tableau.append(row)
+        tableau.append(new_row(row))
+
+    def eliminate(row: list, basic: int, prow: list, pc: int) -> list:
+        """`row` with column pc cleared by the pivot row `prow`."""
+        f = row[pc]
+        if f == zero:
+            return row
+        p = prow[pc]
+        return rescale([p * v - f * w for v, w in zip(row, prow)], basic)
 
     pivots_used = 0
 
@@ -210,20 +264,15 @@ def _simplex_max(
         pivots_used += 1
         if pivots_used > pivot_limit:
             raise PivotLimitError(f"exceeded {pivot_limit} pivots")
-        piv = tableau[pr][pc]
-        inv = one / piv
-        tableau[pr] = [v * inv for v in tableau[pr]]
+        prow = tableau[pr]
+        if prow[pc] < zero:
+            prow = [-v for v in prow]
+        prow = tableau[pr] = rescale(prow, pc)
+        basis[pr] = pc
         for i in range(m):
             if i != pr:
-                f = tableau[i][pc]
-                if f != zero:
-                    tableau[i] = [
-                        v - f * w for v, w in zip(tableau[i], tableau[pr])
-                    ]
-        f = obj_row[pc]
-        if f != zero:
-            obj_row[:] = [v - f * w for v, w in zip(obj_row, tableau[pr])]
-        basis[pr] = pc
+                tableau[i] = eliminate(tableau[i], basis[i], prow, pc)
+        obj_row[:] = eliminate(obj_row, total, prow, pc)
 
     def run(obj_row: list, active: int) -> str:
         while True:
@@ -232,38 +281,38 @@ def _simplex_max(
             )
             if enter is None:
                 return "optimal"
+            # minimum ratio row[-1] / row[enter]; a row's scale cancels, so
+            # candidates compare by cross-multiplication
             leave = None
-            best_ratio = None
-            for i in range(m):
-                a = tableau[i][enter]
-                if a > tol:
-                    ratio = tableau[i][-1] / a
-                    if (
-                        leave is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
+            for i, row in enumerate(tableau):
+                a = row[enter]
+                if a > tol and (
+                    leave is None
+                    or (cmp := row[-1] * best_a - best_b * a) < 0
+                    or (cmp == 0 and basis[i] < basis[leave])
+                ):
+                    leave, best_b, best_a = i, row[-1], a
             if leave is None:
                 return "unbounded"
             pivot(leave, enter, obj_row)
 
     def make_obj_row(cost: list) -> list:
-        row = [-c for c in cost] + [zero]
+        """z - cost.x = 0 with the basic columns eliminated."""
+        row = new_row([-c for c in cost] + [one, zero])
         for i, b in enumerate(basis):
-            cb = cost[b]
-            if cb != zero:
-                row = [v + cb * w for v, w in zip(row, tableau[i])]
+            row = eliminate(row, total, tableau[i], b)
         return row
 
     if n_art:
         cost1 = [zero] * (nv + m) + [-one] * n_art
         obj_row = make_obj_row(cost1)
         status = run(obj_row, total)
-        if status == "unbounded":  # phase 1 is bounded by construction
-            raise PivotLimitError("phase 1 reported unbounded")
-        feas_tol = zero if exact else 1e-7
+        if status == "unbounded":
+            raise RuntimeError(
+                "phase 1 reported unbounded, but its objective -sum(artificials)"
+                " is bounded above by 0"
+            )
+        # the objective row's denominator is positive (exact) or 1 (float)
         if obj_row[-1] < -feas_tol:
             return "infeasible", None, []
         # drive leftover artificial basics out, dropping redundant rows
@@ -275,17 +324,17 @@ def _simplex_max(
                 if enter is not None:
                     pivot(i, enter, obj_row)
                 else:
-                    tableau[i] = [zero] * total + [zero]
+                    tableau[i] = [zero] * width
     cost2 = list(obj) + [zero] * (m + n_art)
     obj_row = make_obj_row(cost2)
     status = run(obj_row, nv + m)
     if status == "unbounded":
         return "unbounded", None, []
-    x = [zero] * nv
+    x = [quotient(zero, one)] * nv  # Fraction(0) or 0.0
     for i, b in enumerate(basis):
         if b < nv:
-            x[b] = tableau[i][-1]
-    return "optimal", obj_row[-1], x
+            x[b] = quotient(tableau[i][-1], tableau[i][b])
+    return "optimal", quotient(obj_row[-1], obj_row[total]), x
 
 
 def solve_lp(
@@ -340,10 +389,10 @@ def lp_dimension_bound(
     t: int,
     mode: str = "exact",
     strengthen: bool = False,
-) -> BoundResult:
-    """k <= log_q(M) where M is the LP optimum; the exact M rides along
-    in the diagnostics.  Raises InfeasibleRelaxationError when even the
-    relaxation is empty."""
+) -> LPBoundResult:
+    """k <= log_q(M) where M is the LP optimum; M rides along in the
+    diagnostics as a string and in the result's `solution`.  Raises
+    InfeasibleRelaxationError when even the relaxation is empty."""
     model = build_lp(q, n, r, t, strengthen=strengthen)
     sol = solve_lp(model, mode=mode)
     if sol.status == "infeasible":
@@ -359,11 +408,12 @@ def lp_dimension_bound(
         diagnostics["M"] = f"{m_value.numerator}/{m_value.denominator}"
     else:
         diagnostics["M"] = repr(m_value)
-    return BoundResult(
+    return LPBoundResult(
         "lp_dim",
         {"q": q, "n": n, "r": r, "t": t},
         None,
         "dimension",
         value=bound,
         diagnostics=diagnostics,
+        solution=sol,
     )

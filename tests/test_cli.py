@@ -1,6 +1,8 @@
 import json
 
-from availcodes import parse_matrix
+from availcodes import cli as cli_module
+from availcodes import lp as lp_module
+from availcodes import parse_matrix, solve_lp
 from availcodes.cli import run_cli
 
 
@@ -69,14 +71,24 @@ def test_bounds_dmin_methods(capsys):
     assert json.loads(stdout)["kind"] == "distance"
 
 
-def test_bounds_lp_json(capsys):
+def test_bounds_lp_json(capsys, monkeypatch):
+    # the bound and the printed A-vector come from one solve
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "solve_lp", counting_solve)
+    monkeypatch.setattr(cli_module, "solve_lp", counting_solve, raising=False)
     code, stdout, _ = _run(
         capsys, "bounds", "lp", "--q", "2", "--n", "16", "--r", "3", "--t", "3"
     )
     assert code == 0
     doc = json.loads(stdout)
     assert doc["diagnostics"]["M"] == "1569792/5099"
-    assert "A" in doc
+    assert doc["A"]
+    assert len(solves) == 1
 
 
 def test_analyze_full(tmp_path, capsys):

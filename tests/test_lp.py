@@ -145,6 +145,7 @@ def test_lp_dimension_bound_improvement_claim():
         n = (r + 1) ** 2
         bound = lp_dimension_bound(2, n, r, 3)
         assert bound.value <= n * float(rate_tamo_barg(r, 3).value_exact) + 1e-9
+        assert bound.solution == solve_lp(build_lp(2, n, r, 3))
 
 
 def test_lp_exact_float_agreement():
@@ -159,6 +160,7 @@ def test_lp_degenerate_all_weights_pinned():
     bound = lp_dimension_bound(2, 6, 2, 6)  # t = n: no free weights at all
     assert bound.value == 0.0
     assert bound.diagnostics["M"] == "1/1"
+    assert bound.solution.value == 1 and bound.solution.variables == {}
 
 
 def test_lp_infeasible_relaxation_reported():
