@@ -136,6 +136,18 @@ class BitMatrix:
         return acc
 
 
+def _rows_through(mat: BitMatrix) -> list[list[int]]:
+    """Column incidence: entry j lists, in increasing order, the 0-based
+    rows with a one in column j.  One pass over the set bits."""
+    through: list[list[int]] = [[] for _ in range(mat.cols)]
+    for i, row in enumerate(mat.bits):
+        while row:
+            low = row & -row
+            through[low.bit_length() - 1].append(i)
+            row ^= low
+    return through
+
+
 def _rref(bits: Sequence[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
@@ -164,7 +176,18 @@ def _rref(bits: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 def rank(mat: BitMatrix) -> int:
-    return len(_rref(mat.bits)[0])
+    """GF(2) rank, by elimination against a table of pivot rows keyed by
+    their lowest set bit (no back-substitution)."""
+    pivots: dict[int, int] = {}
+    for row in mat.bits:
+        while row:
+            low = (row & -row).bit_length()
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def row_space_basis(mat: BitMatrix) -> BitMatrix:
@@ -195,6 +218,9 @@ def rank_and_nullspace(mat: BitMatrix) -> tuple[int, BitMatrix]:
 
 # -- shared text format ----------------------------------------------
 
+# Row text is written column 0 first, so a row reversed is its binary numeral.
+_NOT_BINARY = str.maketrans("", "", "01")  # deletes the valid characters
+
 
 def parse_matrix(text: str) -> BitMatrix:
     """Parse the shared text format: `m n` header then m rows of 0/1 chars."""
@@ -221,19 +247,18 @@ def parse_matrix(text: str) -> BitMatrix:
         row = body[i]
         if len(row) != n:
             raise MatrixFormatError(f"row has {len(row)} characters, expected {n}", line=i + 2)
-        acc = 0
-        for j, ch in enumerate(row):
-            if ch == "1":
-                acc |= 1 << j
-            elif ch != "0":
-                raise MatrixFormatError(f"invalid character {ch!r} in row", line=i + 2)
-        bits.append(acc)
+        # checked before int(), which would also accept '_' and whitespace
+        bad = row.translate(_NOT_BINARY)
+        if bad:
+            raise MatrixFormatError(f"invalid character {bad[0]!r} in row", line=i + 2)
+        bits.append(int(row[::-1], 2))
     return BitMatrix(m, n, tuple(bits))
 
 
 def serialize_matrix(mat: BitMatrix) -> str:
     """Inverse of parse_matrix; emits a trailing newline."""
     out = [f"{mat.rows} {mat.cols}"]
+    width = f"0{mat.cols}b"
     for row in mat.bits:
-        out.append("".join("1" if (row >> j) & 1 else "0" for j in range(mat.cols)))
+        out.append(format(row, width)[::-1])
     return "\n".join(out) + "\n"

@@ -8,7 +8,7 @@ full-rank linear maps, and an axis-parity product code used as a fixture.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bitmatrix import BitMatrix
 from .codes import STRICT, AvailabilityCode
@@ -44,15 +44,6 @@ class LatinSquare:
             for j in range(n):
                 if {self.grid[i][j] for i in range(n)} != symbols:
                     raise ValueError(f"column {j} is not a permutation of 1..{n}")
-
-    def cells_of(self, symbol: int) -> tuple[tuple[int, int], ...]:
-        """0-based (row, col) cells holding `symbol`."""
-        return tuple(
-            (a, b)
-            for a in range(self.order)
-            for b in range(self.order)
-            if self.grid[a][b] == symbol
-        )
 
 
 def orthogonal(s1: LatinSquare, s2: LatinSquare) -> bool:
@@ -121,29 +112,64 @@ def generate_mols(q: int) -> MOLSSet:
 @dataclass(frozen=True)
 class PartitionFamily:
     """Resolutions of [n] into blocks of size r+1 with cross-partition
-    block intersections of at most one point."""
+    block intersections of at most one point.
+
+    The partitions form a tree: at every level, partition 0 is the natural
+    one (consecutive blocks), and partition i > 0 refines partition (i-1)//f
+    of the level below by square (i-1)%f.  `partition(i)` walks that path down from
+    the root, so a code that uses t partitions builds only those t.
+    `cells[s][x]` lists the 0-based (row, col) cells of square s that hold
+    symbol x+1, in row order.
+    """
 
     n: int
     block_size: int
-    partitions: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        for part in self.partitions:
-            seen: set[int] = set()
-            for block in part:
-                if len(block) != self.block_size:
-                    raise ValueError("block of wrong size")
-                seen.update(block)
-            if seen != set(range(1, self.n + 1)):
-                raise ValueError("partition does not cover the ground set")
+    levels: int
+    cells: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
     def __len__(self) -> int:
-        return len(self.partitions)
+        f = len(self.cells)
+        return sum(f**level for level in range(self.levels))  # (f^g - 1)/(f - 1)
+
+    def partition(self, index: int) -> tuple[tuple[int, ...], ...]:
+        """The 0-based `index`-th partition in construction order."""
+        if not 0 <= index < len(self):
+            raise IndexError(f"partition index {index} outside 0..{len(self) - 1}")
+        q, f = self.block_size, len(self.cells)
+        path = []  # squares, leaf first
+        level = self.levels
+        while index:
+            index, square = divmod(index - 1, f)
+            path.append(square)
+            level -= 1
+        size = q ** (level - 1)
+        part = tuple(tuple(range(x * q + 1, (x + 1) * q + 1)) for x in range(size))
+        for square in reversed(path):
+            # row a of the grid is the natural block named by parent_block[a]
+            part = tuple(
+                tuple(sorted((parent_block[a] - 1) * q + b + 1 for a, b in cells))
+                for parent_block in part
+                for cells in self.cells[square]
+            )
+        seen: set[int] = set()
+        for block in part:
+            if len(block) != q:
+                raise ValueError("block of wrong size")
+            seen.update(block)
+        if seen != set(range(1, self.n + 1)):
+            raise ValueError("partition does not cover the ground set")
+        return part
+
+    @property
+    def partitions(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every partition, built one by one."""
+        return tuple(self.partition(i) for i in range(len(self)))
 
 
 def build_partition_family(r: int, g: int) -> PartitionFamily:
-    """All (f^g - 1)/(f - 1) partitions of [(r+1)^g] from the recursive
-    Latin-square refinement, natural partition first."""
+    """The (f^g - 1)/(f - 1) partitions of [(r+1)^g] from the recursive
+    Latin-square refinement, natural partition first; each is built when
+    asked for."""
     q = r + 1
     if prime_power(q) is None:
         raise ValueError(f"r+1 = {q} must be a prime power for the refinement step")
@@ -152,31 +178,15 @@ def build_partition_family(r: int, g: int) -> PartitionFamily:
     n = q**g
     if n > SIZE_LIMIT:
         raise ValueError(f"ground set {n} exceeds limit {SIZE_LIMIT}")
-    mols = generate_mols(q)
-
-    def build(level: int) -> list[tuple[tuple[int, ...], ...]]:
-        if level == 1:
-            return [(tuple(range(1, q + 1)),)]
-        prev = build(level - 1)
-        n_cur = q**level
-        natural = tuple(
-            tuple(range(x * q + 1, (x + 1) * q)) + ((x + 1) * q,) for x in range(n_cur // q)
-        )
-        out = [natural]
-        for parent in prev:
-            for square in mols.loop_squares:
-                blocks = []
-                for parent_block in parent:
-                    # rows of U are the natural blocks named by the parent block
-                    u = [natural[s - 1] for s in parent_block]
-                    for x in range(1, q + 1):
-                        blocks.append(
-                            tuple(sorted(u[a][b] for a, b in square.cells_of(x)))
-                        )
-                out.append(tuple(blocks))
-        return out
-
-    return PartitionFamily(n=n, block_size=q, partitions=tuple(build(g)))
+    cells = []
+    # one level is the natural partition alone, which needs no squares
+    for square in generate_mols(q).loop_squares if g > 1 else ():
+        by_symbol: list[list[tuple[int, int]]] = [[] for _ in range(q)]
+        for a, row in enumerate(square.grid):
+            for b, symbol in enumerate(row):
+                by_symbol[symbol - 1].append((a, b))
+        cells.append(tuple(map(tuple, by_symbol)))
+    return PartitionFamily(n=n, block_size=q, levels=g, cells=tuple(cells))
 
 
 def partition_code(
@@ -184,8 +194,8 @@ def partition_code(
 ) -> AvailabilityCode:
     """Parity-check matrix with one row per block of t chosen partitions.
 
-    `choice` lists 1-based partition indices; the default is the first t
-    partitions in construction order.
+    `choice` lists distinct 1-based partition indices; the default is the
+    first t partitions in construction order.
     """
     if choice is None:
         choice = list(range(1, t + 1))
@@ -195,9 +205,9 @@ def partition_code(
         raise ValueError(f"t={t} exceeds the {len(family)} available partitions")
     if any(not 1 <= c <= len(family) for c in choice):
         raise ValueError("partition index out of range")
-    supports = [
-        block for idx in choice for block in family.partitions[idx - 1]
-    ]
+    if len(set(choice)) != t:
+        raise ValueError(f"partition indices must be distinct, got {choice}")
+    supports = [block for idx in choice for block in family.partition(idx - 1)]
     h = BitMatrix.from_supports(supports, family.n)
     return AvailabilityCode(
         H=h,
@@ -206,17 +216,8 @@ def partition_code(
         t=t,
         kind=STRICT,
         construction="partition",
-        parameters={"g": _levels(family), "choice": choice},
+        parameters={"g": family.levels, "choice": choice},
     )
-
-
-def _levels(family: PartitionFamily) -> int:
-    g = 0
-    n = family.n
-    while n > 1:
-        n //= family.block_size
-        g += 1
-    return g
 
 
 def projective_functionals(gf: FiniteField, t: int) -> list[tuple[tuple[int, ...], ...]]:

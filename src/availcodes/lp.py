@@ -399,6 +399,12 @@ def lp_dimension_bound(
         raise InfeasibleRelaxationError(
             f"no code exists under relaxation at (q={q}, n={n}, r={r}, t={t})"
         )
+    if sol.status == "unbounded" and mode == "float":
+        # the dual_nonneg rows sum to M * sum_j B_j = q^n, so M <= q^n
+        raise RuntimeError(
+            f"float simplex reported unbounded, but the model is bounded by "
+            f"q^n = {q}^{n}: a numerical failure; use exact mode"
+        )
     if sol.status != "optimal":
         raise RuntimeError(f"unexpected LP status {sol.status}")
     m_value = sol.value

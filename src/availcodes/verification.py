@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .bitmatrix import BitMatrix, rank_and_nullspace, row_space_basis
+from .bitmatrix import BitMatrix, _rows_through, rank_and_nullspace, row_space_basis
 from .codes import AvailabilityCode
 from .weights import ENUMERATION_LIMIT, EnumerationBudgetError, _gray_weight_counts
 
@@ -42,17 +42,29 @@ class StrictCheckReport:
 
 def check_strict_availability(h: BitMatrix, r: int, t: int) -> StrictCheckReport:
     """Strict availability: every row weight r+1, every column weight t,
-    pairwise row supports meeting in at most one point, and m(r+1) = nt."""
-    bad_rows = tuple(
-        i + 1 for i in range(h.rows) if h.row_weight(i) != r + 1
-    )
-    bad_cols = tuple(
-        j + 1 for j in range(h.cols) if h.column_weight(j) != t
-    )
+    pairwise row supports meeting in at most one point, and m(r+1) = nt.
+
+    Pairs of rows that meet twice are found through the columns: OR-ing
+    the row masks of row i's columns marks every row that meets row i, and
+    a row marked by two of them meets it at least twice.
+    """
+    columns = h.transpose().bits if h.rows else (0,) * h.cols
+    bad_rows = tuple(i + 1 for i, row in enumerate(h.bits) if row.bit_count() != r + 1)
+    bad_cols = tuple(j + 1 for j, col in enumerate(columns) if col.bit_count() != t)
     bad_pairs = []
-    for i, j in itertools.combinations(range(h.rows), 2):
-        if (h.bits[i] & h.bits[j]).bit_count() > 1:
-            bad_pairs.append((i + 1, j + 1))
+    for i, row in enumerate(h.bits):
+        seen = twice = 0
+        while row:
+            low = row & -row
+            col = columns[low.bit_length() - 1]
+            twice |= seen & col
+            seen |= col
+            row ^= low
+        twice >>= i + 1  # rows after row i, so each pair is found once, in order
+        while twice:
+            low = twice & -twice
+            bad_pairs.append((i + 1, i + 1 + low.bit_length()))
+            twice ^= low
     balance_ok = h.rows * (r + 1) == h.cols * t
     passed = not bad_rows and not bad_cols and not bad_pairs and balance_ok
     return StrictCheckReport(passed, bad_rows, bad_cols, tuple(bad_pairs), balance_ok)
@@ -76,12 +88,12 @@ class AvailabilityCheckReport:
 def check_availability(h_des: BitMatrix, r: int, t: int) -> AvailabilityCheckReport:
     """For each column, search for t rows of weight <= r+1 through it whose
     supports pairwise intersect exactly in that column."""
-    light_rows = [row for i, row in enumerate(h_des.bits) if row.bit_count() <= r + 1]
+    bits = h_des.bits
+    light = [row.bit_count() <= r + 1 for row in bits]
     column_ok = []
-    for j in range(h_des.cols):
-        bit = 1 << j
-        cands = [row for row in light_rows if row & bit]
-        column_ok.append(_find_orthogonal_subset(cands, bit, t))
+    for j, through in enumerate(_rows_through(h_des)):
+        cands = [bits[i] for i in through if light[i]]
+        column_ok.append(_find_orthogonal_subset(cands, 1 << j, t))
     return AvailabilityCheckReport(all(column_ok), tuple(column_ok))
 
 
@@ -225,6 +237,10 @@ def greedy_cover(
     scores zero but rows remain, the walk either continues on a partially
     covered coordinate (flagged "stall") or restarts on an untouched
     component (flagged "disconnected").
+
+    |D_j| is updated as each row joins, and the columns scoring 1 and 2 are
+    kept in two sets, so the walk does O(nnz) work besides picking from a
+    pool; only the rare stall and restart steps scan every column.
     """
     if tiebreak not in ("lowest", "random"):
         raise ValueError(f"tiebreak must be 'lowest' or 'random', got {tiebreak!r}")
@@ -235,13 +251,11 @@ def greedy_cover(
         raise ValueError(f"start coordinate {start} outside 1..{n}")
     if any(row == 0 for row in h.bits):
         raise ValueError("matrix has an all-zero row; the walk cannot cover it")
-    rows_through = [[] for _ in range(n)]
-    for i, row in enumerate(h.bits):
-        rb = row
-        while rb:
-            low = rb & -rb
-            rows_through[low.bit_length() - 1].append(i)
-            rb ^= low
+    rows_through = _rows_through(h)
+    weight = [len(rows) for rows in rows_through]
+    d = [0] * n  # |D_j|: collected rows through column j
+    # scored[s]: the columns outside S with |D_j| = s < weight, for s = 1, 2
+    scored: dict[int, set[int]] = {1: set(), 2: set()}
     in_p = [False] * m
     p_count = 0
     in_s = [False] * n
@@ -252,50 +266,44 @@ def greedy_cover(
     def take(j: int) -> None:
         nonlocal p_count
         in_s[j] = True
+        scored[1].discard(j)
+        scored[2].discard(j)
         sigma.append(j + 1)
         gained = 0
         for i in rows_through[j]:
-            if not in_p[i]:
-                in_p[i] = True
-                gained += 1
+            if in_p[i]:
+                continue
+            in_p[i] = True
+            gained += 1
+            row = h.bits[i]
+            while row:
+                low = row & -row
+                c = low.bit_length() - 1
+                row ^= low
+                old = d[c]
+                d[c] = old + 1
+                if in_s[c] or old > 2:
+                    continue
+                if old:
+                    scored[old].discard(c)
+                if old < 2 and old + 1 < weight[c]:
+                    scored[old + 1].add(c)
         p_count += gained
         gains.append(gained)
 
     take(start - 1)
     while p_count < m:
-        d = [0] * n
-        for i, row in enumerate(h.bits):
-            if in_p[i]:
-                rb = row
-                while rb:
-                    low = rb & -rb
-                    d[low.bit_length() - 1] += 1
-                    rb ^= low
-        candidates = [j for j in range(n) if not in_s[j]]
-        scores = {
-            j: d[j] if d[j] <= 2 and d[j] < len(rows_through[j]) else 0
-            for j in candidates
-        }
-        best = max(scores.values())
-        if best > 0:
-            pool = [j for j in candidates if scores[j] == best]
-        else:
+        pool = scored[2] or scored[1]
+        if not pool:
             step = len(sigma) + 1
-            stall_pool = [
-                j
-                for j in candidates
-                if d[j] >= 1 and any(not in_p[i] for i in rows_through[j])
-            ]
+            candidates = [j for j in range(n) if not in_s[j] and d[j] < weight[j]]
+            stall_pool = [j for j in candidates if d[j] >= 1]
             if stall_pool:
                 top = max(d[j] for j in stall_pool)
                 pool = [j for j in stall_pool if d[j] == top]
                 flags.append((step, "stall"))
             else:
-                pool = [
-                    j
-                    for j in candidates
-                    if d[j] == 0 and any(not in_p[i] for i in rows_through[j])
-                ]
+                pool = candidates
                 flags.append((step, "disconnected"))
         take(min(pool) if rng is None else rng.choice(sorted(pool)))
     return GreedyTrace(

@@ -2,7 +2,7 @@ import json
 
 from availcodes import cli as cli_module
 from availcodes import lp as lp_module
-from availcodes import parse_matrix, solve_lp
+from availcodes import parse_matrix, rank, solve_lp
 from availcodes.cli import run_cli
 
 
@@ -185,3 +185,55 @@ def test_construct_functional_general_needs_matrices(capsys):
     )
     assert code == 1
     assert "--matrices" in err
+
+
+def test_construct_partition_rejects_repeated_choice(tmp_path, capsys):
+    out = tmp_path / "rep.txt"
+    code, _, err = _run(
+        capsys,
+        "construct", "partition", "--r", "1", "--g", "2", "--t", "3",
+        "--choice", "1,1,2", "-o", str(out),
+    )
+    assert code == 1
+    assert "distinct" in err
+    assert not out.exists()
+
+
+def test_analyze_computes_rank_once(tmp_path, capsys, monkeypatch):
+    from availcodes import codes as codes_module
+
+    calls = []
+
+    def counting_rank(mat):
+        calls.append(mat)
+        return rank(mat)
+
+    monkeypatch.setattr(codes_module, "rank", counting_rank)
+    path = tmp_path / "g.txt"
+    _run(capsys, "construct", "product", "--r", "2", "--t", "2", "-o", str(path))
+    calls.clear()
+    code, stdout, _ = _run(capsys, "analyze", "--in", str(path))
+    assert code == 0
+    assert json.loads(stdout)["code"] == {"n": 9, "m": 6, "rank": 5, "k": 4}
+    assert len(calls) == 1
+
+
+def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
+    # 4095 partitions of [4096], three of them used
+    monkeypatch.setenv("AVAILCODES_OUTDIR", str(tmp_path))
+    code, _, _ = _run(
+        capsys, "construct", "partition", "--r", "1", "--g", "12", "--t", "3", "-o", "big.txt"
+    )
+    assert code == 0
+    sidecar = json.loads((tmp_path / "big.json").read_text())
+    assert (sidecar["n"], sidecar["m"], sidecar["kind"]) == (4096, 6144, "strict")
+    matrix = str(tmp_path / "big.txt")
+    for extra in (["--strict"], []):
+        code, stdout, _ = _run(capsys, "verify", "--in", matrix, "--r", "1", "--t", "3", *extra)
+        assert code == 0
+        assert json.loads(stdout)["pass"] is True
+    code, stdout, _ = _run(capsys, "analyze", "--in", matrix, "--r", "1", "--t", "3", "--greedy")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["code"]["k"] == sidecar["k"]
+    assert doc["trace"]["final_bound"] >= doc["code"]["k"]

@@ -74,7 +74,7 @@ def test_partition_family_base_case():
 
 @pytest.mark.parametrize(
     "r,g,expected",
-    [(1, 1, 1), (1, 2, 3), (1, 3, 7), (1, 4, 15), (2, 1, 1), (2, 2, 4), (3, 2, 5)],
+    [(1, 1, 1), (1, 2, 3), (1, 3, 7), (1, 4, 15), (2, 1, 1), (2, 2, 4), (3, 2, 5), (3, 5, 341)],
 )
 def test_partition_family_counts(r, g, expected):
     f = r + 1
@@ -140,6 +140,9 @@ def test_partition_code_choice_and_guards():
         partition_code(family, 4)
     with pytest.raises(ValueError):
         partition_code(family, 2, choice=[1, 9])
+    # a repeated partition repeats its blocks, which then meet in two points
+    with pytest.raises(ValueError, match="distinct"):
+        partition_code(family, 3, choice=[1, 1, 2])
 
 
 def test_projective_functionals():

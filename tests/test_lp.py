@@ -168,3 +168,12 @@ def test_lp_infeasible_relaxation_reported():
     # most one point; the relaxation already knows it
     with pytest.raises(InfeasibleRelaxationError):
         lp_dimension_bound(2, 4, 1, 4)
+
+
+def test_float_unbounded_is_reported_as_a_numerical_failure():
+    # every model is bounded by q^n, and here the exact optimum is finite,
+    # but the float simplex reports unbounded
+    assert lp_dimension_bound(4, 36, 5, 3).solution.status == "optimal"
+    assert solve_lp(build_lp(4, 36, 5, 3), mode="float").status == "unbounded"
+    with pytest.raises(RuntimeError, match=r"bounded by q\^n = 4\^36.*use exact mode"):
+        lp_dimension_bound(4, 36, 5, 3, mode="float")
