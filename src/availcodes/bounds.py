@@ -173,18 +173,9 @@ def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> GHWBoundProfi
     e = [r + 1]
     j_seq = [0]
     for i in range(2, m_dim + 1):
-        prev = e[-1]
-        remaining = m_dim - i + 1
-        f_cap = n - prev
-        j1 = r + 1 - (delta * (n - prev)) // remaining
-        j2 = _ceil_div(2 * prev - (i - 1) - (i - 1) * (r + 1), remaining)
-        wide = r + 1 - j_seq[-1] >= 2
-        if f_cap >= m_dim:
-            j_i = max(j1, j2, 1 if wide else 0)
-        else:
-            j_i = max(j1, 1 if wide else 0)
+        j_i, e_i, _ = _m_delta_step(n, r, m_dim, delta, i, e[-1], j_seq[-1])
         j_seq.append(j_i)
-        e.append(min(n, prev + r + 1 - min(j_i, r + 1)))
+        e.append(e_i)
     return GHWBoundProfile(
         n=n,
         r=r,
@@ -194,6 +185,28 @@ def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> GHWBoundProfi
         params={"M": m_dim, "delta": delta},
         J=tuple(j_seq),
     )
+
+
+def _m_delta_step(
+    n: int, r: int, m_dim: int, delta: int, i: int, prev: int, j_prev: int
+) -> tuple[int, int, int | float]:
+    """Step i >= 2 of the (M, delta) recursion from e_{i-1} = prev and
+    J_{i-1} = j_prev.  Returns (J_i, e_i, until): at the same e_{i-1} and
+    J_{i-1}, J_i keeps its value for every delta' < until.  The delta term
+    j1 = r+1 - floor(delta (n-prev) / (M-i+1)) never grows with delta, so a
+    J_i set by another term is fixed for good, and one set by j1 alone
+    changes when that floor next steps up."""
+    remaining = m_dim - i + 1
+    drop = (delta * (n - prev)) // remaining
+    j1 = r + 1 - drop
+    floor = 1 if r + 1 - j_prev >= 2 else 0
+    if n - prev >= m_dim:
+        floor = max(floor, _ceil_div(2 * prev - (i - 1) * (r + 2), remaining))
+    j_i = max(j1, floor)
+    until = math.inf
+    if j1 > floor and prev < n:
+        until = _ceil_div((drop + 1) * remaining, n - prev)
+    return j_i, min(n, prev + r + 1 - min(j_i, r + 1)), until
 
 
 def ghw_profile_linear(n: int, r: int, b: int | None = None) -> GHWBoundProfile:
@@ -227,13 +240,17 @@ def dmin_tamo_barg(n: int, k: int, r: int, t: int) -> BoundResult:
     """n - sum_{i=0..t} floor((k-1)/r^i)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    value = n - sum((k - 1) // r**i for i in range(t + 1))
     return BoundResult(
         "tamo_barg_dmin",
         {"n": n, "k": k, "r": r, "t": t},
-        Fraction(_clamp_distance(value, k)),
+        Fraction(_tamo_barg_value(n, k, r, t)),
         "distance",
     )
+
+
+def _tamo_barg_value(n: int, k: int, r: int, t: int) -> int:
+    """The value of dmin_tamo_barg(n, k, r, t) as an int, for 1 <= k <= n."""
+    return max(1, n - sum((k - 1) // r**i for i in range(t + 1)))
 
 
 def dmin_wang(n: int, k: int, r: int, t: int) -> BoundResult:
@@ -298,8 +315,15 @@ def dmin_m_delta(n: int, k: int, r: int, t: int, m_dim: int, delta: int) -> Boun
 
 
 def dmin_m_delta_max(n: int, k: int, r: int, t: int) -> BoundResult:
-    """Parameter-free version: exhaustive maximum of the (M, delta) bound
-    over ceil(n(1-best_known)) <= M <= n-k and 0 <= delta <= n-k."""
+    """Parameter-free version: maximum of the (M, delta) bound over
+    ceil(n(1-best_known)) <= M <= n-k and 0 <= delta <= n-k.
+
+    Each M scans delta upward and keeps the profile between deltas.  The
+    first step whose J_i changes is the first that can differ, so the scan
+    jumps to the next delta at which some J_i changes and recomputes the
+    profile from that step on; deltas in between repeat the last value.
+    Ties keep the first point in (M, delta) order.
+    """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     m_lo = math.ceil(n * (1 - rate_best_known(r, t).value_exact))
@@ -308,18 +332,42 @@ def dmin_m_delta_max(n: int, k: int, r: int, t: int) -> BoundResult:
         raise BoundNotApplicableError(
             f"no admissible M: ceil(n(1-R)) = {m_lo} exceeds n-k = {m_hi}"
         )
-    best = None
-    best_point = None
+    if n < r + 1:
+        ghw_profile_m_delta(n, r, m_lo, 0)  # e_1 = r+1 > n: the profile's own error
+    # Per step i: e_i, J_i, the least shortening term tamo_barg(n - e_s,
+    # k + s - e_s) over the steps s <= i with e_s - s < k (every s <= M <= n-k
+    # is an admissible index), and the first delta at which one of
+    # J_1..J_i changes.
+    first = _tamo_barg_value(n - r - 1, k - r, r, t) if r < k else math.inf
+    unshortened = _tamo_barg_value(n, k, r, t)
+    best = best_point = None
     for m_dim in range(m_lo, m_hi + 1):
-        for delta in range(0, n - k + 1):
-            value = dmin_m_delta(n, k, r, t, m_dim, delta).value_exact
+        e, js, low, soon = [0, r + 1], [0, 0], [math.inf, first], [math.inf, math.inf]
+        start = 2
+        delta = 0
+        while True:
+            for i in range(start, m_dim + 1):
+                if e[-1] == n:
+                    break  # later steps stay at n and have n - i >= k: inert
+                j_i, e_i, until = _m_delta_step(n, r, m_dim, delta, i, e[-1], js[-1])
+                e.append(e_i)
+                js.append(j_i)
+                soon.append(until if until < soon[-1] else soon[-1])
+                term = _tamo_barg_value(n - e_i, k + i - e_i, r, t) if e_i - i < k else math.inf
+                low.append(term if term < low[-1] else low[-1])
+            value = low[-1] if low[-1] != math.inf else unshortened
             if best is None or value > best:
                 best = value
                 best_point = (m_dim, delta)
+            delta = soon[-1]
+            if delta > n - k:
+                break
+            start = next(i for i in range(2, len(soon)) if soon[i] <= delta)
+            del e[start:], js[start:], low[start:], soon[start:]
     return BoundResult(
         "m_delta_max_dmin",
         {"n": n, "k": k, "r": r, "t": t},
-        best,
+        Fraction(best),
         "distance",
         diagnostics={"argmax_M": best_point[0], "argmax_delta": best_point[1]},
     )

@@ -68,9 +68,20 @@ class MOLSSet:
     squares: tuple[LatinSquare, ...]
 
     def __post_init__(self):
-        for s1, s2 in itertools.combinations(self.squares, 2):
-            if not orthogonal(s1, s2):
-                raise ValueError(f"squares of order {self.order} are not pairwise orthogonal")
+        # Two squares are orthogonal unless two cells agree on both.  agree[c]
+        # holds the cells that share a symbol with cell c in some earlier
+        # square, so meeting c's symbol class again is such a pair.
+        agree = [0] * (self.order * self.order)
+        for square in self.squares:
+            cells = list(itertools.chain.from_iterable(square.grid))
+            classes = dict.fromkeys(cells, 0)
+            for c, v in enumerate(cells):
+                classes[v] |= 1 << c
+            for c, v in enumerate(cells):
+                others = classes[v] ^ (1 << c)
+                if agree[c] & others:
+                    raise ValueError(f"squares of order {self.order} are not pairwise orthogonal")
+                agree[c] |= others
 
     @property
     def num_genuine(self) -> int:

@@ -58,23 +58,38 @@ class FiniteField:
         self.p, self.degree = decomp
         if self.degree > 1 and q not in _IRREDUCIBLE:
             raise ValueError(f"no irreducible polynomial on file for order {q}")
-        self.add_table = tuple(
-            tuple(self._add_raw(a, b) for b in range(q)) for a in range(q)
+        if self.p == 2:
+            self.add_table = tuple(tuple(a ^ b for b in range(q)) for a in range(q))
+        else:
+            self.add_table = tuple(
+                tuple(self._add_raw(a, b) for b in range(q)) for a in range(q)
+            )
+        # mul and inv through the powers of one primitive element g:
+        # a*b = g^(log a + log b), a^-1 = g^(-log a)
+        powers = self._primitive_powers()
+        log = [0] * q
+        for j, x in enumerate(powers):
+            log[x] = j
+        self.mul_table = ((0,) * q,) + tuple(
+            (0, *(powers[(log[a] + log[b]) % (q - 1)] for b in range(1, q)))
+            for a in range(1, q)
         )
-        self.mul_table = tuple(
-            tuple(self._mul_raw(a, b) for b in range(q)) for a in range(q)
-        )
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_table[a][b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise ValueError(f"element {a} of GF({q}) has no inverse")
-        self._inv = tuple(inv)
+        self._inv = (0, *(powers[-log[a] % (q - 1)] for a in range(1, q)))
 
     # -- raw polynomial arithmetic used to build the tables -------------
+
+    def _primitive_powers(self) -> list[int]:
+        """g^0, ..., g^(q-2) for the least element g of order q-1."""
+        q = self.q
+        for g in range(1, q):
+            powers = [1]
+            x = g
+            while x != 1 and len(powers) < q - 1:
+                powers.append(x)
+                x = self._mul_raw(x, g)
+            if x == 1 and len(powers) == q - 1:
+                return powers
+        raise ValueError(f"GF({q}) has no primitive element; its polynomial is reducible")
 
     def _digits(self, a: int) -> list[int]:
         out = []

@@ -11,9 +11,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .bitmatrix import BitMatrix, _rows_through, rank_and_nullspace, row_space_basis
+from .bitmatrix import BitMatrix, _rows_through, row_space_basis
 from .codes import AvailabilityCode
-from .weights import ENUMERATION_LIMIT, EnumerationBudgetError, _gray_weight_counts
+from .weights import EnumerationBudgetError, weight_distribution
 
 GHW_MAX_DUAL_DIM = 16
 GHW_MAX_LEVEL = 3
@@ -117,16 +117,8 @@ def _find_orthogonal_subset(cands: list[int], pivot_bit: int, t: int) -> bool:
 
 def min_distance_bruteforce(code: AvailabilityCode) -> int | float:
     """Exact minimum weight over nonzero codewords; math.inf for k = 0."""
-    rank_, basis = rank_and_nullspace(code.H)
-    k = code.n - rank_
-    if k > ENUMERATION_LIMIT:
-        raise EnumerationBudgetError(
-            f"dimension {k} exceeds enumeration limit {ENUMERATION_LIMIT}"
-        )
-    if k == 0:
-        return math.inf
-    counts = _gray_weight_counts(basis, code.n)
-    return next(w for w in range(1, code.n + 1) if counts[w])
+    counts = weight_distribution(code).A
+    return next((w for w in range(1, code.n + 1) if counts[w]), math.inf)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from availcodes import cli as cli_module
 from availcodes import lp as lp_module
@@ -69,6 +72,45 @@ def test_bounds_dmin_methods(capsys):
     )
     assert code == 0
     assert json.loads(stdout)["kind"] == "distance"
+
+
+M_DELTA_MAX_JSON = """{{
+  "name": "m_delta_max_dmin",
+  "params": {{
+    "n": {n},
+    "k": {k},
+    "r": {r},
+    "t": 3
+  }},
+  "exact": "{d}/1",
+  "value": {d}.0,
+  "kind": "distance",
+  "diagnostics": {{
+    "argmax_M": {m},
+    "argmax_delta": {delta}
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "n, k, r, d, m, delta",
+    [(20, 10, 3, 7, 9, 2), (364, 286, 11, 47, 77, 8)],  # the second is the r=11 dmin3_mdelta row
+)
+def test_bounds_dmin_m_delta_max_output(capsys, n, k, r, d, m, delta):
+    code, stdout, _ = _run(
+        capsys, "bounds", "dmin", "--method", "m-delta-max",
+        "--n", str(n), "--k", str(k), "--r", str(r), "--t", "3",
+    )
+    assert code == 0
+    assert stdout == M_DELTA_MAX_JSON.format(n=n, k=k, r=r, d=d, m=m, delta=delta)
+
+
+def test_figure_dmin3_mdelta_matches_golden(capsys):
+    golden = Path(__file__).parent.parent / "perfbench" / "golden" / "dmin3_mdelta_r3-11.csv"
+    code, stdout, _ = _run(capsys, "figure", "dmin3_mdelta", "--rmin", "3", "--rmax", "11")
+    assert code == 0
+    assert stdout == golden.read_text()
 
 
 def test_bounds_lp_json(capsys, monkeypatch):

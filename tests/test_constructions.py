@@ -5,6 +5,7 @@ import pytest
 from availcodes import (
     FiniteField,
     LatinSquare,
+    MOLSSet,
     build_partition_family,
     check_strict_availability,
     functional_code,
@@ -48,6 +49,19 @@ def test_generate_mols_pairwise_orthogonal(q):
     assert mols.num_genuine == q - 1
     for s1, s2 in itertools.combinations(mols.squares, 2):
         assert orthogonal(s1, s2)
+
+
+def test_mols_set_rejects_non_orthogonal_squares():
+    def square(f):
+        return LatinSquare(4, tuple(tuple(f(i, j) % 4 + 1 for j in range(4)) for i in range(4)))
+
+    # (i + j, i - j) repeats on cells (i, j) and (i + 2, j + 2)
+    with pytest.raises(ValueError, match="squares of order 4 are not pairwise orthogonal"):
+        MOLSSet(4, (square(lambda i, j: i + j), square(lambda i, j: i - j)))
+    squares = generate_mols(5).squares
+    with pytest.raises(ValueError, match="squares of order 5 are not pairwise orthogonal"):
+        MOLSSet(5, squares + squares[2:3])
+    assert MOLSSet(5, squares).num_genuine == 4
 
 
 def test_generate_mols_rejects_non_prime_power():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from availcodes import FiniteField, matrix_rank, prime_power
+from availcodes.fields import MAX_ORDER
 
 AXIOM_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -42,6 +43,16 @@ def test_field_axioms(q):
         assert gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
         assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
         assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, MAX_ORDER + 1) if prime_power(q)])
+def test_tables_match_polynomial_arithmetic(q):
+    # the tables come from XOR / a primitive element's powers; the raw
+    # polynomial rules are the definition
+    gf = FiniteField(q)
+    assert gf.add_table == tuple(tuple(gf._add_raw(a, b) for b in range(q)) for a in range(q))
+    assert gf.mul_table == tuple(tuple(gf._mul_raw(a, b) for b in range(q)) for a in range(q))
+    assert all(gf._mul_raw(a, gf.inv(a)) == 1 for a in range(1, q))
 
 
 @pytest.mark.parametrize("q", [25, 27, 32, 49, 64])
