@@ -39,8 +39,6 @@ from .bounds import (
 )
 from .codes import AvailabilityCode
 from .constructions import (
-    LatinSquare,
-    MOLSSet,
     PartitionFamily,
     build_partition_family,
     functional_code,

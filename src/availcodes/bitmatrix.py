@@ -148,46 +148,48 @@ def _rows_through(mat: BitMatrix) -> list[list[int]]:
     return through
 
 
+def _pivot_table(bits: Sequence[int]) -> dict[int, int]:
+    """Row echelon form as pivot rows keyed by their lowest set bit: each
+    row is reduced by the pivots it meets, lowest first, until it is zero
+    or opens a new pivot column (no back-substitution)."""
+    pivots: dict[int, int] = {}
+    for row in bits:
+        while row:
+            col = (row & -row).bit_length() - 1
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            row ^= pivot
+    return pivots
+
+
 def _rref(bits: Sequence[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     Pivots are taken at the lowest set bit, i.e. columns are processed
-    left to right with column j mapped to bit j.
+    left to right with column j mapped to bit j.  Back-substitution runs
+    from the last pivot column down, so every row it subtracts is already
+    reduced and clears one pivot bit without setting another.
     """
-    echelon: list[int] = []
-    pivots: list[int] = []
-    for row in bits:
-        for piv_row, piv_col in zip(echelon, pivots):
-            if (row >> piv_col) & 1:
-                row ^= piv_row
-        if row == 0:
-            continue
-        col = (row & -row).bit_length() - 1
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < col:
-            pos += 1
-        echelon.insert(pos, row)
-        pivots.insert(pos, col)
-        # clear the new pivot column in the rows above
-        for idx in range(len(echelon)):
-            if idx != pos and (echelon[idx] >> col) & 1:
-                echelon[idx] ^= row
-    return echelon, pivots
+    table = _pivot_table(bits)
+    pivots = sorted(table)
+    mask = 0
+    for col in reversed(pivots):
+        row = table[col]
+        above = row & mask
+        while above:
+            low = above & -above
+            row ^= table[low.bit_length() - 1]
+            above ^= low
+        table[col] = row
+        mask |= 1 << col
+    return [table[col] for col in pivots], pivots
 
 
 def rank(mat: BitMatrix) -> int:
-    """GF(2) rank, by elimination against a table of pivot rows keyed by
-    their lowest set bit (no back-substitution)."""
-    pivots: dict[int, int] = {}
-    for row in mat.bits:
-        while row:
-            low = (row & -row).bit_length()
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = row
-                break
-            row ^= pivot
-    return len(pivots)
+    """GF(2) rank: the number of pivot rows of the echelon form."""
+    return len(_pivot_table(mat.bits))
 
 
 def row_space_basis(mat: BitMatrix) -> BitMatrix:

@@ -71,13 +71,22 @@ class GHWBoundProfile:
         return len(self.e)
 
 
+def _check_locality(r: int, t: int) -> None:
+    if r < 1 or t < 1:
+        raise ValueError(f"need r >= 1 and t >= 1, got r={r}, t={t}")
+
+
+def _check_dimension(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
 # -- rate bounds ------------------------------------------------------
 
 
 def rate_tamo_barg(r: int, t: int) -> BoundResult:
     """Product bound 1 / prod_{j=1..t} (1 + 1/(jr))."""
-    if r < 1 or t < 1:
-        raise ValueError(f"need r >= 1 and t >= 1, got r={r}, t={t}")
+    _check_locality(r, t)
     prod = Fraction(1)
     for j in range(1, t + 1):
         prod *= 1 + Fraction(1, j * r)
@@ -142,6 +151,7 @@ def rate_transpose(r: int, t: int) -> BoundResult:
 
 def rate_wzl_achievable(r: int, t: int) -> BoundResult:
     """Reference achievable rate r/(r+t) used as the baseline in figures."""
+    _check_locality(r, t)
     return BoundResult("wzl_achievable", {"r": r, "t": t}, Fraction(r, r + t), "rate")
 
 
@@ -238,8 +248,8 @@ def _clamp_distance(value: int, k: int) -> int:
 
 def dmin_tamo_barg(n: int, k: int, r: int, t: int) -> BoundResult:
     """n - sum_{i=0..t} floor((k-1)/r^i)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_dimension(n, k)
+    _check_locality(r, t)
     return BoundResult(
         "tamo_barg_dmin",
         {"n": n, "k": k, "r": r, "t": t},
@@ -255,8 +265,9 @@ def _tamo_barg_value(n: int, k: int, r: int, t: int) -> int:
 
 def dmin_wang(n: int, k: int, r: int, t: int) -> BoundResult:
     """n - k + 2 - ceil((t(k-1)+1) / (t(r-1)+1))."""
-    if r < 1 or k < 1:
-        raise ValueError(f"need r >= 1 and k >= 1, got r={r}, k={k}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    _check_locality(r, t)
     value = n - k + 2 - _ceil_div(t * (k - 1) + 1, t * (r - 1) + 1)
     return BoundResult(
         "wang_dmin",
@@ -267,31 +278,26 @@ def dmin_wang(n: int, k: int, r: int, t: int) -> BoundResult:
 
 
 def dmin_shortening(
-    n: int,
-    k: int,
-    r: int,
-    t: int,
-    profile: GHWBoundProfile,
-    inner: Callable[[int, int, int, int], BoundResult] = dmin_tamo_barg,
+    n: int, k: int, r: int, t: int, profile: GHWBoundProfile
 ) -> BoundResult:
-    """Shortening bound min over {i : e_i - i < k} of inner(n-e_i, k+i-e_i, r, t).
+    """Shortening bound min over {i : e_i - i < k} of the Tamo-Barg bound
+    dmin_tamo_barg(n-e_i, k+i-e_i, r, t).
 
     Indices are capped at n - k (shortening cannot remove more information
-    than the code carries); an empty index set yields the inner bound at
+    than the code carries); an empty index set yields the Tamo-Barg bound at
     the unshortened point.
     """
     if profile.n != n or profile.r != r:
         raise ValueError("profile parameters do not match the bound point")
+    _check_locality(r, t)
     chosen = [
         (i, e) for i, e in enumerate(profile.e, start=1) if e - i < k and i <= n - k
     ]
     if not chosen:
-        result = inner(n, k, r, t)
-        value = int(result.value_exact)
+        _check_dimension(n, k)
+        value = _tamo_barg_value(n, k, r, t)
     else:
-        value = min(
-            int(inner(n - e, k + i - e, r, t).value_exact) for i, e in chosen
-        )
+        value = min(_tamo_barg_value(n - e, k + i - e, r, t) for i, e in chosen)
     return BoundResult(
         f"shortening_dmin[{profile.variant}]",
         {"n": n, "k": k, "r": r, "t": t, **profile.params},

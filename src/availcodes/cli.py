@@ -179,7 +179,10 @@ def _write_code(code: AvailabilityCode, out: str | None) -> None:
 def _load_matrices(path: str) -> list:
     with open(path) as fh:
         data = json.load(fh)
-    return [tuple(tuple(int(v) for v in row) for row in mat) for mat in data]
+    try:
+        return [tuple(tuple(int(v) for v in row) for row in mat) for mat in data]
+    except TypeError:
+        raise ValueError(f"{path} must hold a JSON list of integer matrices") from None
 
 
 def _cmd_bounds(args) -> int:

@@ -17,107 +17,24 @@ from .fields import FiniteField, matrix_rank, prime_power
 SIZE_LIMIT = 4096  # block length cap for all constructions
 
 
-@dataclass(frozen=True)
-class LatinSquare:
-    """An order x order grid with symbols 1..order.
-
-    Genuine Latin squares have each symbol once per row and column.  The two
-    auxiliary matrices used by the partition construction (constant rows /
-    constant columns) skip that check and are flagged `auxiliary`.
-    """
-
-    order: int
-    grid: tuple[tuple[int, ...], ...]
-    auxiliary: bool = False
-
-    def __post_init__(self):
-        n = self.order
-        if len(self.grid) != n or any(len(row) != n for row in self.grid):
-            raise ValueError("grid shape does not match order")
-        symbols = set(range(1, n + 1))
-        if any(v not in symbols for row in self.grid for v in row):
-            raise ValueError("grid entries must lie in 1..order")
-        if not self.auxiliary:
-            for i, row in enumerate(self.grid):
-                if set(row) != symbols:
-                    raise ValueError(f"row {i} is not a permutation of 1..{n}")
-            for j in range(n):
-                if {self.grid[i][j] for i in range(n)} != symbols:
-                    raise ValueError(f"column {j} is not a permutation of 1..{n}")
-
-
-def orthogonal(s1: LatinSquare, s2: LatinSquare) -> bool:
-    """True if superposing the two squares yields order^2 distinct pairs."""
-    n = s1.order
-    pairs = {
-        (s1.grid[a][b], s2.grid[a][b]) for a in range(n) for b in range(n)
-    }
-    return len(pairs) == n * n
-
-
-@dataclass(frozen=True)
-class MOLSSet:
-    """A family of pairwise orthogonal squares of one order.
-
-    `squares[0]` is the constant-row auxiliary matrix, `squares[-1]` the
-    constant-column one; the genuine Latin squares sit in between.  The
-    partition construction consumes the last f = count(genuine) + 1 squares.
-    """
-
-    order: int
-    squares: tuple[LatinSquare, ...]
-
-    def __post_init__(self):
-        # Two squares are orthogonal unless two cells agree on both.  agree[c]
-        # holds the cells that share a symbol with cell c in some earlier
-        # square, so meeting c's symbol class again is such a pair.
-        agree = [0] * (self.order * self.order)
-        for square in self.squares:
-            cells = list(itertools.chain.from_iterable(square.grid))
-            classes = dict.fromkeys(cells, 0)
-            for c, v in enumerate(cells):
-                classes[v] |= 1 << c
-            for c, v in enumerate(cells):
-                others = classes[v] ^ (1 << c)
-                if agree[c] & others:
-                    raise ValueError(f"squares of order {self.order} are not pairwise orthogonal")
-                agree[c] |= others
-
-    @property
-    def num_genuine(self) -> int:
-        return len(self.squares) - 2
-
-    @property
-    def f(self) -> int:
-        """Number of squares the refinement loop uses per parent partition."""
-        return self.num_genuine + 1
-
-    @property
-    def loop_squares(self) -> tuple[LatinSquare, ...]:
-        """The genuine squares followed by the constant-column matrix."""
-        return self.squares[1:]
-
-
-def generate_mols(q: int) -> MOLSSet:
-    """q - 1 mutually orthogonal Latin squares of prime-power order q,
-    via L_a(i, j) = a*i + j over GF(q), plus the two auxiliary matrices."""
+def generate_mols(q: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """The symbol classes of the q - 1 mutually orthogonal Latin squares
+    L_a(i, j) = a*i + j over GF(q), slopes a = 1..q-1, followed by the
+    constant-column square a = 0.  Entry [s][x] lists the q cells (i, j)
+    of square s that hold symbol x, one per row: j = x - a*i."""
     if prime_power(q) is None:
         raise ValueError(
             f"order {q} is not a prime power; no orthogonal-square family on file"
         )
     gf = FiniteField(q)
-    squares = [
-        LatinSquare(q, tuple(tuple(i + 1 for _ in range(q)) for i in range(q)), auxiliary=True)
-    ]
-    for a in range(1, q):
-        grid = tuple(
-            tuple(gf.add(gf.mul(a, i), j) + 1 for j in range(q)) for i in range(q)
-        )
-        squares.append(LatinSquare(q, grid))
-    squares.append(
-        LatinSquare(q, tuple(tuple(j + 1 for j in range(q)) for _ in range(q)), auxiliary=True)
-    )
-    return MOLSSet(q, tuple(squares))
+    neg = [row.index(0) for row in gf.add_table]
+    rows = range(q)
+    squares = []
+    for a in (*rows[1:], 0):
+        # shifted[i][x] = x - a*i, so column x lists symbol x's cells by row
+        shifted = [gf.add_table[neg[gf.mul_table[a][i]]] for i in rows]
+        squares.append(tuple(tuple(zip(rows, col)) for col in zip(*shifted)))
+    return tuple(squares)
 
 
 @dataclass(frozen=True)
@@ -130,7 +47,7 @@ class PartitionFamily:
     of the level below by square (i-1)%f.  `partition(i)` walks that path down from
     the root, so a code that uses t partitions builds only those t.
     `cells[s][x]` lists the 0-based (row, col) cells of square s that hold
-    symbol x+1, in row order.
+    symbol x, in row order (see `generate_mols`).
     """
 
     n: int
@@ -189,15 +106,9 @@ def build_partition_family(r: int, g: int) -> PartitionFamily:
     n = q**g
     if n > SIZE_LIMIT:
         raise ValueError(f"ground set {n} exceeds limit {SIZE_LIMIT}")
-    cells = []
     # one level is the natural partition alone, which needs no squares
-    for square in generate_mols(q).loop_squares if g > 1 else ():
-        by_symbol: list[list[tuple[int, int]]] = [[] for _ in range(q)]
-        for a, row in enumerate(square.grid):
-            for b, symbol in enumerate(row):
-                by_symbol[symbol - 1].append((a, b))
-        cells.append(tuple(map(tuple, by_symbol)))
-    return PartitionFamily(n=n, block_size=q, levels=g, cells=tuple(cells))
+    cells = generate_mols(q) if g > 1 else ()
+    return PartitionFamily(n=n, block_size=q, levels=g, cells=cells)
 
 
 def partition_code(
@@ -208,6 +119,8 @@ def partition_code(
     `choice` lists distinct 1-based partition indices; the default is the
     first t partitions in construction order.
     """
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
     if choice is None:
         choice = list(range(1, t + 1))
     if len(choice) != t:
@@ -233,8 +146,8 @@ def partition_code(
 
 def projective_functionals(gf: FiniteField, t: int) -> list[tuple[tuple[int, ...], ...]]:
     """t pairwise-independent nonzero 1x2 maps over GF(q); at most q+1 exist."""
-    if t > gf.q + 1:
-        raise ValueError(f"only {gf.q + 1} pairwise-independent directions exist, t={t}")
+    if not 1 <= t <= gf.q + 1:
+        raise ValueError(f"need 1 <= t <= {gf.q + 1}, the number of directions, got t={t}")
     directions = [((1, 0),), ((0, 1),)] + [((1, a),) for a in range(1, gf.q)]
     return directions[:t]
 
@@ -254,9 +167,13 @@ def functional_code(
     if not (2 * m1 >= n1 and m1 < n1):
         raise ValueError(f"need 2*m1 >= n1 and m1 < n1, got m1={m1}, n1={n1}")
     t = len(maps)
+    if t < 1:
+        raise ValueError("need at least one map")
     for i, a in enumerate(maps, start=1):
         if len(a) != m1 or any(len(row) != n1 for row in a):
             raise ValueError(f"map {i} is not {m1}x{n1}")
+        if any(not 0 <= v < gf.q for row in a for v in row):
+            raise ValueError(f"map {i} has entries outside GF({gf.q})")
         if matrix_rank(gf, a) != m1:
             raise ValueError(f"map {i} does not have full rank {m1}")
     for i, j in itertools.combinations(range(1, t + 1), 2):
@@ -308,6 +225,8 @@ def product_code(r: int, t: int) -> AvailabilityCode:
     Every coordinate lies on one axis line per dimension; the lines are the
     parity rows, so the result is strict with the declared (r, t).
     """
+    if r < 1 or t < 1:
+        raise ValueError(f"need r >= 1 and t >= 1, got r={r}, t={t}")
     q = r + 1
     n = q**t
     if n > SIZE_LIMIT:

@@ -93,6 +93,8 @@ def build_lp(q: int, n: int, r: int, t: int, strengthen: bool = False) -> LPMode
     """
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
+    if r < 1 or t < 1:
+        raise ValueError(f"need r >= 1 and t >= 1, got r={r}, t={t}")
     if n < t:
         raise ValueError(f"need n >= t, got n={n}, t={t}")
     if n < r + 1:

@@ -1,6 +1,6 @@
 """Reference oracles for the matrix layers: the direct O(n*m) versions of
 the greedy walk, the strict and general checks, the text format, rank and
-the all-partitions family build.
+the all-partitions family build from the Latin-square grids themselves.
 
 These are the straightforward implementations the package used before its
 matrix pipeline became incidence-based.  `test_matrix_differential.py`
@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from availcodes.bitmatrix import BitMatrix, MatrixFormatError, _rref
-from availcodes.constructions import SIZE_LIMIT, generate_mols
-from availcodes.fields import prime_power
+from availcodes.bitmatrix import BitMatrix, MatrixFormatError
+from availcodes.constructions import SIZE_LIMIT
+from availcodes.fields import FiniteField, prime_power
 from availcodes.verification import (
     AvailabilityCheckReport,
     GreedyTrace,
@@ -25,8 +25,51 @@ from availcodes.verification import (
 )
 
 
+def _rref(bits):
+    """Reduced row echelon form, one row at a time: each new row is reduced
+    by the pivot rows so far, inserted in pivot order, and cleared from the
+    rows above it.  Returns (nonzero rows, pivot columns)."""
+    echelon: list[int] = []
+    pivots: list[int] = []
+    for row in bits:
+        for piv_row, piv_col in zip(echelon, pivots):
+            if (row >> piv_col) & 1:
+                row ^= piv_row
+        if row == 0:
+            continue
+        col = (row & -row).bit_length() - 1
+        pos = 0
+        while pos < len(pivots) and pivots[pos] < col:
+            pos += 1
+        echelon.insert(pos, row)
+        pivots.insert(pos, col)
+        for idx in range(len(echelon)):
+            if idx != pos and (echelon[idx] >> col) & 1:
+                echelon[idx] ^= row
+    return echelon, pivots
+
+
 def rank(mat: BitMatrix) -> int:
     return len(_rref(mat.bits)[0])
+
+
+def row_space_basis(mat: BitMatrix) -> BitMatrix:
+    echelon, _ = _rref(mat.bits)
+    return BitMatrix(len(echelon), mat.cols, tuple(echelon))
+
+
+def rank_and_nullspace(mat: BitMatrix) -> tuple[int, BitMatrix]:
+    echelon, pivots = _rref(mat.bits)
+    basis = []
+    for f in range(mat.cols):
+        if f in pivots:
+            continue
+        v = 1 << f
+        for row, p in zip(echelon, pivots):
+            if (row >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return len(pivots), BitMatrix(len(basis), mat.cols, tuple(basis))
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -170,9 +213,19 @@ def greedy_cover(code, start=1, tiebreak="lowest", seed=None) -> GreedyTrace:
     )
 
 
+def latin_grids(q: int) -> list[list[list[int]]]:
+    """The q x q grids L_a(i, j) = a*i + j + 1 over GF(q) for a = 1..q-1,
+    then the constant-column grid L(i, j) = j + 1, filled cell by cell."""
+    gf = FiniteField(q)
+    return [
+        [[gf.add(gf.mul(a, i), j) + 1 for j in range(q)] for i in range(q)]
+        for a in (*range(1, q), 0)
+    ]
+
+
 def all_partitions(r: int, g: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Every partition of the recursive Latin-square refinement, level by
-    level, scanning each square's grid for every symbol of every block."""
+    level, scanning each square's grid for the cells of every symbol."""
     q = r + 1
     if prime_power(q) is None:
         raise ValueError(f"r+1 = {q} must be a prime power for the refinement step")
@@ -181,28 +234,31 @@ def all_partitions(r: int, g: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     if q**g > SIZE_LIMIT:
         raise ValueError(f"ground set {q**g} exceeds limit {SIZE_LIMIT}")
 
-    def cells_of(square, symbol):
-        return tuple(
-            (a, b) for a in range(q) for b in range(q) if square.grid[a][b] == symbol
-        )
+    def cells_by_symbol(grid):
+        cells = {x: [] for x in range(1, q + 1)}
+        for a in range(q):
+            for b in range(q):
+                cells[grid[a][b]].append((a, b))
+        return [cells[x] for x in range(1, q + 1)]
+
+    squares = [cells_by_symbol(grid) for grid in latin_grids(q)] if g > 1 else []
 
     def build(level: int) -> list[tuple[tuple[int, ...], ...]]:
         if level == 1:
             return [(tuple(range(1, q + 1)),)]
         prev = build(level - 1)
-        mols = generate_mols(q)
         n_cur = q**level
         natural = tuple(
             tuple(range(x * q + 1, (x + 1) * q)) + ((x + 1) * q,) for x in range(n_cur // q)
         )
         out = [natural]
         for parent in prev:
-            for square in mols.loop_squares:
+            for square in squares:
                 blocks = []
                 for parent_block in parent:
                     u = [natural[s - 1] for s in parent_block]
-                    for x in range(1, q + 1):
-                        blocks.append(tuple(sorted(u[a][b] for a, b in cells_of(square, x))))
+                    for cells in square:
+                        blocks.append(tuple(sorted(u[a][b] for a, b in cells)))
                 out.append(tuple(blocks))
         return out
 

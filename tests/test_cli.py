@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from availcodes import cli as cli_module
 from availcodes import lp as lp_module
@@ -279,3 +283,95 @@ def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
     doc = json.loads(stdout)
     assert doc["code"]["k"] == sidecar["k"]
     assert doc["trace"]["final_bound"] >= doc["code"]["k"]
+
+
+@pytest.mark.parametrize(
+    "argv,matrices",
+    [
+        ("bounds dmin --n 10 --k 5 --r 0 --t 3", None),
+        ("bounds dmin --n 10 --k 5 --r 0 --t 3 --method m-delta --M 3 --delta 1", None),
+        ("bounds lp --q 2 --n 4 --r -1 --t 3", None),
+        ("bounds rate --r 0 --t 0 --method wzl", None),
+        ("bounds dmin --n 10 --k 5 --r 2 --t -1 --method wang", None),
+        ("construct functional --q 2 --t 1 --matrices", 5),
+        ("construct functional --q 2 --t 1 --matrices", [[[None, 1]]]),
+        ("construct functional --q 2 --t 1 --matrices", [[[2, 1]]]),
+        ("construct functional --q 2 --t 0", None),
+        ("construct functional --q 2 --t 1 --matrices", []),
+        ("construct product --r -2 --t 2", None),
+        ("construct product --r 1 --t 0", None),
+        ("construct partition --r 1 --g 2 --t 0", None),
+    ],
+)
+def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
+    argv = argv.split()
+    if argv[-1] == "--matrices":
+        path = tmp_path / "maps.json"
+        path.write_text(json.dumps(matrices))
+        argv.append(str(path))
+    code, stdout, err = _run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SMALL = st.integers(-2, 12)
+_EXPONENT = st.integers(-2, 4)  # t, g, n1, m1: keeps q^t within a few MB of output
+_BOUNDS_FLAGS = {
+    "rate": {"r": _SMALL, "t": _SMALL, "n": _SMALL},
+    "dmin": {"n": _SMALL, "k": _SMALL, "r": _SMALL, "t": _SMALL, "M": _SMALL, "delta": _SMALL},
+    "lp": {"q": _SMALL, "n": _SMALL, "r": _SMALL, "t": _SMALL},
+}
+_CONSTRUCT_FLAGS = {
+    "product": {"r": _SMALL, "t": _EXPONENT},
+    "partition": {"r": _SMALL, "g": _EXPONENT, "t": _SMALL},
+    "functional": {"q": _SMALL, "n1": _EXPONENT, "m1": _EXPONENT, "t": _SMALL},
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """`bounds rate|dmin|lp` and `construct product|partition|functional`
+    with each flag present (as a small integer) or missing, plus the
+    optional switches; functional sometimes reads a drawn JSON document."""
+    group = draw(st.sampled_from(("bounds", "construct")))
+    table = _BOUNDS_FLAGS if group == "bounds" else _CONSTRUCT_FLAGS
+    command = draw(st.sampled_from(sorted(table)))
+    argv = [group, command]
+    for flag, values in table[command].items():
+        if draw(st.integers(0, 5)):
+            argv += [f"--{flag}", str(draw(values))]
+    if command == "rate":
+        argv += ["--method", draw(st.sampled_from(sorted(cli_module.RATE_METHODS)))]
+    elif command == "dmin":
+        argv += ["--method", draw(st.sampled_from(sorted(cli_module.DMIN_METHODS)))]
+    elif command == "lp":
+        argv += draw(st.sampled_from(([], ["--float"], ["--strengthen"])))
+    elif command == "partition" and draw(st.booleans()):
+        argv += ["--choice", ",".join(map(str, draw(st.lists(_SMALL, max_size=4))))]
+    document = draw(_JSON) if command == "functional" and draw(st.booleans()) else None
+    return argv, document
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(cli_argvs())
+@example((["bounds", "dmin", "--n", "10", "--k", "5", "--r", "0", "--t", "3"], None))
+@example((["construct", "functional", "--q", "3", "--t", "2"], [[[1, 0]], [[0, 5]]]))
+def test_run_cli_fuzz_exits_cleanly(tmp_path, drawn):
+    argv, document = drawn
+    if document is not None:
+        path = tmp_path / "maps.json"
+        path.write_text(json.dumps(document))
+        argv = argv + ["--matrices", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

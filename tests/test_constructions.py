@@ -4,8 +4,6 @@ import pytest
 
 from availcodes import (
     FiniteField,
-    LatinSquare,
-    MOLSSet,
     build_partition_family,
     check_strict_availability,
     functional_code,
@@ -13,55 +11,43 @@ from availcodes import (
     min_distance_bruteforce,
     partition_code,
     product_code,
+    prime_power,
     projective_functionals,
 )
-from availcodes.constructions import orthogonal
 from conftest import permutation_equivalent
 
 
-def test_latin_square_validation():
-    LatinSquare(2, ((1, 2), (2, 1)))
-    with pytest.raises(ValueError):
-        LatinSquare(2, ((1, 2), (1, 2)))
-    LatinSquare(2, ((1, 1), (2, 2)), auxiliary=True)
-
-
 def test_generate_mols_order_2():
-    mols = generate_mols(2)
-    assert mols.num_genuine == 1
-    assert mols.squares[1].grid == ((1, 2), (2, 1))
-    assert mols.squares[0].auxiliary and mols.squares[-1].auxiliary
+    # slope 1 (symbol x at j = x - i), then the constant-column square
+    assert generate_mols(2) == (
+        (((0, 0), (1, 1)), ((0, 1), (1, 0))),
+        (((0, 0), (1, 0)), ((0, 1), (1, 1))),
+    )
 
 
-def test_generate_mols_order_3_superposition():
-    mols = generate_mols(3)
-    assert mols.num_genuine == 2
-    s1, s2 = mols.squares[1], mols.squares[2]
-    pairs = {
-        (s1.grid[a][b], s2.grid[a][b]) for a in range(3) for b in range(3)
-    }
-    assert len(pairs) == 9
+PRIME_POWERS = [q for q in range(2, 65) if prime_power(q)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", PRIME_POWERS)
 def test_generate_mols_pairwise_orthogonal(q):
-    mols = generate_mols(q)
-    assert mols.num_genuine == q - 1
-    for s1, s2 in itertools.combinations(mols.squares, 2):
-        assert orthogonal(s1, s2)
-
-
-def test_mols_set_rejects_non_orthogonal_squares():
-    def square(f):
-        return LatinSquare(4, tuple(tuple(f(i, j) % 4 + 1 for j in range(4)) for i in range(4)))
-
-    # (i + j, i - j) repeats on cells (i, j) and (i + 2, j + 2)
-    with pytest.raises(ValueError, match="squares of order 4 are not pairwise orthogonal"):
-        MOLSSet(4, (square(lambda i, j: i + j), square(lambda i, j: i - j)))
-    squares = generate_mols(5).squares
-    with pytest.raises(ValueError, match="squares of order 5 are not pairwise orthogonal"):
-        MOLSSet(5, squares + squares[2:3])
-    assert MOLSSet(5, squares).num_genuine == 4
+    squares = generate_mols(q)
+    assert len(squares) == q  # q - 1 Latin squares, then the constant-column one
+    labels = []  # labels[s][i*q + j]: the symbol of cell (i, j) in square s
+    for s, square in enumerate(squares):
+        assert len(square) == q
+        label = [None] * (q * q)
+        for x, cells in enumerate(square):
+            rows, cols = zip(*cells)
+            assert rows == tuple(range(q))
+            # one cell per column, except in the last square: column x
+            assert sorted(cols) == list(range(q)) if s < q - 1 else cols == (x,) * q
+            for i, j in cells:
+                label[i * q + j] = x
+        assert None not in label  # the symbols cover every cell
+        labels.append(label)
+    # all q^2 symbol pairs occur, so each two classes share exactly one cell
+    for first, second in itertools.combinations(labels, 2):
+        assert len(set(zip(first, second))) == q * q
 
 
 def test_generate_mols_rejects_non_prime_power():

@@ -1,7 +1,8 @@
 """The matrix layers against the direct reference versions in
 `matrix_oracles.py`: identical strict and general reports, greedy traces
-(both tie-breaks, stalls and restarts), ranks, partitions, serialized text
-and `MatrixFormatError` messages and line numbers."""
+(both tie-breaks, stalls and restarts), ranks, reduced echelon bases,
+nullspaces, partitions, serialized text and `MatrixFormatError` messages
+and line numbers."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,8 @@ from availcodes import (
     greedy_cover,
     parse_matrix,
     rank,
+    rank_and_nullspace,
+    row_space_basis,
     serialize_matrix,
 )
 from availcodes.fields import prime_power
@@ -98,6 +101,8 @@ def test_greedy_matches_reference(h, start, tiebreak, seed):
 @given(matrices(max_rows=20, max_cols=20))
 def test_rank_and_text_match_reference(h):
     assert rank(h) == oracle.rank(h)
+    assert rank_and_nullspace(h) == oracle.rank_and_nullspace(h)
+    assert row_space_basis(h) == oracle.row_space_basis(h)
     text = serialize_matrix(h)
     assert text == oracle.serialize_matrix(h)
     assert parse_matrix(text) == oracle.parse_matrix(text) == h
@@ -147,11 +152,12 @@ def test_parse_matches_reference(text):
 
 
 def _families():
+    """Every family with n <= 256, then two levels for each q <= 64."""
     for q in range(2, 257):
         if prime_power(q) is None:
             continue
         g = 1
-        while q**g <= 256:
+        while q**g <= 256 or (g == 2 and q <= 64):
             yield q - 1, g
             g += 1
 
