@@ -25,6 +25,18 @@ def test_generate_mols_order_2():
     )
 
 
+def test_generate_mols_order_3_superposition():
+    squares = generate_mols(3)
+    assert len(squares) == 3  # two Latin squares, then the constant-column one
+    grids = []  # grids[s][(i, j)]: the symbol of cell (i, j) in Latin square s
+    for square in squares[:2]:
+        grid = {cell: x for x, cells in enumerate(square) for cell in cells}
+        assert len(grid) == 9
+        grids.append(grid)
+    pairs = {(grids[0][a, b], grids[1][a, b]) for a in range(3) for b in range(3)}
+    assert len(pairs) == 9
+
+
 PRIME_POWERS = [q for q in range(2, 65) if prime_power(q)]
 
 
