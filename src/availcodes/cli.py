@@ -225,6 +225,8 @@ def _cmd_construct(args) -> int:
         gf = FiniteField(args.q)
         if args.matrices:
             maps = _load_matrices(args.matrices)
+            if len(maps) != args.t:
+                raise ValueError(f"--t is {args.t} but {args.matrices} holds {len(maps)} maps")
         elif args.n1 == 2 and args.m1 == 1:
             maps = projective_functionals(gf, args.t)
         else:

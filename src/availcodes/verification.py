@@ -143,8 +143,15 @@ def gaussian_binomial(m: int, i: int) -> int:
 def dual_ghw_bruteforce(code: AvailabilityCode, dimension: int) -> GHWResult:
     """Exact generalized Hamming weight of the dual at the given dimension.
 
-    Enumerates the i-dimensional subspaces of the row space of H once each,
-    via reduced-echelon coefficient patterns over an echelon dual basis.
+    Covers the i-dimensional subspaces of the row space of H once each, via
+    reduced-echelon coefficient patterns over an echelon dual basis: for a
+    pattern of pivots, basis vector u ranges over the coset of pivot u's
+    row plus the span of its free rows, listed once by doubling.  A
+    subspace's support is the union of its basis vectors' supports and can
+    only grow as vectors are added (Wei 1991), so a partial union that
+    already has at least the best support found is pruned; the last
+    vector's coset is scanned in one C-level pass.  The budget checks count
+    every subspace, pruned or not, and run before any enumeration.
     """
     basis = row_space_basis(code.H)
     rho = basis.rows
@@ -164,24 +171,30 @@ def dual_ghw_bruteforce(code: AvailabilityCode, dimension: int) -> GHWResult:
     vecs = basis.bits
     best = code.n + 1
     for pivots in itertools.combinations(range(rho), dimension):
-        free_cols = [
-            [c for c in range(p + 1, rho) if c not in pivots] for p in pivots
-        ]
-        nfree = sum(len(f) for f in free_cols)
-        for assignment in range(1 << nfree):
-            union = 0
-            pos = 0
-            for u in range(dimension):
-                v = vecs[pivots[u]]
-                for c in free_cols[u]:
-                    if (assignment >> pos) & 1:
-                        v ^= vecs[c]
-                    pos += 1
-                union |= v
-            w = union.bit_count()
-            if w < best:
-                best = w
+        cosets = []
+        for p in pivots:
+            coset = [vecs[p]]
+            for c in range(p + 1, rho):
+                if c not in pivots:
+                    g = vecs[c]
+                    coset += [v ^ g for v in coset]
+            cosets.append(coset)
+        best = _min_union_support(cosets, 0, best)
     return GHWResult(dimension=dimension, support=best)
+
+
+def _min_union_support(cosets: list[list[int]], union: int, best: int) -> int:
+    """Least support of `union` OR one vector from each coset, or `best`
+    if none is smaller; branches whose union reaches `best` are cut."""
+    *outer, last = cosets
+    if not outer:
+        return min(best, min(map(int.bit_count, map(union.__or__, last))))
+    rest = cosets[1:]
+    for v in outer[0]:
+        grown = union | v
+        if grown.bit_count() < best:
+            best = _min_union_support(rest, grown, best)
+    return best
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .bitmatrix import BitMatrix, rank_and_nullspace
+from .bitmatrix import _pivot_table, rank_and_nullspace
 
-ENUMERATION_LIMIT = 28  # codeword enumeration is 2^k; keep k at or below this
+ENUMERATION_LIMIT = 28  # enumeration is 2^min(k, n-k); keep that exponent at or below this
 
 
 class EnumerationBudgetError(ValueError):
@@ -87,14 +88,13 @@ def _log_base(m: int, q: int) -> int:
     return k
 
 
-def _gray_weight_counts(basis: BitMatrix, n: int) -> list[int]:
-    """Weight counts of the span of `basis`, by Gray-code enumeration."""
-    k = basis.rows
+def _gray_weight_counts(vecs: Sequence[int], n: int) -> list[int]:
+    """Weight counts of the span of the independent vectors `vecs`, by
+    Gray-code enumeration."""
     counts = [0] * (n + 1)
     counts[0] = 1
-    vecs = basis.bits
     cw = 0
-    for s in range(1, 1 << k):
+    for s in range(1, 1 << len(vecs)):
         cw ^= vecs[(s & -s).bit_length() - 1]
         counts[cw.bit_count()] += 1
     return counts
@@ -103,25 +103,51 @@ def _gray_weight_counts(basis: BitMatrix, n: int) -> list[int]:
 def weight_distribution(code) -> WeightDistribution:
     """Exact weight distribution of a binary code given by its parity matrix.
 
-    Enumerates all 2^k codewords of the nullspace; guarded at k <= 28.
+    Enumerates the smaller of the code (2^k words, over a nullspace basis)
+    and its dual (2^(n-k) words, over the echelon rows of H); from the dual
+    side, A is recovered by the MacWilliams transform.  Guarded at
+    min(k, n-k) <= ENUMERATION_LIMIT, checked before any basis is built.
     """
     h = code.H
-    rank_, basis = rank_and_nullspace(h)
-    k = h.cols - rank_
-    if k > ENUMERATION_LIMIT:
+    n = h.cols
+    echelon = _pivot_table(h.bits)
+    k = n - len(echelon)
+    if min(k, n - k) > ENUMERATION_LIMIT:
         raise EnumerationBudgetError(
-            f"dimension {k} exceeds enumeration limit {ENUMERATION_LIMIT}"
+            f"dimension {k} and dual dimension {n - k} both exceed "
+            f"enumeration limit {ENUMERATION_LIMIT}"
         )
-    counts = _gray_weight_counts(basis, h.cols)
-    return WeightDistribution(n=h.cols, q=2, A=tuple(counts))
+    if n - k < k:
+        B = _gray_weight_counts(list(echelon.values()), n)
+        return WeightDistribution(n=n, q=2, A=macwilliams_vector(n, 2, tuple(B)))
+    basis = rank_and_nullspace(h)[1]
+    return WeightDistribution(n=n, q=2, A=tuple(_gray_weight_counts(basis.bits, n)))
 
 
 def macwilliams_vector(n: int, q: int, A: tuple[int, ...]) -> tuple[int, ...]:
-    """B_j = (1/sum A) * sum_i A_i K_j(i); exact, rejects non-integer results."""
+    """B_j = (1/sum A) * sum_i A_i K_j(i); exact, rejects non-integer results.
+
+    For each i with A_i != 0, the column K_0(i)..K_n(i) comes from the
+    three-term recurrence in j,
+    (j+1) K_{j+1}(i) = ((q-1)(n-j) + j - q i) K_j(i) - (q-1)(n-j+1) K_{j-1}(i),
+    whose divisions are exact: O(n) integer steps per nonzero weight.
+    """
+    if q < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {q}")
     size = sum(A)
+    sums = [0] * (n + 1)
+    for i in range(n + 1):
+        a = A[i]
+        if not a:
+            continue
+        prev, cur = 0, 1  # K_{j-1}(i), K_j(i)
+        for j in range(n + 1):
+            sums[j] += a * cur
+            prev, cur = cur, (
+                ((q - 1) * (n - j) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
+            ) // (j + 1)
     B = []
-    for j in range(n + 1):
-        s = sum(A[i] * krawtchouk(q, n, j, i) for i in range(n + 1) if A[i])
+    for j, s in enumerate(sums):
         if s < 0 or s % size:
             raise ValueError(
                 f"invalid weight distribution: B_{j} = {s}/{size} is not a nonnegative integer"

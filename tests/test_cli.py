@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from availcodes import cli as cli_module
 from availcodes import lp as lp_module
 from availcodes import parse_matrix, rank, solve_lp
+from availcodes.bitmatrix import MatrixFormatError
 from availcodes.cli import run_cli
 
 
@@ -225,6 +226,16 @@ def test_construct_functional_with_matrices_file(tmp_path, capsys):
     assert parse_matrix(stdout).rows == 6
 
 
+def test_construct_functional_t_must_match_matrices(tmp_path, capsys):
+    mats = tmp_path / "maps.json"
+    mats.write_text(json.dumps([[[1, 0]], [[0, 1]], [[1, 1]]]))
+    code, stdout, err = _run(
+        capsys, "construct", "functional", "--q", "2", "--t", "5", "--matrices", str(mats)
+    )
+    assert (code, stdout) == (1, "")
+    assert "--t is 5" in err and "holds 3 maps" in err
+
+
 def test_construct_functional_general_needs_matrices(capsys):
     code, _, err = _run(
         capsys, "construct", "functional", "--q", "2", "--n1", "3", "--m1", "2", "--t", "2"
@@ -301,6 +312,7 @@ def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
         ("construct product --r -2 --t 2", None),
         ("construct product --r 1 --t 0", None),
         ("construct partition --r 1 --g 2 --t 0", None),
+        ("construct functional --q 2 --t 5 --matrices", [[[1, 0]], [[0, 1]], [[1, 1]]]),
     ],
 )
 def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
@@ -354,6 +366,8 @@ def cli_argvs(draw):
     elif command == "partition" and draw(st.booleans()):
         argv += ["--choice", ",".join(map(str, draw(st.lists(_SMALL, max_size=4))))]
     document = draw(_JSON) if command == "functional" and draw(st.booleans()) else None
+    if isinstance(document, list) and draw(st.booleans()):
+        argv += ["--t", str(len(document))]  # the last --t wins: past the count check
     return argv, document
 
 
@@ -375,3 +389,80 @@ def test_run_cli_fuzz_exits_cleanly(tmp_path, drawn):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+@st.composite
+def matrix_texts(draw):
+    """A small matrix in the text format, sometimes with one defect: a
+    wrong header count, a short row, a stray character or a missing row."""
+    n = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    lines = [f"{len(rows)} {n}"] + [format(row, f"0{n}b") for row in rows]
+    defect = draw(st.sampled_from((None, None, "header", "short", "char", "missing")))
+    i = draw(st.integers(1, len(rows)))
+    if defect == "header":
+        lines[0] = f"{len(rows) + draw(st.integers(-1, 1))} {n + draw(st.integers(-1, 1))}"
+    elif defect == "short":
+        lines[i] = lines[i][:-1]
+    elif defect == "char":
+        lines[i] = draw(st.sampled_from("x2_ ")) + lines[i][1:]
+    elif defect == "missing":
+        del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def matrix_argvs(draw):
+    """`analyze` with any of --dmin, --ghw, --greedy (with --start and the
+    tie-breaks) and the declared --r/--t, or `verify` with or without
+    --strict, each flag present or missing."""
+    small = st.integers(-1, 5)
+    if draw(st.booleans()):
+        argv = ["analyze"]
+        for flag in ("--r", "--t"):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(small))]
+        if draw(st.booleans()):
+            argv.append("--dmin")
+        if draw(st.booleans()):
+            argv += ["--ghw", str(draw(st.integers(0, 5)))]
+        if draw(st.booleans()):
+            argv += ["--greedy", "--start", str(draw(st.integers(0, 10)))]
+            tiebreak = draw(st.sampled_from(([], ["--tiebreak", "random"])))
+            argv += tiebreak
+            if tiebreak and draw(st.integers(0, 3)):
+                argv += ["--seed", str(draw(st.integers(0, 9)))]
+    else:
+        argv = ["verify"]
+        for flag in ("--r", "--t"):
+            if draw(st.integers(0, 5)):
+                argv += [flag, str(draw(small))]
+        if draw(st.booleans()):
+            argv.append("--strict")
+    return argv
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(matrix_texts(), matrix_argvs())
+@example("2 4\n1100\n0011\n", ["analyze", "--dmin", "--ghw", "2", "--greedy"])
+@example("2 4\n1100\n0x11\n", ["verify", "--r", "1", "--t", "1"])
+def test_run_cli_fuzz_matrix_commands_exit_cleanly(tmp_path, text, argv):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli([argv[0], "--in", str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        try:
+            parse_matrix(text)
+        except MatrixFormatError as exc:  # unless the flags fail first, a 1-based line
+            message = err.getvalue()
+            assert f"line {exc.line}: " in message or "requires an explicit --seed" in message

@@ -1,0 +1,126 @@
+"""The exhaustive enumerations against the reference versions in
+`enum_oracles.py` and `matrix_oracles.py`: the same dual GHW supports as
+the unpruned search, the same weight distribution A whichever side
+`weight_distribution` enumerates (checked against a direct span of the
+reference nullspace basis), the same MacWilliams transforms, and the same
+error messages."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import enum_oracles as oracle
+import matrix_oracles
+from availcodes import (
+    AvailabilityCode,
+    BitMatrix,
+    binomial,
+    dual_ghw_bruteforce,
+    macwilliams_vector,
+    rank,
+    weight_distribution,
+)
+from availcodes.verification import GHW_MAX_DUAL_DIM, GHW_SUBSPACE_BUDGET, gaussian_binomial
+from conftest import span_weights
+
+ORACLE_SUBSPACES = 100_000  # the unpruned search takes about 0.2 s here
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:  # EnumerationBudgetError included
+        return type(exc).__name__, str(exc)
+
+
+def _nullspace_weights(code):
+    """A by a direct span of the reference nullspace basis."""
+    return tuple(span_weights(list(matrix_oracles.rank_and_nullspace(code.H)[1].bits), code.n))
+
+
+@st.composite
+def codes(draw, max_rows, max_cols):
+    """Dense or sparse rows, zero and repeated rows included."""
+    n = draw(st.integers(1, max_cols))
+    if draw(st.booleans()):
+        row = st.sets(st.integers(0, n - 1), max_size=3).map(lambda cols: sum(1 << c for c in cols))
+    else:
+        row = st.integers(0, (1 << n) - 1)
+    rows = draw(st.lists(row, max_size=max_rows))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    return AvailabilityCode(H=BitMatrix.from_rows(rows, n), n=n)
+
+
+def _rows(rows, n):
+    return AvailabilityCode(H=BitMatrix.from_rows(rows, n), n=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes(max_rows=8, max_cols=14))
+@example(_rows([0b1111, 0b0011], 4))
+@example(_rows([1070, 436, 927], 11))  # GHW_2 = 7 from a single subspace
+@example(_rows([1 << i | 1 << (i + 8) for i in range(8)], 16))  # dual dimension 8
+@example(_rows([0], 3))  # zero dual: no subspace
+def test_dual_ghw_matches_unpruned_search(code):
+    for level in range(5):
+        assert _outcome(dual_ghw_bruteforce, code, level) == _outcome(
+            oracle.dual_ghw_bruteforce, code, level
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(max_rows=18, max_cols=16))
+@example(_rows([0b111111], 6))  # dual side: k = 5 > n - k = 1
+@example(_rows([1 << i for i in range(5)], 6))  # code side: k = 1
+@example(_rows([], 4))  # no rows: the whole space, from the dual side
+@example(_rows([0b1100, 0b0011], 4))  # k = n - k: the code side
+def test_weight_distribution_either_side(code):
+    assert weight_distribution(code).A == _nullspace_weights(code)
+
+
+def _valid_distributions(q, n):
+    """Weight distributions of codes over GF(q): zero, repetition, whole space."""
+    zero = (1,) + (0,) * n
+    repetition = (1,) + (0,) * (n - 1) + (q - 1,) if n else (q,)
+    whole = tuple(binomial(n, i) * (q - 1) ** i for i in range(n + 1))
+    return st.sampled_from((zero, repetition, whole))
+
+
+@st.composite
+def distributions(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    n = draw(st.integers(0, 30))
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return q, n, draw(_valid_distributions(q, n))
+    if kind == 1 and q == 2 and n:
+        generators = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+        return q, n, tuple(span_weights(generators, n))
+    entries = st.integers(-2, 5) if kind == 3 else st.integers(0, 5)
+    return q, n, tuple(draw(st.lists(entries, min_size=n + 1, max_size=n + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(distributions())
+@example((2, 3, (1, 0, 2, 1)))  # B_1 = -2/4: negative
+@example((3, 4, (1, 0, 0, 0, 1)))  # B_4 = 17/2: not an integer
+@example((5, 2, (0, 0, 0)))  # size 0: the same ZeroDivisionError
+@example((2, 0, (1,)))
+def test_macwilliams_matches_krawtchouk_sums(drawn):
+    q, n, A = drawn
+    assert _outcome(macwilliams_vector, n, q, A) == _outcome(oracle.macwilliams_vector, n, q, A)
+
+
+def test_catalog_matches_oracles(catalog):
+    for code in catalog:
+        assert weight_distribution(code).A == _nullspace_weights(code)
+        dual_dim = rank(code.H)
+        for level in (1, 2, 3):
+            count = gaussian_binomial(dual_dim, level)
+            # over the budget both fail fast; between the cap and the budget
+            # (level 3 at dual dimension 9) the unpruned search takes seconds
+            over = count > GHW_SUBSPACE_BUDGET or dual_dim > GHW_MAX_DUAL_DIM
+            if count <= ORACLE_SUBSPACES or over:
+                assert _outcome(dual_ghw_bruteforce, code, level) == _outcome(
+                    oracle.dual_ghw_bruteforce, code, level
+                )

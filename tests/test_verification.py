@@ -6,12 +6,17 @@ from availcodes import (
     AvailabilityCode,
     BitMatrix,
     EnumerationBudgetError,
+    FiniteField,
+    build_partition_family,
     check_availability,
     check_strict_availability,
     dual_ghw_bruteforce,
+    functional_code,
     greedy_cover,
     min_distance_bruteforce,
+    partition_code,
     product_code,
+    projective_functionals,
     rank,
 )
 from availcodes.verification import gaussian_binomial
@@ -95,9 +100,20 @@ def test_min_distance_zero_dimensional():
 
 
 def test_min_distance_guard():
-    wide = AvailabilityCode(H=BitMatrix.zero(1, 30), n=30)
+    # k = n - k = 30: neither the code nor its dual is within the limit
+    wide = AvailabilityCode(H=BitMatrix.from_rows([1 << i for i in range(30)], 60), n=60)
     with pytest.raises(EnumerationBudgetError):
         min_distance_bruteforce(wide)
+
+
+def test_min_distance_from_the_dual_side():
+    # k = 45 > 28, n - k = 19: reached through the dual's 2^19 words
+    partition = partition_code(build_partition_family(7, 2), 3)
+    gf = FiniteField(8)
+    fiber = functional_code(gf, 2, 1, projective_functionals(gf, 3))
+    for code in (partition, fiber):
+        assert (code.n, code.k) == (64, 45)
+        assert min_distance_bruteforce(code) == 4
 
 
 # -- dual generalized Hamming weights -------------------------------------

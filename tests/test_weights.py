@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from availcodes import weights
 from availcodes import (
     AvailabilityCode,
     BitMatrix,
@@ -91,9 +93,33 @@ def test_weight_distribution_k4(k4_code):
 
 
 def test_weight_distribution_guard():
-    wide = _code([0], 30)  # one zero row: k = 30
+    wide = _code([1 << i for i in range(30)], 60)  # k = n - k = 30: both sides over
     with pytest.raises(EnumerationBudgetError):
         weight_distribution(wide)
+
+
+def test_weight_distribution_guard_fires_before_any_basis(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("a basis was built before the guard")
+
+    monkeypatch.setattr(weights, "rank_and_nullspace", no_basis)
+    monkeypatch.setattr(weights, "_gray_weight_counts", no_basis)
+    n = 4096
+    wide = _code([1 << i | 1 << (n - 1 - i) for i in range(n // 2)], n)  # k = n - k = 2048
+    with pytest.raises(EnumerationBudgetError, match="2048"):
+        weight_distribution(wide)
+
+
+def test_weight_distribution_from_the_dual_side():
+    n = 4096
+    start = time.perf_counter()
+    A = weight_distribution(_code([(1 << n) - 1], n)).A  # the even-weight code, k = 4095
+    assert time.perf_counter() - start < 1.0
+    expected, c = [], 1  # c = C(n, w), by the ratio of consecutive binomials
+    for w in range(n + 1):
+        expected.append(0 if w % 2 else c)
+        c = c * (n - w) // (w + 1)
+    assert A == tuple(expected)
 
 
 def test_distribution_validation():
