@@ -5,80 +5,107 @@ defining regularity properties, computes exact brute-force invariants
 (minimum distance, dual support weights), and evaluates every implemented
 rate / distance / dimension bound in exact rational arithmetic, including
 a weight-distribution linear program with an exact simplex solver.
+
+`import availcodes` is lazy: it loads no layer.  Each exported name is
+read from its defining module when it is accessed (PEP 562), so
+`availcodes.solve_lp` loads only `lp` and the layers `lp` imports.  The
+figure ids and the LP row budget live here, not in `figures`, because the
+CLI's argument parser needs them before it knows which layer a command
+uses.
 """
 
-from .bitmatrix import (
-    BitMatrix,
-    MatrixFormatError,
-    parse_matrix,
-    rank,
-    rank_and_nullspace,
-    row_space_basis,
-    serialize_matrix,
-)
-from .bounds import (
-    BoundNotApplicableError,
-    BoundResult,
-    GHWBoundProfile,
-    dim_huang,
-    dmin_m_delta,
-    dmin_m_delta_max,
-    dmin_shortening,
-    dmin_tamo_barg,
-    dmin_wang,
-    ghw_profile_linear,
-    ghw_profile_m_delta,
-    ghw_profile_simple,
-    k_opt_griesmer,
-    rate_best_known,
-    rate_greedy_t3,
-    rate_tamo_barg,
-    rate_transpose,
-    rate_transpose_step,
-    rate_wzl_achievable,
-)
-from .codes import AvailabilityCode
-from .constructions import (
-    PartitionFamily,
-    build_partition_family,
-    functional_code,
-    generate_mols,
-    partition_code,
-    product_code,
-    projective_functionals,
-)
-from .fields import FiniteField, matrix_rank, prime_power
-from .figures import FigureSpec, emit_figure_data
-from .lp import (
-    InfeasibleRelaxationError,
-    LPBoundResult,
-    LPModel,
-    LPSolution,
-    PivotLimitError,
-    build_lp,
-    lp_dimension_bound,
-    point_violations,
-    solve_lp,
-)
-from .verification import (
-    AvailabilityCheckReport,
-    GHWResult,
-    GreedyTrace,
-    StrictCheckReport,
-    check_availability,
-    check_strict_availability,
-    dual_ghw_bruteforce,
-    greedy_cover,
-    min_distance_bruteforce,
-)
-from .weights import (
-    EnumerationBudgetError,
-    WeightDistribution,
-    binomial,
-    krawtchouk,
-    macwilliams_transform,
-    macwilliams_vector,
-    weight_distribution,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+FIGURE_IDS = ("rate3", "rate4", "dmin3", "dmin3_mdelta", "lp3")
+LP_DEFAULT_BUDGET = 7  # largest r whose exact lp3 row solves within about 1 s
+
+_EXPORTS = {
+    "bitmatrix": (
+        "BitMatrix",
+        "MatrixFormatError",
+        "parse_matrix",
+        "rank",
+        "rank_and_nullspace",
+        "row_space_basis",
+        "serialize_matrix",
+    ),
+    "bounds": (
+        "BoundNotApplicableError",
+        "BoundResult",
+        "GHWBoundProfile",
+        "dim_huang",
+        "dmin_m_delta",
+        "dmin_m_delta_max",
+        "dmin_shortening",
+        "dmin_tamo_barg",
+        "dmin_wang",
+        "ghw_profile_m_delta",
+        "ghw_profile_simple",
+        "k_opt_griesmer",
+        "rate_best_known",
+        "rate_greedy_t3",
+        "rate_tamo_barg",
+        "rate_transpose",
+        "rate_transpose_step",
+        "rate_wzl_achievable",
+    ),
+    "codes": ("AvailabilityCode",),
+    "constructions": (
+        "PartitionFamily",
+        "build_partition_family",
+        "functional_code",
+        "generate_mols",
+        "partition_code",
+        "product_code",
+        "projective_functionals",
+    ),
+    "fields": ("FiniteField", "matrix_rank", "prime_power"),
+    "figures": ("FigureSpec", "emit_figure_data"),
+    "lp": (
+        "InfeasibleRelaxationError",
+        "LPBoundResult",
+        "LPModel",
+        "LPSolution",
+        "PivotLimitError",
+        "build_lp",
+        "lp_dimension_bound",
+        "point_violations",
+        "solve_lp",
+    ),
+    "verification": (
+        "AvailabilityCheckReport",
+        "GHWResult",
+        "GreedyTrace",
+        "StrictCheckReport",
+        "check_availability",
+        "check_strict_availability",
+        "dual_ghw_bruteforce",
+        "greedy_cover",
+        "min_distance_bruteforce",
+    ),
+    "weights": (
+        "EnumerationBudgetError",
+        "WeightDistribution",
+        "binomial",
+        "krawtchouk",
+        "macwilliams_transform",
+        "macwilliams_vector",
+        "weight_distribution",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -54,24 +54,6 @@ class BitMatrix:
         return cls(len(bits), cols, bits)
 
     @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
-        rows = len(entries)
-        if rows == 0:
-            raise ValueError("from_dense needs at least one row")
-        cols = len(entries[0])
-        bits = []
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged dense input")
-            acc = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entry {v!r} is not 0/1")
-                acc |= v << j
-            bits.append(acc)
-        return cls(rows, cols, tuple(bits))
-
-    @classmethod
     def from_supports(cls, supports: Iterable[Iterable[int]], cols: int) -> "BitMatrix":
         """Rows from 1-based coordinate sets."""
         bits = []
@@ -85,10 +67,6 @@ class BitMatrix:
         return cls(len(bits), cols, tuple(bits))
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(rows, cols, (0,) * rows)
 
@@ -96,21 +74,6 @@ class BitMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return (self.bits[i] >> j) & 1
-
-    def row_weight(self, i: int) -> int:
-        return self.bits[i].bit_count()
-
-    def column_weight(self, j: int) -> int:
-        m = 1 << j
-        return sum(1 for row in self.bits if row & m)
-
-    def row_support(self, i: int) -> tuple[int, ...]:
-        """1-based coordinates of the nonzero entries in row i."""
-        row = self.bits[i]
-        return tuple(j + 1 for j in range(self.cols) if (row >> j) & 1)
-
-    def to_dense(self) -> list[list[int]]:
-        return [[(row >> j) & 1 for j in range(self.cols)] for row in self.bits]
 
     # -- structure -----------------------------------------------------
 
@@ -215,7 +178,7 @@ def rank_and_nullspace(mat: BitMatrix) -> tuple[int, BitMatrix]:
     """
     echelon, pivots = _rref(mat.bits)
     if not echelon:
-        return 0, BitMatrix.identity(mat.cols)
+        return 0, BitMatrix.from_rows((1 << j for j in range(mat.cols)), mat.cols)
     place = []  # place[g][b]: union of the pivot bits of rows 8g + (bits of b)
     for start in range(0, len(pivots), 8):
         table = [0]

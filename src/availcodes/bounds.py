@@ -219,20 +219,6 @@ def _m_delta_step(
     return j_i, min(n, prev + r + 1 - min(j_i, r + 1)), until
 
 
-def ghw_profile_linear(n: int, r: int, b: int | None = None) -> GHWBoundProfile:
-    """The straight-line profile e_i = i*r + 1 (valid for r >= 2, t >= 2),
-    truncated so that e stays within the block length."""
-    cap = (n - 1) // r if r > 0 else n
-    if b is None:
-        b = cap
-    b = min(b, cap)
-    if b < 1:
-        raise ValueError("block length too small for a linear profile")
-    return GHWBoundProfile(
-        n=n, r=r, t=None, variant="linear", e=tuple(i * r + 1 for i in range(1, b + 1))
-    )
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 

@@ -13,45 +13,29 @@ import json
 import os
 import sys
 
-from . import bounds as bd
-from .bitmatrix import parse_matrix, serialize_matrix
-from .codes import AvailabilityCode
-from .constructions import (
-    build_partition_family,
-    functional_code,
-    partition_code,
-    product_code,
-    projective_functionals,
-)
-from .fields import FiniteField
-from .figures import FIGURE_IDS, LP_DEFAULT_BUDGET, FigureSpec, emit_figure_data
-from .lp import InfeasibleRelaxationError, lp_dimension_bound
-from .verification import (
-    check_availability,
-    check_strict_availability,
-    dual_ghw_bruteforce,
-    greedy_cover,
-    min_distance_bruteforce,
-)
+from . import FIGURE_IDS, LP_DEFAULT_BUDGET
 
+# Each method takes the `bounds` module and the parsed arguments; the
+# module is imported by the command that calls it, so that building the
+# parser loads no layer.
 RATE_METHODS = {
-    "tamo-barg": lambda a: bd.rate_tamo_barg(a.r, a.t),
-    "best-known": lambda a: bd.rate_best_known(a.r, a.t),
-    "transpose": lambda a: bd.rate_transpose(a.r, a.t),
-    "greedy-t3": lambda a: bd.rate_greedy_t3(_require(a.n, "--n"), a.r),
-    "wzl": lambda a: bd.rate_wzl_achievable(a.r, a.t),
+    "tamo-barg": lambda bd, a: bd.rate_tamo_barg(a.r, a.t),
+    "best-known": lambda bd, a: bd.rate_best_known(a.r, a.t),
+    "transpose": lambda bd, a: bd.rate_transpose(a.r, a.t),
+    "greedy-t3": lambda bd, a: bd.rate_greedy_t3(_require(a.n, "--n"), a.r),
+    "wzl": lambda bd, a: bd.rate_wzl_achievable(a.r, a.t),
 }
 
 DMIN_METHODS = {
-    "tamo-barg": lambda a: bd.dmin_tamo_barg(a.n, a.k, a.r, a.t),
-    "wang": lambda a: bd.dmin_wang(a.n, a.k, a.r, a.t),
-    "shortening": lambda a: bd.dmin_shortening(
+    "tamo-barg": lambda bd, a: bd.dmin_tamo_barg(a.n, a.k, a.r, a.t),
+    "wang": lambda bd, a: bd.dmin_wang(a.n, a.k, a.r, a.t),
+    "shortening": lambda bd, a: bd.dmin_shortening(
         a.n, a.k, a.r, a.t, bd.ghw_profile_simple(a.n, a.r, a.t)
     ),
-    "m-delta": lambda a: bd.dmin_m_delta(
+    "m-delta": lambda bd, a: bd.dmin_m_delta(
         a.n, a.k, a.r, a.t, _require(a.M, "--M"), _require(a.delta, "--delta")
     ),
-    "m-delta-max": lambda a: bd.dmin_m_delta_max(a.n, a.k, a.r, a.t),
+    "m-delta-max": lambda bd, a: bd.dmin_m_delta_max(a.n, a.k, a.r, a.t),
 }
 
 
@@ -163,7 +147,9 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _write_code(code: AvailabilityCode, out: str | None) -> None:
+def _write_code(code, out: str | None) -> None:
+    from .bitmatrix import serialize_matrix
+
     text = serialize_matrix(code.H)
     if out is None:
         sys.stdout.write(text)
@@ -186,24 +172,25 @@ def _load_matrices(path: str) -> list:
 
 
 def _cmd_bounds(args) -> int:
-    if args.bounds_command == "rate":
-        _print_json(RATE_METHODS[args.method](args).to_json())
-    elif args.bounds_command == "dmin":
-        _print_json(DMIN_METHODS[args.method](args).to_json())
-    else:
-        mode = "float" if args.float_mode else "exact"
-        try:
-            result = lp_dimension_bound(
-                args.q, args.n, args.r, args.t, mode=mode, strengthen=args.strengthen
-            )
-        except InfeasibleRelaxationError as exc:
-            _print_json({"status": "no code exists under relaxation", "detail": str(exc)})
-            return 0
-        doc = result.to_json()
-        doc["A"] = {
-            str(i): _num_str(v) for i, v in result.solution.variables.items() if v
-        }
-        _print_json(doc)
+    if args.bounds_command in ("rate", "dmin"):
+        from . import bounds
+
+        methods = RATE_METHODS if args.bounds_command == "rate" else DMIN_METHODS
+        _print_json(methods[args.method](bounds, args).to_json())
+        return 0
+    from .lp import InfeasibleRelaxationError, lp_dimension_bound
+
+    mode = "float" if args.float_mode else "exact"
+    try:
+        result = lp_dimension_bound(
+            args.q, args.n, args.r, args.t, mode=mode, strengthen=args.strengthen
+        )
+    except InfeasibleRelaxationError as exc:
+        _print_json({"status": "no code exists under relaxation", "detail": str(exc)})
+        return 0
+    doc = result.to_json()
+    doc["A"] = {str(i): _num_str(v) for i, v in result.solution.variables.items() if v}
+    _print_json(doc)
     return 0
 
 
@@ -215,6 +202,15 @@ def _num_str(v) -> str:
 
 
 def _cmd_construct(args) -> int:
+    from .constructions import (
+        build_partition_family,
+        functional_code,
+        partition_code,
+        product_code,
+        projective_functionals,
+    )
+    from .fields import FiniteField
+
     if args.construct_command == "partition":
         family = build_partition_family(args.r, args.g)
         choice = None
@@ -239,6 +235,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .bitmatrix import parse_matrix
+    from .verification import check_availability, check_strict_availability
+
     with open(args.infile) as fh:
         h = parse_matrix(fh.read())
     if args.strict:
@@ -250,6 +249,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .bitmatrix import parse_matrix
+    from .codes import AvailabilityCode
+    from .verification import dual_ghw_bruteforce, greedy_cover, min_distance_bruteforce
+
     if args.tiebreak == "random" and args.seed is None:
         raise ValueError("--tiebreak random requires an explicit --seed")
     with open(args.infile) as fh:
@@ -274,6 +277,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    from .figures import FigureSpec, emit_figure_data
+
     spec = FigureSpec(args.figure_id, args.rmin, args.rmax)
     _emit(emit_figure_data(spec, lp_budget=args.budget), args.out)
     return 0

@@ -8,15 +8,12 @@ column marks skipped rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+from . import FIGURE_IDS, LP_DEFAULT_BUDGET
 from . import bounds as bd
-from .lp import LPBoundResult, lp_dimension_bound
-from .weights import binomial
-
-FIGURE_IDS = ("rate3", "rate4", "dmin3", "dmin3_mdelta", "lp3")
-LP_DEFAULT_BUDGET = 7  # largest r whose exact lp3 row solves within about 1 s
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,7 @@ def _fmt_exact(value: Fraction | None) -> str:
 
 def _sweep_params(figure_id: str, r: int) -> dict:
     if figure_id in ("rate3", "dmin3", "dmin3_mdelta"):
-        n = binomial(r + 3, 3)
+        n = math.comb(r + 3, 3)
         return {"n": n, "k": r * (r + 1) * (r + 2) // 6, "t": 3}
     if figure_id == "rate4":
         return {"t": 4}
@@ -92,11 +89,15 @@ def _row_dmin3_mdelta(r: int) -> dict:
 
 
 def _row_lp3(r: int) -> dict:
+    from .lp import lp_dimension_bound
+
     p = _sweep_params("lp3", r)
     n = p["n"]
     lp = lp_dimension_bound(2, n, r, 3)
+    # the float column is the rate log2(M)/n, the exact column M itself
+    lp_rate = bd.BoundResult("lp_rate", lp.params, lp.solution.value, "rate", lp.value / n)
     return {
-        "lp_bound_rate": replace(lp, name="lp_rate", kind="rate", value=lp.value / n),
+        "lp_bound_rate": lp_rate,
         "tamo_barg": bd.rate_tamo_barg(r, 3),
         "huang_griesmer": _huang_rate(n, r),
     }
@@ -124,12 +125,6 @@ _BUILDERS = {
 }
 
 
-def _exact_of(result: bd.BoundResult) -> Fraction | None:
-    if isinstance(result, LPBoundResult):
-        return result.solution.value
-    return result.value_exact
-
-
 def emit_figure_data(spec: FigureSpec, lp_budget: int = LP_DEFAULT_BUDGET) -> str:
     """One CSV row per r in the requested range; see module docstring for layout."""
     builder, columns = _BUILDERS[spec.figure_id]
@@ -147,6 +142,6 @@ def emit_figure_data(spec: FigureSpec, lp_budget: int = LP_DEFAULT_BUDGET) -> st
             lines.append(",".join(cells))
             continue
         floats = [_fmt_float(results[c].value) for c in columns]
-        exacts = [_fmt_exact(_exact_of(results[c])) for c in columns]
+        exacts = [_fmt_exact(results[c].value_exact) for c in columns]
         lines.append(",".join([str(r), *floats, *exacts, ""]))
     return "\n".join(lines) + "\n"

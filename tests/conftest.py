@@ -53,6 +53,16 @@ def dense_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def dense_rows(mat: BitMatrix) -> list[list[int]]:
+    """The 0/1 entries of a bit-packed matrix, row by row."""
+    return [[(row >> j) & 1 for j in range(mat.cols)] for row in mat.bits]
+
+
+def support(row: int) -> tuple[int, ...]:
+    """1-based coordinates of the ones in a bit-packed row."""
+    return tuple(j + 1 for j in range(row.bit_length()) if (row >> j) & 1)
+
+
 def dense_nullspace_check(rows: list[list[int]], vec: list[int]) -> bool:
     return all(sum(a * b for a, b in zip(row, vec)) % 2 == 0 for row in rows)
 

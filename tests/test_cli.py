@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from availcodes import FIGURE_IDS
 from availcodes import cli as cli_module
 from availcodes import lp as lp_module
 from availcodes import parse_matrix, rank, solve_lp
@@ -466,3 +467,27 @@ def test_run_cli_fuzz_matrix_commands_exit_cleanly(tmp_path, text, argv):
         except MatrixFormatError as exc:  # unless the flags fail first, a 1-based line
             message = err.getvalue()
             assert f"line {exc.line}: " in message or "requires an explicit --seed" in message
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(FIGURE_IDS),
+    st.integers(-1, 6),
+    st.integers(-1, 6),
+    st.integers(-1, 5),
+)
+@example("lp3", 1, 5, 5)
+@example("dmin3_mdelta", 1, 6, 0)
+def test_run_cli_fuzz_figure_exits_cleanly(figure_id, rmin, rmax, budget):
+    argv = ["figure", figure_id, "--rmin", str(rmin), "--rmax", str(rmax), "--budget", str(budget)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert len(out.getvalue().splitlines()) == rmax - rmin + 2
+    else:
+        assert out.getvalue() == ""
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

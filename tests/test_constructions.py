@@ -14,7 +14,7 @@ from availcodes import (
     prime_power,
     projective_functionals,
 )
-from conftest import permutation_equivalent
+from conftest import permutation_equivalent, support
 
 
 def test_generate_mols_order_2():
@@ -126,7 +126,7 @@ def test_partition_family_rejects_bad_parameters():
 
 def test_partition_code_k4(k4_code):
     assert (k4_code.n, k4_code.m, k4_code.k) == (4, 6, 1)
-    assert sorted(k4_code.H.row_support(i) for i in range(6)) == [
+    assert sorted(support(row) for row in k4_code.H.bits) == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
     ]
     assert check_strict_availability(k4_code.H, 1, 3).passed

@@ -41,7 +41,8 @@ def test_strict_check_k4(k4_code):
 
 def test_strict_check_identity_fails_row_weights():
     # identity rows have weight 1 != r+1 = 2, and m(r+1) = 8 != nt = 4
-    report = check_strict_availability(BitMatrix.identity(4), 1, 1)
+    identity = BitMatrix.from_rows((0b0001, 0b0010, 0b0100, 0b1000), 4)
+    report = check_strict_availability(identity, 1, 1)
     assert not report.passed
     assert report.row_weight_violations == (1, 2, 3, 4)
     assert not report.balance_ok
