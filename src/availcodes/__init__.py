@@ -90,6 +90,7 @@ _EXPORTS = {
         "WeightDistribution",
         "binomial",
         "krawtchouk",
+        "krawtchouk_column",
         "macwilliams_transform",
         "macwilliams_vector",
         "weight_distribution",

@@ -165,10 +165,14 @@ def _write_code(code, out: str | None) -> None:
 def _load_matrices(path: str) -> list:
     with open(path) as fh:
         data = json.load(fh)
-    try:
-        return [tuple(tuple(int(v) for v in row) for row in mat) for mat in data]
-    except TypeError:
-        raise ValueError(f"{path} must hold a JSON list of integer matrices") from None
+    # JSON integers only: no floats, no bools (`type(True) is bool`), no strings
+    if not isinstance(data, list) or not all(
+        isinstance(mat, list)
+        and all(isinstance(row, list) and all(type(v) is int for v in row) for row in mat)
+        for mat in data
+    ):
+        raise ValueError(f"{path} must hold a JSON list of integer matrices")
+    return [tuple(tuple(row) for row in mat) for mat in data]
 
 
 def _cmd_bounds(args) -> int:

@@ -4,7 +4,8 @@ The model maximizes 1 + sum A_i over A_{t+1}..A_n subject to nonnegativity
 of the code's and the dual's weight counts plus the structural rows coming
 from sums of one or two parity rows.  Constraints stated on dual counts are
 folded into A-space through the weight-distribution transform, so every
-coefficient is an exact integer; the default solver is exact rational.
+row is a `<=` row of exact integers, read off one Krawtchouk column per
+variable; the default solver is exact rational.
 
 Sums of three or more parity rows would contribute further valid rows;
 they are deliberately not modeled here.
@@ -19,13 +20,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import BoundResult
-from .weights import binomial, krawtchouk
+from .weights import binomial, krawtchouk_column
 
 DEFAULT_PIVOT_LIMIT = 200_000
 FLOAT_TOL = 1e-9
-
-LE = "<="
-GE = ">="
 
 
 class PivotLimitError(RuntimeError):
@@ -38,9 +36,10 @@ class InfeasibleRelaxationError(ValueError):
 
 @dataclass(frozen=True)
 class LPConstraint:
-    coeffs: tuple[Fraction, ...]
-    sense: str
-    rhs: Fraction
+    """The row coeffs . x <= rhs, in integers."""
+
+    coeffs: tuple[int, ...]
+    rhs: int
     label: str = ""
 
 
@@ -51,15 +50,19 @@ class LPModel:
     variables is implicit in the solver's standard form."""
 
     num_vars: int
-    objective_offset: Fraction
-    objective: tuple[Fraction, ...]
+    objective_offset: int
+    objective: tuple[int, ...]
     constraints: tuple[LPConstraint, ...]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.objective_offset, *self.objective)):
+            raise ValueError("the objective must hold integers")
         for c in self.constraints:
             if len(c.coeffs) != self.num_vars:
                 raise ValueError(f"constraint {c.label!r} has wrong arity")
+            if not all(type(v) is int for v in (*c.coeffs, c.rhs)):
+                raise ValueError(f"constraint {c.label!r} must hold integers")
 
     @property
     def weight_indices(self) -> range:
@@ -89,7 +92,8 @@ def build_lp(q: int, n: int, r: int, t: int, strengthen: bool = False) -> LPMode
     Rows: dual-count nonnegativity for every transform degree j = 0..n, the
     two-row-sum counts at weights 2r (only for r > 2) and 2(r+1), and the
     row-count lower bound on the dual count at weight r+1.  `strengthen`
-    adds the optional cap A_i <= (q-1)^i C(n, i).
+    adds the optional cap A_i <= (q-1)^i C(n, i).  Every row is stated as
+    `<=`: the dual-count rows K_j . A >= -(q-1)^j C(n, j) enter negated.
     """
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
@@ -102,49 +106,44 @@ def build_lp(q: int, n: int, r: int, t: int, strengthen: bool = False) -> LPMode
     if (n * t) % (r + 1):
         raise ValueError(f"r+1 = {r + 1} must divide nt = {n * t}")
     m = n * t // (r + 1)
-    idx = list(range(t + 1, n + 1))
-    nv = len(idx)
-    constraints: list[LPConstraint] = []
+    idx = range(t + 1, n + 1)
+    columns = [krawtchouk_column(q, n, i) for i in idx]
+    kraw = [[column[j] for column in columns] for j in range(n + 1)]  # K_j(i), i in idx
 
-    for j in range(n + 1):
-        coeffs = tuple(Fraction(krawtchouk(q, n, j, i)) for i in idx)
-        rhs = Fraction(-((q - 1) ** j) * binomial(n, j))
-        constraints.append(LPConstraint(coeffs, GE, rhs, label=f"dual_nonneg_{j}"))
+    def volume(w: int) -> int:
+        """(q-1)^w C(n, w), the number of words of weight w."""
+        return (q - 1) ** w * binomial(n, w)
+
+    constraints = [
+        LPConstraint(tuple(-k for k in kraw[j]), volume(j), f"dual_nonneg_{j}")
+        for j in range(n + 1)
+    ]
+
+    def at_least(count: int, w: int, label: str) -> LPConstraint:
+        """The dual count at weight w is at least `count`, in A-space."""
+        coeffs = tuple(count - k for k in kraw[w])
+        return LPConstraint(coeffs, volume(w) - count, label)
 
     pair_count = n * binomial(t, 2)
     if r > 2 and 2 * r <= n:
-        coeffs = tuple(
-            Fraction(pair_count - krawtchouk(q, n, 2 * r, i)) for i in idx
-        )
-        rhs = Fraction((q - 1) ** (2 * r) * binomial(n, 2 * r) - pair_count)
-        constraints.append(LPConstraint(coeffs, LE, rhs, label="pair_sum_2r"))
+        constraints.append(at_least(pair_count, 2 * r, "pair_sum_2r"))
     if r >= 2 and 2 * (r + 1) <= n:
         # distinctness of disjoint-pair sums needs row weight >= 3: with
         # weight-2 rows two disjoint pairs can sum to the same codeword
         lower = binomial(m, 2) - pair_count
-        coeffs = tuple(
-            Fraction(lower - krawtchouk(q, n, 2 * (r + 1), i)) for i in idx
-        )
-        rhs = Fraction((q - 1) ** (2 * (r + 1)) * binomial(n, 2 * (r + 1)) - lower)
-        constraints.append(LPConstraint(coeffs, LE, rhs, label="pair_sum_2r2"))
-
-    # row-count bound on the dual count at weight r+1, folded into A-space
-    coeffs = tuple(Fraction(m - krawtchouk(q, n, r + 1, i)) for i in idx)
-    rhs = Fraction((q - 1) ** (r + 1) * binomial(n, r + 1) - m)
-    constraints.append(LPConstraint(coeffs, LE, rhs, label="row_count"))
+        constraints.append(at_least(lower, 2 * (r + 1), "pair_sum_2r2"))
+    # row-count bound on the dual count at weight r+1
+    constraints.append(at_least(m, r + 1, "row_count"))
 
     if strengthen:
         for pos, i in enumerate(idx):
-            coeffs = tuple(
-                Fraction(1 if p == pos else 0) for p in range(nv)
-            )
-            rhs = Fraction((q - 1) ** i * binomial(n, i))
-            constraints.append(LPConstraint(coeffs, LE, rhs, label=f"cap_{i}"))
+            unit = tuple(int(p == pos) for p in range(len(idx)))
+            constraints.append(LPConstraint(unit, volume(i), f"cap_{i}"))
 
     return LPModel(
-        num_vars=nv,
-        objective_offset=Fraction(1),
-        objective=tuple(Fraction(1) for _ in idx),
+        num_vars=len(idx),
+        objective_offset=1,
+        objective=(1,) * len(idx),
         constraints=tuple(constraints),
         meta={"q": q, "n": n, "r": r, "t": t, "m": m, "strengthen": strengthen},
     )
@@ -163,21 +162,12 @@ def point_violations(model: LPModel, a_by_weight: dict[int, int | Fraction]) -> 
     x = [Fraction(a_by_weight.get(i, 0)) for i in model.weight_indices]
     bad = [f"nonneg_{i}" for i, v in zip(model.weight_indices, x) if v < 0]
     for c in model.constraints:
-        lhs = sum(cf * v for cf, v in zip(c.coeffs, x))
-        if c.sense == LE and lhs > c.rhs:
-            bad.append(c.label)
-        elif c.sense == GE and lhs < c.rhs:
+        if sum(cf * v for cf, v in zip(c.coeffs, x)) > c.rhs:
             bad.append(c.label)
     return bad
 
 
 # -- two-phase simplex --------------------------------------------------
-
-
-def _integer_row(values: Sequence) -> list[int]:
-    """The content-reduced integer multiple of a row of ints and Fractions."""
-    den = math.lcm(*(v.denominator for v in values))
-    return _reduce_content([v.numerator * (den // v.denominator) for v in values], 0)
 
 
 def _reduce_content(row: list[int], basic: int) -> list[int]:
@@ -217,14 +207,16 @@ def _simplex_max(
     never entering) that no constraint row touches; its `z` entry is its
     denominator.  A pivot updates each row to `p*row - f*pivot_row`, a
     positive multiple again, and rescales it: exact mode keeps Python ints
-    and divides out their gcd, float mode divides by the basic entry.
+    and divides out their gcd, float mode divides by the basic entry.  A
+    starting row needs neither: its basic entry, a slack, artificial or
+    `z` column, is 1.
     """
     if exact:
         zero, one, tol, feas_tol = 0, 1, 0, 0
-        new_row, rescale, quotient = _integer_row, _reduce_content, Fraction
+        rescale, quotient = _reduce_content, Fraction
     else:
         zero, one, tol, feas_tol = 0.0, 1.0, FLOAT_TOL, 1e-7
-        new_row, rescale, quotient = list, _unit_basic, operator.truediv
+        rescale, quotient = _unit_basic, operator.truediv
     nv = len(obj)
     m = len(rows)
     neg_rows = [i for i in range(m) if rhs[i] < -tol]
@@ -249,7 +241,7 @@ def _simplex_max(
             basis.append(art_pos[i])
         else:
             basis.append(nv + i)
-        tableau.append(new_row(row))
+        tableau.append(row)
 
     def eliminate(row: list, basic: int, prow: list, pc: int) -> list:
         """`row` with column pc cleared by the pivot row `prow`."""
@@ -300,7 +292,7 @@ def _simplex_max(
 
     def make_obj_row(cost: list) -> list:
         """z - cost.x = 0 with the basic columns eliminated."""
-        row = new_row([-c for c in cost] + [one, zero])
+        row = [-c for c in cost] + [one, zero]
         for i, b in enumerate(basis):
             row = eliminate(row, total, tableau[i], b)
         return row
@@ -344,35 +336,30 @@ def solve_lp(
 ) -> LPSolution:
     """Solve the model; `mode` is "exact" (rational) or "float".
 
-    Float mode normalizes each row by its largest absolute coefficient and
-    works to a 1e-9 feasibility tolerance.
+    Exact mode pivots on the model's integer rows as they are.  Float mode
+    normalizes each row by its largest absolute coefficient and works to a
+    1e-9 feasibility tolerance; it raises ValueError when an entry is
+    beyond the double range.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     exact = mode == "exact"
-    rows: list[list] = []
-    rhs: list = []
-    for c in model.constraints:
-        coeffs = list(c.coeffs)
-        b = c.rhs
-        if c.sense == GE:
-            coeffs = [-v for v in coeffs]
-            b = -b
-        rows.append(coeffs)
-        rhs.append(b)
-    if exact:
-        obj = list(model.objective)
-    else:
-        obj = [float(v) for v in model.objective]
-        scaled_rows = []
-        scaled_rhs = []
-        for coeffs, b in zip(rows, rhs):
-            fr = [float(v) for v in coeffs]
-            fb = float(b)
-            scale = max([abs(v) for v in fr] + [abs(fb), 1.0])
-            scaled_rows.append([v / scale for v in fr])
-            scaled_rhs.append(fb / scale)
-        rows, rhs = scaled_rows, scaled_rhs
+    obj = model.objective
+    rows = [c.coeffs for c in model.constraints]
+    rhs = [c.rhs for c in model.constraints]
+    if not exact:
+        try:
+            obj = [float(v) for v in obj]
+            rows = [[float(v) for v in coeffs] for coeffs in rows]
+            rhs = [float(b) for b in rhs]
+        except OverflowError:
+            raise ValueError(
+                "float mode cannot hold this model: an entry exceeds the double "
+                "range; use exact mode"
+            ) from None
+        scales = [max([abs(v) for v in fr] + [abs(fb), 1.0]) for fr, fb in zip(rows, rhs)]
+        rows = [[v / scale for v in fr] for fr, scale in zip(rows, scales)]
+        rhs = [fb / scale for fb, scale in zip(rhs, scales)]
     status, value, x = _simplex_max(
         obj, rows, rhs, exact=exact, pivot_limit=pivot_limit
     )
@@ -410,7 +397,12 @@ def lp_dimension_bound(
     if sol.status != "optimal":
         raise RuntimeError(f"unexpected LP status {sol.status}")
     m_value = sol.value
-    bound = math.log(float(m_value), q) if float(m_value) > 0 else 0.0
+    try:
+        m_float = float(m_value)
+    except OverflowError:  # an exact M beyond the double range
+        bound = (math.log(m_value.numerator) - math.log(m_value.denominator)) / math.log(q)
+    else:
+        bound = math.log(m_float, q) if m_float > 0 else 0.0
     diagnostics = {"status": "optimal", "mode": mode}
     if isinstance(m_value, Fraction):
         diagnostics["M"] = f"{m_value.numerator}/{m_value.denominator}"

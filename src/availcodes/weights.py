@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitmatrix import _pivot_table, rank_and_nullspace
-
 ENUMERATION_LIMIT = 28  # enumeration is 2^min(k, n-k); keep that exponent at or below this
 
 
@@ -28,19 +26,31 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def krawtchouk(q: int, n: int, j: int, i: int) -> int:
-    """K_j(i) = sum_a (-1)^a (q-1)^(j-a) C(i,a) C(n-i,j-a) over a q-ary alphabet."""
+def krawtchouk_column(q: int, n: int, i: int) -> list[int]:
+    """K_0(i)..K_n(i) over a q-ary alphabet, from the three-term recurrence in j,
+    (j+1) K_{j+1}(i) = ((q-1)(n-j) + j - q i) K_j(i) - (q-1)(n-j+1) K_{j-1}(i),
+    whose divisions are exact: O(n) integer steps.
+    """
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
-    if not 0 <= j <= n:
-        raise ValueError(f"degree j={j} outside 0..{n}")
     if not 0 <= i <= n:
         raise ValueError(f"point i={i} outside 0..{n}")
-    acc = 0
-    for a in range(j + 1):
-        term = (q - 1) ** (j - a) * binomial(i, a) * binomial(n - i, j - a)
-        acc += -term if a & 1 else term
-    return acc
+    prev, cur = 0, 1  # K_{j-1}(i), K_j(i)
+    column = [cur]
+    for j in range(n):
+        prev, cur = cur, (
+            ((q - 1) * (n - j) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
+        ) // (j + 1)
+        column.append(cur)
+    return column
+
+
+def krawtchouk(q: int, n: int, j: int, i: int) -> int:
+    """K_j(i) = sum_a (-1)^a (q-1)^(j-a) C(i,a) C(n-i,j-a), read from
+    `krawtchouk_column`, which checks q and i."""
+    if not 0 <= j <= n:
+        raise ValueError(f"degree j={j} outside 0..{n}")
+    return krawtchouk_column(q, n, i)[j]
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,8 @@ def weight_distribution(code) -> WeightDistribution:
     side, A is recovered by the MacWilliams transform.  Guarded at
     min(k, n-k) <= ENUMERATION_LIMIT, checked before any basis is built.
     """
+    from .bitmatrix import _pivot_table, rank_and_nullspace
+
     h = code.H
     n = h.cols
     echelon = _pivot_table(h.bits)
@@ -127,25 +139,15 @@ def weight_distribution(code) -> WeightDistribution:
 def macwilliams_vector(n: int, q: int, A: tuple[int, ...]) -> tuple[int, ...]:
     """B_j = (1/sum A) * sum_i A_i K_j(i); exact, rejects non-integer results.
 
-    For each i with A_i != 0, the column K_0(i)..K_n(i) comes from the
-    three-term recurrence in j,
-    (j+1) K_{j+1}(i) = ((q-1)(n-j) + j - q i) K_j(i) - (q-1)(n-j+1) K_{j-1}(i),
-    whose divisions are exact: O(n) integer steps per nonzero weight.
+    One `krawtchouk_column` per nonzero A_i: O(n) integer steps each.
     """
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
     size = sum(A)
     sums = [0] * (n + 1)
-    for i in range(n + 1):
-        a = A[i]
-        if not a:
-            continue
-        prev, cur = 0, 1  # K_{j-1}(i), K_j(i)
-        for j in range(n + 1):
-            sums[j] += a * cur
-            prev, cur = cur, (
-                ((q - 1) * (n - j) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
-            ) // (j + 1)
+    for i, a in enumerate(A):
+        if a:
+            sums = [s + a * k for s, k in zip(sums, krawtchouk_column(q, n, i))]
     B = []
     for j, s in enumerate(sums):
         if s < 0 or s % size:

@@ -1,16 +1,19 @@
 """Reference oracles for the exhaustive enumerations: the dual GHW search
-that rebuilds every subspace's basis from its coefficient bits, and the
-MacWilliams transform that sums `krawtchouk` term by term.
+that rebuilds every subspace's basis from its coefficient bits, the
+Krawtchouk value as its direct alternating sum, and the MacWilliams
+transform that sums those values term by term.
 
 These are the implementations the package used before its enumerations
-moved their inner loops into C-level passes.  `test_enum_differential.py`
-requires the package to agree with them exactly: the same supports, the
-same dual distributions and the same error messages.
+moved their inner loops into C-level passes and its Krawtchouk values
+into one three-term recurrence.  `test_enum_differential.py` requires the
+package to agree with them exactly: the same supports, the same Krawtchouk
+values, the same dual distributions and the same error messages.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from availcodes.bitmatrix import row_space_basis
 from availcodes.verification import (
@@ -20,7 +23,7 @@ from availcodes.verification import (
     GHWResult,
     gaussian_binomial,
 )
-from availcodes.weights import EnumerationBudgetError, krawtchouk
+from availcodes.weights import EnumerationBudgetError
 
 
 def dual_ghw_bruteforce(code, dimension: int) -> GHWResult:
@@ -64,12 +67,21 @@ def dual_ghw_bruteforce(code, dimension: int) -> GHWResult:
     return GHWResult(dimension=dimension, support=best)
 
 
+def krawtchouk_sum(q: int, n: int, j: int, i: int) -> int:
+    """K_j(i) = sum_a (-1)^a (q-1)^(j-a) C(i,a) C(n-i,j-a), term by term."""
+    acc = 0
+    for a in range(j + 1):
+        term = (q - 1) ** (j - a) * math.comb(i, a) * math.comb(n - i, j - a)
+        acc += -term if a & 1 else term
+    return acc
+
+
 def macwilliams_vector(n: int, q: int, A: tuple[int, ...]) -> tuple[int, ...]:
-    """B_j = (1/sum A) * sum_i A_i K_j(i), each K_j(i) from `krawtchouk`."""
+    """B_j = (1/sum A) * sum_i A_i K_j(i), each K_j(i) from `krawtchouk_sum`."""
     size = sum(A)
     B = []
     for j in range(n + 1):
-        s = sum(A[i] * krawtchouk(q, n, j, i) for i in range(n + 1) if A[i])
+        s = sum(A[i] * krawtchouk_sum(q, n, j, i) for i in range(n + 1) if A[i])
         if s < 0 or s % size:
             raise ValueError(
                 f"invalid weight distribution: B_{j} = {s}/{size} is not a nonnegative integer"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from availcodes.lp import GE, LPModel, LPSolution, PivotLimitError
+from availcodes.lp import LPModel, LPSolution, PivotLimitError
 
 
 def _simplex_max(obj, rows, rhs, pivot_limit):
@@ -116,11 +116,8 @@ def _simplex_max(obj, rows, rhs, pivot_limit):
 
 def reference_solve(model: LPModel, pivot_limit: int) -> LPSolution:
     """`solve_lp(model, mode="exact", pivot_limit=...)` on the Fraction tableau."""
-    rows, rhs = [], []
-    for c in model.constraints:
-        sign = -1 if c.sense == GE else 1
-        rows.append([sign * v for v in c.coeffs])
-        rhs.append(sign * c.rhs)
+    rows = [c.coeffs for c in model.constraints]
+    rhs = [c.rhs for c in model.constraints]
     status, value, x = _simplex_max(list(model.objective), rows, rhs, pivot_limit)
     if status != "optimal":
         return LPSolution(status=status, value=None, variables={})

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,38 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "document",
+    [5, {"a": [[1, 0]]}, [[1, 0]], [[[None, 1]]], [[[1.9, 1]]], [[[1.0, 1]]],
+     [[[True, 1]]], [[["0", 1]]], [[["01"]]]],
+)
+def test_matrices_file_holds_json_integers_only(tmp_path, capsys, document):
+    path = tmp_path / "maps.json"
+    path.write_text(json.dumps(document))
+    code, stdout, err = _run(
+        capsys, "construct", "functional", "--q", "2", "--t", "1", "--matrices", str(path)
+    )
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {path} must hold a JSON list of integer matrices\n"
+
+
+def test_lp_with_q_beyond_the_double_range(capsys):
+    # every coefficient and M = q^11 / 7 exceed the double range at q = 10^40
+    q = 10**40
+    argv = ("bounds", "lp", "--q", str(q), "--n", "12", "--r", "2", "--t", "1")
+    code, stdout, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(stdout)
+    assert doc["diagnostics"]["M"] == f"{q**11}/7"
+    assert doc["value"] == pytest.approx(11 - math.log(7, q), rel=1e-15)
+    code, stdout, err = _run(capsys, *argv, "--float")
+    assert (code, stdout) == (1, "")
+    assert err == (
+        "error: float mode cannot hold this model: an entry exceeds the double "
+        "range; use exact mode\n"
+    )
+
+
 _SMALL = st.integers(-2, 12)
 _EXPONENT = st.integers(-2, 4)  # t, g, n1, m1: keeps q^t within a few MB of output
 _BOUNDS_FLAGS = {
@@ -378,6 +411,7 @@ def cli_argvs(draw):
 @given(cli_argvs())
 @example((["bounds", "dmin", "--n", "10", "--k", "5", "--r", "0", "--t", "3"], None))
 @example((["construct", "functional", "--q", "3", "--t", "2"], [[[1, 0]], [[0, 5]]]))
+@example((["bounds", "lp", "--q", str(10**40), "--n", "12", "--r", "2", "--t", "1"], None))
 def test_run_cli_fuzz_exits_cleanly(tmp_path, drawn):
     argv, document = drawn
     if document is not None:

@@ -2,9 +2,10 @@
 `enum_oracles.py` and `matrix_oracles.py`: the same dual GHW supports as
 the unpruned search, the same weight distribution A whichever side
 `weight_distribution` enumerates (checked against a direct span of the
-reference nullspace basis), the same MacWilliams transforms, and the same
-error messages."""
+reference nullspace basis), the same Krawtchouk values and MacWilliams
+transforms, and the same error messages."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from availcodes import (
     BitMatrix,
     binomial,
     dual_ghw_bruteforce,
+    krawtchouk_column,
     macwilliams_vector,
     rank,
     weight_distribution,
@@ -98,6 +100,14 @@ def distributions(draw):
         return q, n, tuple(span_weights(generators, n))
     entries = st.integers(-2, 5) if kind == 3 else st.integers(0, 5)
     return q, n, tuple(draw(st.lists(entries, min_size=n + 1, max_size=n + 1)))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8))
+def test_krawtchouk_column_matches_alternating_sums(q):
+    for n in range(41):
+        for i in range(n + 1):
+            expected = [oracle.krawtchouk_sum(q, n, j, i) for j in range(n + 1)]
+            assert krawtchouk_column(q, n, i) == expected, (q, n, i)
 
 
 @settings(max_examples=300, deadline=None)

@@ -27,7 +27,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "availcodes")]))
 """
 
-_BOUNDS_LP = {"bounds", "lp", "weights", "bitmatrix"}
+_BOUNDS_LP = {"bounds", "lp", "weights"}
 _CONSTRUCT = {"constructions", "codes", "fields", "bitmatrix"}
 _MATRIX_CHECKS = {"bitmatrix", "codes", "verification", "weights"}
 

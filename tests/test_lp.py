@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -12,25 +11,26 @@ from availcodes import (
     solve_lp,
     weight_distribution,
 )
-from availcodes.lp import GE, LE, LPConstraint, LPModel, PivotLimitError
+from availcodes.lp import LPConstraint, LPModel, PivotLimitError
 
 
-def _model(num_vars, objective, constraints, offset=Fraction(0)):
+def _model(num_vars, objective, constraints, offset=0):
     return LPModel(
         num_vars=num_vars,
         objective_offset=offset,
-        objective=tuple(Fraction(v) for v in objective),
+        objective=tuple(objective),
         constraints=tuple(constraints),
         meta={"q": 2, "n": num_vars, "t": 0},
     )
 
 
 def _le(coeffs, rhs, label=""):
-    return LPConstraint(tuple(Fraction(v) for v in coeffs), LE, Fraction(rhs), label)
+    return LPConstraint(tuple(coeffs), rhs, label)
 
 
 def _ge(coeffs, rhs, label=""):
-    return LPConstraint(tuple(Fraction(v) for v in coeffs), GE, Fraction(rhs), label)
+    """coeffs . x >= rhs, as the `<=` row the model holds."""
+    return LPConstraint(tuple(-v for v in coeffs), -rhs, label)
 
 
 # -- solver ---------------------------------------------------------------
@@ -64,10 +64,17 @@ def test_solve_degenerate_duplicate_rows_terminates():
     assert sol.status == "optimal" and sol.value == 2
 
 
+def test_model_holds_integers_only():
+    with pytest.raises(ValueError, match="'half' must hold integers"):
+        _model(1, [1], [_le([0.5], 1, "half")])
+    with pytest.raises(ValueError, match="objective must hold integers"):
+        _model(1, [True], [_le([1], 1)])
+
+
 def test_pivot_limit_is_distinct():
     with pytest.raises(PivotLimitError):
         solve_lp(
-            _model(2, [1, 1], [_le([1, 1], 1), _ge([1, 1], Fraction(1, 2))]),
+            _model(2, [1, 1], [_le([1, 1], 1), _ge([2, 2], 1)]),
             pivot_limit=0,
         )
 

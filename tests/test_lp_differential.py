@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from availcodes import build_lp, solve_lp
-from availcodes.lp import DEFAULT_PIVOT_LIMIT, GE, LE, LPConstraint, LPModel, PivotLimitError
+from availcodes.lp import DEFAULT_PIVOT_LIMIT, LPConstraint, LPModel, PivotLimitError
 from fraction_simplex import reference_solve
 
 
@@ -25,41 +25,33 @@ def _exact(model, pivot_limit):
     return solve_lp(model, mode="exact", pivot_limit=pivot_limit)
 
 
-def _fractions(max_num, max_den):
-    return st.builds(
-        Fraction, st.integers(-max_num, max_num), st.integers(1, max_den)
-    )
-
-
 @st.composite
 def small_lps(draw):
-    """LE and GE rows with Fraction coefficients and right sides of either
-    sign, some rows repeated verbatim or as scaled copies; zero right sides
+    """Integer `<=` rows with right sides of either sign (a negative one
+    sends the solve through phase 1), some rows repeated verbatim, scaled
+    or negated (a negated copy is the row's `>=` twin); zero right sides
     make degenerate vertices."""
     nv = draw(st.integers(1, 4))
     rows = draw(
         st.lists(
             st.tuples(
-                st.lists(_fractions(6, 4), min_size=nv, max_size=nv),
-                st.sampled_from((LE, GE)),
-                st.one_of(st.just(Fraction(0)), _fractions(12, 3)),
+                st.lists(st.integers(-6, 6), min_size=nv, max_size=nv),
+                st.one_of(st.just(0), st.integers(-12, 12)),
             ),
             min_size=1,
             max_size=6,
         )
     )
     for _ in range(draw(st.integers(0, 3))):
-        coeffs, sense, rhs = draw(st.sampled_from(rows))
-        scale = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-1))))
-        if scale < 0:
-            sense = GE if sense == LE else LE
-        rows.append(([scale * c for c in coeffs], sense, scale * rhs))
-    objective = draw(st.lists(_fractions(3, 3), min_size=nv, max_size=nv))
+        coeffs, rhs = draw(st.sampled_from(rows))
+        scale = draw(st.sampled_from((1, 2, 3, -1)))
+        rows.append(([scale * c for c in coeffs], scale * rhs))
+    objective = draw(st.lists(st.integers(-3, 3), min_size=nv, max_size=nv))
     return LPModel(
         num_vars=nv,
-        objective_offset=draw(_fractions(3, 2)),
+        objective_offset=draw(st.integers(-3, 3)),
         objective=tuple(objective),
-        constraints=tuple(LPConstraint(tuple(c), s, b) for c, s, b in rows),
+        constraints=tuple(LPConstraint(tuple(c), b) for c, b in rows),
         meta={"q": 2, "n": nv, "t": 0},
     )
 

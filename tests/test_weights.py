@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from availcodes import weights
+from availcodes import bitmatrix, weights
 from availcodes import (
     AvailabilityCode,
     BitMatrix,
@@ -102,7 +102,7 @@ def test_weight_distribution_guard_fires_before_any_basis(monkeypatch):
     def no_basis(*args):
         raise AssertionError("a basis was built before the guard")
 
-    monkeypatch.setattr(weights, "rank_and_nullspace", no_basis)
+    monkeypatch.setattr(bitmatrix, "rank_and_nullspace", no_basis)
     monkeypatch.setattr(weights, "_gray_weight_counts", no_basis)
     n = 4096
     wide = _code([1 << i | 1 << (n - 1 - i) for i in range(n // 2)], n)  # k = n - k = 2048
