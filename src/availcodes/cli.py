@@ -165,7 +165,7 @@ def _write_code(code, out: str | None) -> None:
 def _load_matrices(path: str) -> list:
     with open(path) as fh:
         data = json.load(fh)
-    # JSON integers only: no floats, no bools (`type(True) is bool`), no strings
+    # JSON integers only: `type(v) is int` turns away floats, strings and bools
     if not isinstance(data, list) or not all(
         isinstance(mat, list)
         and all(isinstance(row, list) and all(type(v) is int for v in row) for row in mat)
