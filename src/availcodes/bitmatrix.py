@@ -66,15 +66,6 @@ class BitMatrix:
             bits.append(acc)
         return cls(len(bits), cols, tuple(bits))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    # -- element access ------------------------------------------------
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.bits[i] >> j) & 1
-
     # -- structure -----------------------------------------------------
 
     def transpose(self) -> "BitMatrix":
@@ -87,18 +78,6 @@ class BitMatrix:
                 out[low.bit_length() - 1] |= 1 << i
                 row ^= low
         return BitMatrix(self.cols, self.rows, tuple(out))
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if other.cols != self.cols:
-            raise ValueError("column mismatch in stack")
-        return BitMatrix(self.rows + other.rows, self.cols, self.bits + other.bits)
-
-    def matvec(self, v: int) -> int:
-        """M @ v over GF(2); v is a bit-packed column vector, result bit i = row i."""
-        acc = 0
-        for i, row in enumerate(self.bits):
-            acc |= ((row & v).bit_count() & 1) << i
-        return acc
 
 
 def _rows_through(mat: BitMatrix) -> list[list[int]]:

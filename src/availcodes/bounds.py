@@ -48,6 +48,15 @@ class BoundResult:
         return doc
 
 
+def _number_text(value: Fraction | float | None) -> str:
+    """A number as the `bounds lp` A-vector and the figure CSV cells print
+    it: a float to 12 significant digits, an exact number as `p/q` (`p`
+    when whole), None as the empty string."""
+    if value is None:
+        return ""
+    return format(value, ".12g") if isinstance(value, float) else str(value)
+
+
 @dataclass(frozen=True)
 class GHWBoundProfile:
     """Upper bounds e_1..e_b on the support sizes of dual subspaces."""
@@ -226,12 +235,6 @@ def _ceil_div(a: int, b: int) -> int:
 # -- minimum-distance bounds ------------------------------------------
 
 
-def _clamp_distance(value: int, k: int) -> int:
-    # distances of nonzero codes are >= 1; extreme parameters can push the
-    # closed forms nonpositive
-    return max(value, 1) if k >= 1 else value
-
-
 def dmin_tamo_barg(n: int, k: int, r: int, t: int) -> BoundResult:
     """n - sum_{i=0..t} floor((k-1)/r^i)."""
     _check_dimension(n, k)
@@ -254,11 +257,12 @@ def dmin_wang(n: int, k: int, r: int, t: int) -> BoundResult:
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     _check_locality(r, t)
-    value = n - k + 2 - _ceil_div(t * (k - 1) + 1, t * (r - 1) + 1)
+    # a nonzero code has distance >= 1; extreme parameters push the closed form below
+    value = max(1, n - k + 2 - _ceil_div(t * (k - 1) + 1, t * (r - 1) + 1))
     return BoundResult(
         "wang_dmin",
         {"n": n, "k": k, "r": r, "t": t},
-        Fraction(_clamp_distance(value, k)),
+        Fraction(value),
         "distance",
     )
 
@@ -287,7 +291,7 @@ def dmin_shortening(
     return BoundResult(
         f"shortening_dmin[{profile.variant}]",
         {"n": n, "k": k, "r": r, "t": t, **profile.params},
-        Fraction(_clamp_distance(value, k)),
+        Fraction(value),
         "distance",
         diagnostics={"S": [i for i, _ in chosen]},
     )

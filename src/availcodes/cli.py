@@ -150,16 +150,9 @@ def _print_json(doc: dict) -> None:
 def _write_code(code, out: str | None) -> None:
     from .bitmatrix import serialize_matrix
 
-    text = serialize_matrix(code.H)
-    if out is None:
-        sys.stdout.write(text)
-        return
-    path = _out_path(out)
-    with open(path, "w") as fh:
-        fh.write(text)
-    sidecar = os.path.splitext(path)[0] + ".json"
-    with open(sidecar, "w") as fh:
-        fh.write(json.dumps(code.sidecar(), indent=2) + "\n")
+    _emit(serialize_matrix(code.H), out)
+    if out is not None:
+        _emit(json.dumps(code.sidecar(), indent=2) + "\n", os.path.splitext(out)[0] + ".json")
 
 
 def _load_matrices(path: str) -> list:
@@ -182,6 +175,7 @@ def _cmd_bounds(args) -> int:
         methods = RATE_METHODS if args.bounds_command == "rate" else DMIN_METHODS
         _print_json(methods[args.method](bounds, args).to_json())
         return 0
+    from .bounds import _number_text
     from .lp import InfeasibleRelaxationError, lp_dimension_bound
 
     mode = "float" if args.float_mode else "exact"
@@ -193,16 +187,9 @@ def _cmd_bounds(args) -> int:
         _print_json({"status": "no code exists under relaxation", "detail": str(exc)})
         return 0
     doc = result.to_json()
-    doc["A"] = {str(i): _num_str(v) for i, v in result.solution.variables.items() if v}
+    doc["A"] = {str(i): _number_text(v) for i, v in result.solution.variables.items() if v}
     _print_json(doc)
     return 0
-
-
-def _num_str(v) -> str:
-    try:
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    except AttributeError:
-        return format(float(v), ".12g")
 
 
 def _cmd_construct(args) -> int:
@@ -304,7 +291,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_figure(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

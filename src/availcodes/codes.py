@@ -46,16 +46,6 @@ class AvailabilityCode:
             self._k = self.n - rank(self.H)
         return self._k
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.k, self.n)
-
-    def reference_rate(self) -> Fraction | None:
-        """The r/(r+t) baseline achievable rate, when (r, t) are declared."""
-        if self.r is None or self.t is None:
-            return None
-        return Fraction(self.r, self.r + self.t)
-
     def sidecar(self) -> dict:
         """JSON-ready description written next to serialized matrices."""
         doc = {
@@ -68,8 +58,8 @@ class AvailabilityCode:
             "construction": self.construction,
             "parameters": self.parameters,
         }
-        ref = self.reference_rate()
-        if ref is not None:
-            doc["rate"] = f"{self.rate.numerator}/{self.rate.denominator}"
-            doc["exceeds_reference_rate"] = self.rate > ref
+        if self.r is not None and self.t is not None:  # rate k/n against the r/(r+t) baseline
+            rate = Fraction(self.k, self.n)
+            doc["rate"] = f"{rate.numerator}/{rate.denominator}"
+            doc["exceeds_reference_rate"] = rate > Fraction(self.r, self.r + self.t)
         return doc

@@ -27,12 +27,11 @@ def generate_mols(q: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
             f"order {q} is not a prime power; no orthogonal-square family on file"
         )
     gf = FiniteField(q)
-    neg = [row.index(0) for row in gf.add_table]
     rows = range(q)
     squares = []
     for a in (*rows[1:], 0):
-        # shifted[i][x] = x - a*i, so column x lists symbol x's cells by row
-        shifted = [gf.add_table[neg[gf.mul_table[a][i]]] for i in rows]
+        # shifted[i][x] = x + (-a)*i = x - a*i, so column x lists symbol x's cells by row
+        shifted = [gf.add_table[product] for product in gf.mul_table[gf.neg(a)]]
         squares.append(tuple(tuple(zip(rows, col)) for col in zip(*shifted)))
     return tuple(squares)
 
@@ -99,13 +98,15 @@ def build_partition_family(r: int, g: int) -> PartitionFamily:
     Latin-square refinement, natural partition first; each is built when
     asked for."""
     q = r + 1
-    if prime_power(q) is None:
-        raise ValueError(f"r+1 = {q} must be a prime power for the refinement step")
     if g < 1:
         raise ValueError(f"levels g must be >= 1, got {g}")
+    # Checked before q**g and before prime_power(q) trial-divides q: with
+    # q >= 2, no g >= SIZE_LIMIT.bit_length() and no q > SIZE_LIMIT fits.
+    if q >= 2 and (g >= SIZE_LIMIT.bit_length() or q**g > SIZE_LIMIT):
+        raise ValueError(f"ground set {q}^{g} exceeds limit {SIZE_LIMIT}")
+    if prime_power(q) is None:
+        raise ValueError(f"r+1 = {q} must be a prime power for the refinement step")
     n = q**g
-    if n > SIZE_LIMIT:
-        raise ValueError(f"ground set {n} exceeds limit {SIZE_LIMIT}")
     # one level is the natural partition alone, which needs no squares
     cells = generate_mols(q) if g > 1 else ()
     return PartitionFamily(n=n, block_size=q, levels=g, cells=cells)
@@ -121,12 +122,12 @@ def partition_code(
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got t={t}")
+    if t > len(family):
+        raise ValueError(f"t={t} exceeds the {len(family)} available partitions")
     if choice is None:
         choice = list(range(1, t + 1))
     if len(choice) != t:
         raise ValueError(f"need exactly t={t} partition indices, got {len(choice)}")
-    if t > len(family):
-        raise ValueError(f"t={t} exceeds the {len(family)} available partitions")
     if any(not 1 <= c <= len(family) for c in choice):
         raise ValueError("partition index out of range")
     if len(set(choice)) != t:
@@ -228,9 +229,9 @@ def product_code(r: int, t: int) -> AvailabilityCode:
     if r < 1 or t < 1:
         raise ValueError(f"need r >= 1 and t >= 1, got r={r}, t={t}")
     q = r + 1
+    if t >= SIZE_LIMIT.bit_length() or q**t > SIZE_LIMIT:  # q >= 2: q**t only for small t
+        raise ValueError(f"block length {q}^{t} exceeds limit {SIZE_LIMIT}")
     n = q**t
-    if n > SIZE_LIMIT:
-        raise ValueError(f"block length {n} exceeds limit {SIZE_LIMIT}")
     rows = []
     for axis in range(t):
         stride = q**axis

@@ -49,11 +49,11 @@ class FiniteField:
     """GF(q) for a prime power 2 <= q <= 64, with full add/mul tables."""
 
     def __init__(self, q: int):
+        if not 2 <= q <= MAX_ORDER:  # first: prime_power trial-divides q
+            raise ValueError(f"field order must be in 2..{MAX_ORDER}, got {q}")
         decomp = prime_power(q)
         if decomp is None:
             raise ValueError(f"{q} is not a prime power")
-        if not 2 <= q <= MAX_ORDER:
-            raise ValueError(f"field order must be in 2..{MAX_ORDER}, got {q}")
         self.q = q
         self.p, self.degree = decomp
         if self.degree > 1 and q not in _IRREDUCIBLE:
@@ -64,6 +64,7 @@ class FiniteField:
             self.add_table = tuple(
                 tuple(self._add_raw(a, b) for b in range(q)) for a in range(q)
             )
+        self._neg = tuple(row.index(0) for row in self.add_table)
         # mul and inv through the powers of one primitive element g:
         # a*b = g^(log a + log b), a^-1 = g^(-log a)
         powers = self._primitive_powers()
@@ -139,11 +140,10 @@ class FiniteField:
         return self.mul_table[a][b]
 
     def neg(self, a: int) -> int:
-        row = self.add_table[a]
-        return row.index(0)
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg(b)]
+        return self.add_table[a][self._neg[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -29,24 +29,10 @@ class FigureSpec:
             raise ValueError(f"need 1 <= r_min <= r_max, got {self.r_min}..{self.r_max}")
 
 
-def _fmt_float(value: float) -> str:
-    return format(value, ".12g")
-
-
-def _fmt_exact(value: Fraction | None) -> str:
-    if value is None:
-        return ""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _sweep_params(figure_id: str, r: int) -> dict:
     if figure_id in ("rate3", "dmin3", "dmin3_mdelta"):
         n = math.comb(r + 3, 3)
         return {"n": n, "k": r * (r + 1) * (r + 2) // 6, "t": 3}
-    if figure_id == "rate4":
-        return {"t": 4}
     return {"q": 2, "n": (r + 1) ** 2, "t": 3}  # lp3
 
 
@@ -141,7 +127,7 @@ def emit_figure_data(spec: FigureSpec, lp_budget: int = LP_DEFAULT_BUDGET) -> st
             cells = [str(r)] + [""] * (2 * len(columns)) + ["not_applicable"]
             lines.append(",".join(cells))
             continue
-        floats = [_fmt_float(results[c].value) for c in columns]
-        exacts = [_fmt_exact(results[c].value_exact) for c in columns]
+        floats = [bd._number_text(results[c].value) for c in columns]
+        exacts = [bd._number_text(results[c].value_exact) for c in columns]
         lines.append(",".join([str(r), *floats, *exacts, ""]))
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundResult
+from .bounds import BoundResult, _check_locality
 from .weights import binomial, krawtchouk_column
 
 DEFAULT_PIVOT_LIMIT = 200_000
@@ -97,8 +97,7 @@ def build_lp(q: int, n: int, r: int, t: int, strengthen: bool = False) -> LPMode
     """
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
-    if r < 1 or t < 1:
-        raise ValueError(f"need r >= 1 and t >= 1, got r={r}, t={t}")
+    _check_locality(r, t)
     if n < t:
         raise ValueError(f"need n >= t, got n={n}, t={t}")
     if n < r + 1:

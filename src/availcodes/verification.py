@@ -88,6 +88,8 @@ class AvailabilityCheckReport:
 def check_availability(h_des: BitMatrix, r: int, t: int) -> AvailabilityCheckReport:
     """For each column, search for t rows of weight <= r+1 through it whose
     supports pairwise intersect exactly in that column."""
+    if t < 0:  # the search could never stop early and would try every subset
+        raise ValueError(f"need t >= 0, got t={t}")
     bits = h_des.bits
     light = [row.bit_count() <= r + 1 for row in bits]
     column_ok = []
@@ -206,14 +208,6 @@ class GreedyTrace:
     g: tuple[int, ...]
     final_bound: int
     flags: tuple[tuple[int, str], ...] = field(default=())
-
-    @property
-    def disconnected(self) -> bool:
-        return any(kind == "disconnected" for _, kind in self.flags)
-
-    @property
-    def stalled(self) -> bool:
-        return any(kind == "stall" for _, kind in self.flags)
 
     def to_json(self) -> dict:
         return {

@@ -77,10 +77,6 @@ class WeightDistribution:
             if sum(self.A) * sum(self.B) != self.q**self.n:
                 raise ValueError("sizes of code and dual do not multiply to q^n")
 
-    @property
-    def dimension(self) -> int:
-        return _log_base(sum(self.A), self.q)
-
 
 def _is_power(m: int, q: int) -> bool:
     if m < 1:
@@ -88,14 +84,6 @@ def _is_power(m: int, q: int) -> bool:
     while m % q == 0:
         m //= q
     return m == 1
-
-
-def _log_base(m: int, q: int) -> int:
-    k = 0
-    while m > 1:
-        m //= q
-        k += 1
-    return k
 
 
 def _gray_weight_counts(vecs: Sequence[int], n: int) -> list[int]:

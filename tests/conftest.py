@@ -58,6 +58,26 @@ def dense_rows(mat: BitMatrix) -> list[list[int]]:
     return [[(row >> j) & 1 for j in range(mat.cols)] for row in mat.bits]
 
 
+def zero_matrix(rows: int, cols: int) -> BitMatrix:
+    return BitMatrix(rows, cols, (0,) * rows)
+
+
+def stack(top: BitMatrix, bottom: BitMatrix) -> BitMatrix:
+    """The rows of `top` followed by those of `bottom`."""
+    assert top.cols == bottom.cols
+    return BitMatrix(top.rows + bottom.rows, top.cols, top.bits + bottom.bits)
+
+
+def matvec(mat: BitMatrix, v: int) -> int:
+    """M @ v over GF(2); v is a bit-packed column vector, result bit i = row i."""
+    return sum(((row & v).bit_count() & 1) << i for i, row in enumerate(mat.bits))
+
+
+def flagged(trace, kind: str) -> bool:
+    """Whether a greedy trace flags some step as `kind` ("stall" or "disconnected")."""
+    return any(flag == kind for _, flag in trace.flags)
+
+
 def support(row: int) -> tuple[int, ...]:
     """1-based coordinates of the ones in a bit-packed row."""
     return tuple(j + 1 for j in range(row.bit_length()) if (row >> j) & 1)

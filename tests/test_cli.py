@@ -8,12 +8,24 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from availcodes import FIGURE_IDS
+import enum_oracles
+from availcodes import FIGURE_IDS, BitMatrix, EnumerationBudgetError
 from availcodes import cli as cli_module
 from availcodes import lp as lp_module
-from availcodes import parse_matrix, rank, solve_lp
+from availcodes import parse_matrix, product_code, rank, serialize_matrix, solve_lp
 from availcodes.bitmatrix import MatrixFormatError
 from availcodes.cli import run_cli
+
+GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden"
+GOLDEN_ARGVS = {
+    "bounds_lp_q2_n36_r5_t3.json": "bounds lp --q 2 --n 36 --r 5 --t 3",
+    "dmin3_mdelta_r3-11.csv": "figure dmin3_mdelta --rmin 3 --rmax 11",
+    "dmin3_r3-11.csv": "figure dmin3 --rmin 3 --rmax 11",
+    "lp3_r3-5.csv": "figure lp3 --rmin 3 --rmax 5 --budget 5",
+    "lp3_r3-8.csv": "figure lp3 --rmin 3 --rmax 8 --budget 8",
+    "rate3_r3-11.csv": "figure rate3 --rmin 3 --rmax 11",
+    "rate4_r3-11.csv": "figure rate4 --rmin 3 --rmax 11",
+}
 
 
 def _run(capsys, *argv):
@@ -113,11 +125,11 @@ def test_bounds_dmin_m_delta_max_output(capsys, n, k, r, d, m, delta):
     assert stdout == M_DELTA_MAX_JSON.format(n=n, k=k, r=r, d=d, m=m, delta=delta)
 
 
-def test_figure_dmin3_mdelta_matches_golden(capsys):
-    golden = Path(__file__).parent.parent / "perfbench" / "golden" / "dmin3_mdelta_r3-11.csv"
-    code, stdout, _ = _run(capsys, "figure", "dmin3_mdelta", "--rmin", "3", "--rmax", "11")
+@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.iterdir()))
+def test_output_matches_golden(capsys, name):
+    code, stdout, _ = _run(capsys, *GOLDEN_ARGVS[name].split())
     assert code == 0
-    assert stdout == golden.read_text()
+    assert stdout == (GOLDEN / name).read_text()
 
 
 def test_bounds_lp_json(capsys, monkeypatch):
@@ -153,6 +165,20 @@ def test_analyze_full(tmp_path, capsys):
     assert doc["checks"]["dmin"] == 4
     assert doc["checks"]["ghw"] == {"dimension": 2, "support": 3}
     assert doc["trace"]["g"] == [3, 2, 1]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_analyze_ghw_matches_oracle(tmp_path, capsys, level):
+    # a dual of dimension 7: level 4 is within the subspace budget, above the level cap
+    path = tmp_path / "g4.txt"
+    _run(capsys, "construct", "product", "--r", "3", "--t", "2", "-o", str(path))
+    try:
+        expected = (0, enum_oracles.dual_ghw_bruteforce(product_code(3, 2), level).support, "")
+    except EnumerationBudgetError as exc:
+        expected = (1, None, f"error: {exc}\n")
+    code, stdout, err = _run(capsys, "analyze", "--in", str(path), "--ghw", str(level))
+    support = json.loads(stdout)["checks"]["ghw"]["support"] if code == 0 else None
+    assert (code, support, err) == expected
 
 
 def test_figure_single_row(capsys):
@@ -315,13 +341,30 @@ def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
         ("construct product --r 1 --t 0", None),
         ("construct partition --r 1 --g 2 --t 0", None),
         ("construct functional --q 2 --t 5 --matrices", [[[1, 0]], [[0, 1]], [[1, 1]]]),
+        # limits checked before the work they bound: q**g, q**t, prime_power and the choice list
+        ("construct partition --r 1 --g 100000000000 --t 1", None),
+        ("construct product --r 1 --t 100000000000", None),
+        ("construct functional --q 2305843009213693951 --t 3", None),
+        ("construct partition --r 2305843009213693950 --g 1 --t 1", None),
+        ("construct partition --r 1 --g 2 --t 1000000000", None),
+        # OverflowError: the float of the exact value, and the shortening profile's length
+        ("bounds dmin --n 10**400 --k 2 --r 1 --t 2", None),
+        ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method wang", None),
+        ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method shortening", None),
+        # with t < 0 the search would try every subset of column 1's 21 rows
+        ("verify --r 1 --t -1 --in", None),
     ],
 )
 def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
-    argv = argv.split()
+    argv = [str(10 ** int(a[4:])) if a.startswith("10**") else a for a in argv.split()]
     if argv[-1] == "--matrices":
         path = tmp_path / "maps.json"
         path.write_text(json.dumps(matrices))
+        argv.append(str(path))
+    elif argv[-1] == "--in":
+        path = tmp_path / "h.txt"
+        rows = [(1, j) for j in range(2, 23)]  # 21 weight-2 rows through column 1
+        path.write_text(serialize_matrix(BitMatrix.from_supports(rows, 22)))
         argv.append(str(path))
     code, stdout, err = _run(capsys, *argv)
     assert (code, stdout) == (1, "")
@@ -412,6 +455,14 @@ def cli_argvs(draw):
 @example((["bounds", "dmin", "--n", "10", "--k", "5", "--r", "0", "--t", "3"], None))
 @example((["construct", "functional", "--q", "3", "--t", "2"], [[[1, 0]], [[0, 5]]]))
 @example((["bounds", "lp", "--q", str(10**40), "--n", "12", "--r", "2", "--t", "1"], None))
+@example((["bounds", "dmin", "--n", str(10**400), "--k", "2", "--r", "1", "--t", "2"], None))
+@example((["bounds", "dmin", "--n", str(10**400), "--k", "2", "--r", "1", "--t", "2",
+           "--method", "shortening"], None))
+@example((["construct", "partition", "--r", "1", "--g", "100000000000", "--t", "1"], None))
+@example((["construct", "product", "--r", "1", "--t", "100000000000"], None))
+@example((["construct", "functional", "--q", "2305843009213693951", "--t", "3"], None))
+@example((["construct", "partition", "--r", "2305843009213693950", "--g", "1", "--t", "1"], None))
+@example((["construct", "partition", "--r", "1", "--g", "2", "--t", "1000000000"], None))
 def test_run_cli_fuzz_exits_cleanly(tmp_path, drawn):
     argv, document = drawn
     if document is not None:
@@ -483,6 +534,7 @@ def matrix_argvs(draw):
 @given(matrix_texts(), matrix_argvs())
 @example("2 4\n1100\n0011\n", ["analyze", "--dmin", "--ghw", "2", "--greedy"])
 @example("2 4\n1100\n0x11\n", ["verify", "--r", "1", "--t", "1"])
+@example("2 4\n1100\n1010\n", ["verify", "--r", "1", "--t", "-1"])
 def test_run_cli_fuzz_matrix_commands_exit_cleanly(tmp_path, text, argv):
     path = tmp_path / "h.txt"
     path.write_text(text)

@@ -20,7 +20,7 @@ from availcodes import (
     rank,
 )
 from availcodes.verification import gaussian_binomial
-from conftest import span_weights
+from conftest import flagged, span_weights, stack
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 K5_EDGES = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
@@ -76,7 +76,7 @@ def test_availability_zero_column_fails():
 
 def test_availability_duplicate_rows_harmless():
     base = product_code(2, 2)
-    h = base.H.stack(BitMatrix.from_rows([base.H.bits[0]], base.n))
+    h = stack(base.H, BitMatrix.from_rows([base.H.bits[0]], base.n))
     assert check_availability(h, 2, 2).passed
 
 
@@ -195,7 +195,7 @@ def test_greedy_stall_on_k5():
     code = _code(K5_EDGES, 5, r=1, t=4)
     assert check_strict_availability(code.H, 1, 4).passed
     trace = greedy_cover(code, start=1)
-    assert trace.stalled and not trace.disconnected
+    assert flagged(trace, "stall") and not flagged(trace, "disconnected")
     assert sum(trace.g) == 10
     assert trace.final_bound == 1 == code.k
 
@@ -204,7 +204,7 @@ def test_greedy_disconnected_restart():
     edges = K4_EDGES + [(a + 4, b + 4) for a, b in K4_EDGES]
     code = _code(edges, 8, r=1, t=3)
     trace = greedy_cover(code, start=1)
-    assert trace.disconnected
+    assert flagged(trace, "disconnected")
     assert sum(trace.g) == 12
     assert trace.final_bound == 2 == code.k  # two disjoint K4 components
 
