@@ -70,6 +70,7 @@ _EXPORTS = {
         "LPSolution",
         "PivotLimitError",
         "build_lp",
+        "certificate_violations",
         "lp_dimension_bound",
         "point_violations",
         "solve_lp",

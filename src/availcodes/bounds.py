@@ -13,6 +13,17 @@ from fractions import Fraction
 from typing import Callable
 
 
+# Both limits were measured on a 2-vCPU VM (Python 3.11).  The product
+# bound's t factors (jr+1)/(jr) multiply to a fraction of at most
+# t * bit_length(rt+1) bits; within 2^17 bits the Fraction loop takes at
+# most about 0.35 s (r=10^6, t=4096), and t alone is no guide: r=10^100
+# at t=4096 takes 11 s.  The simple profile holds e_1..e_b; a shortening
+# bound over b = 2^18 entries takes 0.5 s and 47 MB end to end
+# (`bounds dmin --method shortening`, n=393216, r=1, t=2).
+PRODUCT_BITS_LIMIT = 1 << 17
+PROFILE_LIMIT = 1 << 18
+
+
 class BoundNotApplicableError(ValueError):
     """The bound's parameter region is empty at the requested point."""
 
@@ -96,6 +107,10 @@ def _check_dimension(n: int, k: int) -> None:
 def rate_tamo_barg(r: int, t: int) -> BoundResult:
     """Product bound 1 / prod_{j=1..t} (1 + 1/(jr))."""
     _check_locality(r, t)
+    if t * (r * t + 1).bit_length() > PRODUCT_BITS_LIMIT:
+        raise ValueError(
+            f"the product bound at r={r}, t={t} exceeds {PRODUCT_BITS_LIMIT} bits"
+        )
     prod = Fraction(1)
     for j in range(1, t + 1):
         prod *= 1 + Fraction(1, j * r)
@@ -173,6 +188,8 @@ def ghw_profile_simple(n: int, r: int, t: int) -> GHWBoundProfile:
     if n < r + 1:
         raise ValueError(f"need n >= r+1, got n={n}, r={r}")
     b = math.ceil(n * (1 - rate_best_known(r, t).value_exact))
+    if b > PROFILE_LIMIT:
+        raise ValueError(f"profile length {b} exceeds limit {PROFILE_LIMIT}")
     e = [0] * (b + 1)
     e[b] = n
     for i in range(b, 1, -1):
@@ -248,8 +265,19 @@ def dmin_tamo_barg(n: int, k: int, r: int, t: int) -> BoundResult:
 
 
 def _tamo_barg_value(n: int, k: int, r: int, t: int) -> int:
-    """The value of dmin_tamo_barg(n, k, r, t) as an int, for 1 <= k <= n."""
-    return max(1, n - sum((k - 1) // r**i for i in range(t + 1)))
+    """The value of dmin_tamo_barg(n, k, r, t) as an int, for 1 <= k <= n.
+
+    The terms (k-1) // r^i vanish once r^i > k-1, so at most log_r(k) + 1
+    of the t+1 terms are summed; at r = 1 all of them equal k-1."""
+    if r == 1:
+        return max(1, n - (t + 1) * (k - 1))
+    total, power = 0, 1
+    for _ in range(t + 1):
+        if power > k - 1:
+            break
+        total += (k - 1) // power
+        power *= r
+    return max(1, n - total)
 
 
 def dmin_wang(n: int, k: int, r: int, t: int) -> BoundResult:

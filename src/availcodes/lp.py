@@ -72,9 +72,14 @@ class LPModel:
 
 @dataclass(frozen=True)
 class LPSolution:
+    """`dual` holds one price per model constraint, in the constraints'
+    order, when the status is optimal: y >= 0 with y . coeffs >= objective
+    and y . rhs = value - objective_offset (see `certificate_violations`)."""
+
     status: str  # optimal | infeasible | unbounded
     value: Fraction | float | None
     variables: dict
+    dual: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -166,23 +171,50 @@ def point_violations(model: LPModel, a_by_weight: dict[int, int | Fraction]) -> 
     return bad
 
 
+def certificate_violations(model: LPModel, solution: LPSolution) -> list[str]:
+    """What the solution's dual vector fails to prove, in integers and
+    without the simplex; an empty list proves the LP optimum is at most
+    `solution.value`.
+
+    With D the least common denominator of the prices y and of
+    value - offset, and Y = D*y: `dual_<label>` names a row with Y_i < 0,
+    `cover_<i>` the variable A_i where sum_i Y_i * coeffs_i < D * objective,
+    and `value` is listed unless sum_i Y_i * rhs_i = D * (value - offset).
+    By weak duality every feasible point then has objective at most value.
+    """
+    if solution.status != "optimal" or len(solution.dual) != len(model.constraints):
+        raise ValueError("need an optimal solution with one price per constraint")
+    prices = [Fraction(y) for y in solution.dual]
+    gap = Fraction(solution.value) - model.objective_offset
+    d = math.lcm(gap.denominator, *(y.denominator for y in prices))
+    big_y = [y.numerator * (d // y.denominator) for y in prices]
+    rows = model.constraints
+    bad = [f"dual_{c.label or i}" for i, (c, y) in enumerate(zip(rows, big_y)) if y < 0]
+    for k, (i, c_k) in enumerate(zip(model.weight_indices, model.objective)):
+        if sum(y * c.coeffs[k] for y, c in zip(big_y, rows)) < d * c_k:
+            bad.append(f"cover_{i}")
+    if sum(y * c.rhs for y, c in zip(big_y, rows)) != gap.numerator * (d // gap.denominator):
+        bad.append("value")
+    return bad
+
+
 # -- two-phase simplex --------------------------------------------------
 
 
-def _reduce_content(row: list[int], basic: int) -> list[int]:
+def _reduce_content(row: list[int]) -> list[int]:
     """Exact-mode rescale: divide out the gcd of the row's entries."""
     g = math.gcd(*row)
     return row if g == 1 else [v // g for v in row]
 
 
-def _unit_basic(row: list[float], basic: int) -> list[float]:
-    """Float-mode rescale: divide by the basic entry, which becomes exactly 1."""
-    p = row[basic]
+def _unit_scale(row: list[float]) -> list[float]:
+    """Float-mode rescale: divide by the row's scale, which becomes exactly 1."""
+    p = row[-2]
     if p == 1.0:
         return row
     inv = 1.0 / p
     row = [v * inv for v in row]
-    row[basic] = 1.0
+    row[-2] = 1.0
     return row
 
 
@@ -193,62 +225,80 @@ def _simplex_max(
     *,
     exact: bool,
     pivot_limit: int,
-) -> tuple[str, object, list]:
+) -> tuple[str, object, list, list]:
     """maximize obj.x  s.t.  rows[i].x <= rhs[i], x >= 0  (rhs of any sign).
 
-    Bland's rule on both the entering and leaving choices; two phases with
-    artificial variables for rows whose right side is negative.
+    Returns (status, value, x, y); at the optimum y is the dual vector, one
+    price per row: y >= 0, y.rows >= obj and y.rhs = value.
 
-    Every tableau row, the objective row included, is stored as a positive
-    multiple of its rational row: its basic entry is the row's scale, so a
-    basic value is `row[-1] / row[basic]` and a sign test needs no division.
-    The objective row is the row of an extra column `z` (index `total`,
-    never entering) that no constraint row touches; its `z` entry is its
-    denominator.  A pivot updates each row to `p*row - f*pivot_row`, a
-    positive multiple again, and rescales it: exact mode keeps Python ints
-    and divides out their gcd, float mode divides by the basic entry.  A
-    starting row needs neither: its basic entry, a slack, artificial or
-    `z` column, is 1.
+    Variables are numbered structural 0..nv-1, then one slack per row, then
+    one artificial per row whose right side is negative; such a row is
+    negated, its artificial starts basic and phase 1 drives the artificials
+    to zero.  Bland's rule picks the lowest-numbered entering variable and
+    breaks ratio ties by the lowest-numbered leaving one.
+
+    The tableau is compact: one column per nonbasic variable, `nonbasic[j]`
+    being column j's, and one row per basic variable.  Row i is
+    `[a_i0, .., a_i(w-1), s_i, b_i]`, the equation
+
+        s_i * x[basis[i]] + sum_j a_ij * x[nonbasic[j]] = b_i,
+
+    with the scale s_i > 0, so a basic value is b_i / s_i and a sign test
+    needs no division.  The objective row has the same layout with z in
+    place of the basic variable; at the optimum its entry at a slack's
+    column over its scale is that row's dual price (0 for a basic slack).
+
+    A pivot on row r and column e swaps their variables: the pivot row's
+    entry at e becomes its old scale and its scale the pivot element
+    (negated throughout if negative).  Every other row with f = row[e] != 0
+    becomes p*row - f*pivot_row, with p the pivot row's new scale and
+    row[e] read as 0: a positive multiple of its rational row again.
+    Exact mode keeps Python ints, divides p and f by their gcd first and
+    the result by the gcd of its entries; float mode divides each row by
+    its scale, which keeps every scale at 1.0.  Artificial columns are
+    dropped after phase 1, as no artificial re-enters.
     """
     if exact:
         zero, one, tol, feas_tol = 0, 1, 0, 0
         rescale, quotient = _reduce_content, Fraction
     else:
         zero, one, tol, feas_tol = 0.0, 1.0, FLOAT_TOL, 1e-7
-        rescale, quotient = _unit_basic, operator.truediv
+        rescale, quotient = _unit_scale, operator.truediv
     nv = len(obj)
     m = len(rows)
     neg_rows = [i for i in range(m) if rhs[i] < -tol]
     n_art = len(neg_rows)
-    total = nv + m + n_art
-    width = total + 2  # columns, z, right-hand side
+    # a negated row's slack starts nonbasic, with coefficient -1
+    nonbasic = list(range(nv)) + [nv + i for i in neg_rows]
+    art = {row_i: a for a, row_i in enumerate(neg_rows)}
     tableau: list[list] = []
     basis: list[int] = []
-    art_pos = {row_i: nv + m + a for a, row_i in enumerate(neg_rows)}
     for i in range(m):
-        coeffs = list(rows[i])
-        b = rhs[i]
-        slack = one
-        if i in art_pos:
-            coeffs = [-c for c in coeffs]
-            b = -b
-            slack = -one
-        row = coeffs + [zero] * (m + n_art + 1) + [b]
-        row[nv + i] = slack
-        if i in art_pos:
-            row[art_pos[i]] = one
-            basis.append(art_pos[i])
+        if i in art:
+            row = [-c for c in rows[i]] + [zero] * n_art + [one, -rhs[i]]
+            row[nv + art[i]] = -one
+            basis.append(nv + m + art[i])
         else:
+            row = list(rows[i]) + [zero] * n_art + [one, rhs[i]]
             basis.append(nv + i)
         tableau.append(row)
 
-    def eliminate(row: list, basic: int, prow: list, pc: int) -> list:
-        """`row` with column pc cleared by the pivot row `prow`."""
-        f = row[pc]
-        if f == zero:
-            return row
-        p = prow[pc]
-        return rescale([p * v - f * w for v, w in zip(row, prow)], basic)
+    def eliminate(row: list, f, prow: list) -> list:
+        """p*row - f*prow with p = prow's scale, and p times row's scale as
+        the scale: `row` with the variable whose coefficient is f
+        substituted through the pivot row `prow`."""
+        if not exact:  # every scale is 1.0
+            new = [v - f * w for v, w in zip(row, prow)]
+            new[-2] = one
+            return new
+        p = prow[-2]
+        g = math.gcd(p, f)
+        if g != 1:
+            p //= g
+            f //= g
+        new = [p * v - f * w for v, w in zip(row, prow)]
+        new[-2] = p * row[-2]
+        return _reduce_content(new)
 
     pivots_used = 0
 
@@ -258,19 +308,30 @@ def _simplex_max(
         if pivots_used > pivot_limit:
             raise PivotLimitError(f"exceeded {pivot_limit} pivots")
         prow = tableau[pr]
-        if prow[pc] < zero:
+        prow[pc], prow[-2] = prow[-2], prow[pc]
+        if prow[-2] < zero:
             prow = [-v for v in prow]
-        prow = tableau[pr] = rescale(prow, pc)
-        basis[pr] = pc
-        for i in range(m):
-            if i != pr:
-                tableau[i] = eliminate(tableau[i], basis[i], prow, pc)
-        obj_row[:] = eliminate(obj_row, total, prow, pc)
+        prow = tableau[pr] = rescale(prow)
+        basis[pr], nonbasic[pc] = nonbasic[pc], basis[pr]
+        for i, row in enumerate(tableau):
+            f = row[pc]
+            if f != zero and i != pr:
+                row[pc] = zero
+                tableau[i] = eliminate(row, f, prow)
+        f = obj_row[pc]
+        if f != zero:
+            obj_row[pc] = zero
+            obj_row[:] = eliminate(obj_row, f, prow)
 
-    def run(obj_row: list, active: int) -> str:
+    def lowest(candidates) -> int | None:
+        """The column of the lowest-numbered variable among (variable, column) pairs."""
+        best = min(candidates, default=None)
+        return None if best is None else best[1]
+
+    def run(obj_row: list) -> str:
         while True:
-            enter = next(
-                (j for j in range(active) if obj_row[j] < -tol), None
+            enter = lowest(
+                (v, j) for j, v in enumerate(nonbasic) if obj_row[j] < -tol
             )
             if enter is None:
                 return "optimal"
@@ -290,44 +351,53 @@ def _simplex_max(
             pivot(leave, enter, obj_row)
 
     def make_obj_row(cost: list) -> list:
-        """z - cost.x = 0 with the basic columns eliminated."""
-        row = [-c for c in cost] + [one, zero]
-        for i, b in enumerate(basis):
-            row = eliminate(row, total, tableau[i], b)
+        """z - cost.x = 0 with the basic variables substituted out; a basic
+        variable not yet substituted has coefficient -cost * scale."""
+        row = [-cost[v] for v in nonbasic] + [one, zero]
+        for prow, b in zip(tableau, basis):
+            if cost[b] != zero:
+                row = eliminate(row, -cost[b] * row[-2], prow)
         return row
 
     if n_art:
-        cost1 = [zero] * (nv + m) + [-one] * n_art
-        obj_row = make_obj_row(cost1)
-        status = run(obj_row, total)
+        obj_row = make_obj_row([zero] * (nv + m) + [-one] * n_art)
+        status = run(obj_row)
         if status == "unbounded":
             raise RuntimeError(
                 "phase 1 reported unbounded, but its objective -sum(artificials)"
                 " is bounded above by 0"
             )
-        # the objective row's denominator is positive (exact) or 1 (float)
+        # the objective row's scale is positive (exact) or 1 (float)
         if obj_row[-1] < -feas_tol:
-            return "infeasible", None, []
+            return "infeasible", None, [], []
         # drive leftover artificial basics out, dropping redundant rows
-        for i in range(m):
+        for i, row in enumerate(tableau):
             if basis[i] >= nv + m:
-                enter = next(
-                    (j for j in range(nv + m) if abs(tableau[i][j]) > tol), None
+                enter = lowest(
+                    (v, j)
+                    for j, v in enumerate(nonbasic)
+                    if v < nv + m and abs(row[j]) > tol
                 )
                 if enter is not None:
                     pivot(i, enter, obj_row)
                 else:
-                    tableau[i] = [zero] * width
-    cost2 = list(obj) + [zero] * (m + n_art)
-    obj_row = make_obj_row(cost2)
-    status = run(obj_row, nv + m)
-    if status == "unbounded":
-        return "unbounded", None, []
+                    tableau[i] = [zero] * len(row)
+        keep = [j for j, v in enumerate(nonbasic) if v < nv + m]
+        nonbasic = [nonbasic[j] for j in keep]
+        keep += [-2, -1]
+        tableau[:] = [[row[j] for j in keep] for row in tableau]
+    obj_row = make_obj_row(list(obj) + [zero] * (m + n_art))
+    if run(obj_row) == "unbounded":
+        return "unbounded", None, [], []
     x = [quotient(zero, one)] * nv  # Fraction(0) or 0.0
-    for i, b in enumerate(basis):
+    y = [quotient(zero, one)] * m
+    for row, b in zip(tableau, basis):
         if b < nv:
-            x[b] = quotient(tableau[i][-1], tableau[i][b])
-    return "optimal", quotient(obj_row[-1], obj_row[total]), x
+            x[b] = quotient(row[-1], row[-2])
+    for d, v in zip(obj_row, nonbasic):
+        if v >= nv:
+            y[v - nv] = quotient(d, obj_row[-2])
+    return "optimal", quotient(obj_row[-1], obj_row[-2]), x, y
 
 
 def solve_lp(
@@ -359,14 +429,18 @@ def solve_lp(
         scales = [max([abs(v) for v in fr] + [abs(fb), 1.0]) for fr, fb in zip(rows, rhs)]
         rows = [[v / scale for v in fr] for fr, scale in zip(rows, scales)]
         rhs = [fb / scale for fb, scale in zip(rhs, scales)]
-    status, value, x = _simplex_max(
+    status, value, x, y = _simplex_max(
         obj, rows, rhs, exact=exact, pivot_limit=pivot_limit
     )
     if status != "optimal":
         return LPSolution(status=status, value=None, variables={})
-    variables = {i: v for i, v in zip(model.weight_indices, x)}
+    if not exact:  # the prices of the normalized rows, back on the model's rows
+        y = [v / scale for v, scale in zip(y, scales)]
     return LPSolution(
-        status="optimal", value=model.objective_offset + value, variables=variables
+        status="optimal",
+        value=model.objective_offset + value,
+        variables=dict(zip(model.weight_indices, x)),
+        dual=tuple(y),
     )
 
 

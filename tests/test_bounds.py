@@ -24,6 +24,7 @@ from availcodes import (
     rate_transpose_step,
     rate_wzl_achievable,
 )
+from availcodes.bounds import PROFILE_LIMIT
 
 
 # -- rate bounds ---------------------------------------------------------
@@ -33,6 +34,14 @@ def test_rate_tamo_barg_values():
     assert rate_tamo_barg(5, 1).value_exact == Fraction(5, 6)
     assert rate_tamo_barg(2, 3).value_exact == Fraction(16, 35)
     assert rate_tamo_barg(3, 4).value_exact == Fraction(243, 455)
+
+
+def test_rate_tamo_barg_product_size_limit():
+    # r = 1 telescopes: prod (j+1)/j = t+1
+    assert rate_tamo_barg(1, 8000).value_exact == Fraction(1, 8001)
+    for r, t in [(1, 10**4), (1, 10**7), (10**100, 4096), (2, 10**11)]:
+        with pytest.raises(ValueError, match=f"product bound at r={r}, t={t} exceeds"):
+            rate_tamo_barg(r, t)
 
 
 def test_rate_best_known_branches():
@@ -134,6 +143,14 @@ def test_profile_simple_nondecreasing_sweep():
                 assert e[-1] == n
 
 
+def test_profile_simple_length_limit():
+    # b = ceil(n (1 - 1/3)) at r=1, t=2
+    assert ghw_profile_simple(3 * PROFILE_LIMIT // 2, 1, 2).b == PROFILE_LIMIT
+    for n in (3 * PROFILE_LIMIT // 2 + 1, 10**12):
+        with pytest.raises(ValueError, match=f"exceeds limit {PROFILE_LIMIT}"):
+            ghw_profile_simple(n, 1, 2)
+
+
 def test_profile_m_delta_checkpoint():
     profile = ghw_profile_m_delta(9, 2, 5, 2)
     assert profile.e == (3, 5, 7, 9, 9)
@@ -186,6 +203,15 @@ def test_dmin_tamo_barg_values():
     assert dmin_tamo_barg(17, 1, 3, 2).value_exact == 17
     assert dmin_tamo_barg(20, 10, 2, 2).value_exact == 5
     assert dmin_tamo_barg(9, 4, 2, 2).value_exact == 5
+    assert dmin_tamo_barg(100, 50, 2, 10**11).value_exact == 5  # 49+24+12+6+3+1
+    assert dmin_tamo_barg(10**12, 3, 1, 10**11).value_exact == 10**12 - 2 * (10**11 + 1)
+
+
+def test_dmin_tamo_barg_matches_its_sum():
+    for n, k, r, t in itertools.product(range(1, 40, 3), range(1, 40, 2), range(1, 6), range(1, 9)):
+        if k <= n:
+            terms = sum((k - 1) // r**i for i in range(t + 1))
+            assert dmin_tamo_barg(n, k, r, t).value_exact == max(1, n - terms), (n, k, r, t)
 
 
 def test_dmin_wang_values():

@@ -347,10 +347,14 @@ def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
         ("construct functional --q 2305843009213693951 --t 3", None),
         ("construct partition --r 2305843009213693950 --g 1 --t 1", None),
         ("construct partition --r 1 --g 2 --t 1000000000", None),
-        # OverflowError: the float of the exact value, and the shortening profile's length
+        # OverflowError: the float of the exact value
         ("bounds dmin --n 10**400 --k 2 --r 1 --t 2", None),
         ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method wang", None),
+        # limits checked before the work they bound: the shortening profile's
+        # length and the product bound's size
         ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method shortening", None),
+        ("bounds dmin --n 1000000000000 --k 2 --r 1 --t 2 --method shortening", None),
+        ("bounds rate --r 1 --t 10000000", None),
         # with t < 0 the search would try every subset of column 1's 21 rows
         ("verify --r 1 --t -1 --in", None),
     ],
@@ -463,6 +467,10 @@ def cli_argvs(draw):
 @example((["construct", "functional", "--q", "2305843009213693951", "--t", "3"], None))
 @example((["construct", "partition", "--r", "2305843009213693950", "--g", "1", "--t", "1"], None))
 @example((["construct", "partition", "--r", "1", "--g", "2", "--t", "1000000000"], None))
+@example((["bounds", "dmin", "--n", "100", "--k", "50", "--r", "2", "--t", "100000000000"], None))
+@example((["bounds", "rate", "--r", "1", "--t", "10000000"], None))
+@example((["bounds", "dmin", "--n", "1000000000000", "--k", "2", "--r", "1", "--t", "2",
+           "--method", "shortening"], None))
 def test_run_cli_fuzz_exits_cleanly(tmp_path, drawn):
     argv, document = drawn
     if document is not None:

@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from availcodes import (
     InfeasibleRelaxationError,
     build_lp,
+    certificate_violations,
     lp_dimension_bound,
     point_violations,
     rate_tamo_barg,
@@ -12,6 +16,7 @@ from availcodes import (
     weight_distribution,
 )
 from availcodes.lp import LPConstraint, LPModel, PivotLimitError
+from test_lp_differential import small_lps
 
 
 def _model(num_vars, objective, constraints, offset=0):
@@ -156,11 +161,61 @@ def test_lp_dimension_bound_improvement_claim():
 
 
 def test_lp_exact_float_agreement():
-    for r in (3, 4):
+    # at q = 2 the bound is log2 M; the benchmark accepts a float M within
+    # 1e-3 bits of the exact one
+    for r in range(3, 8):
         n = (r + 1) ** 2
         exact = lp_dimension_bound(2, n, r, 3, mode="exact").value
-        approx = lp_dimension_bound(2, n, r, 3, mode="float").value
-        assert abs(exact - approx) <= 1e-6 * abs(exact)
+        approx = lp_dimension_bound(2, n, r, 3, mode="float")
+        assert approx.solution.status == "optimal"
+        assert abs(exact - approx.value) <= 1e-6 * abs(exact)
+        assert abs(exact - approx.value) <= 1e-3
+
+
+# -- dual certificate -------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_lp3_rows_carry_a_dual_certificate(r):
+    model = build_lp(2, (r + 1) ** 2, r, 3)
+    sol = solve_lp(model)
+    assert len(sol.dual) == len(model.constraints)
+    assert certificate_violations(model, sol) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_random_optimal_lps_carry_a_dual_certificate(model):
+    sol = solve_lp(model)
+    if sol.status == "optimal":
+        assert all(isinstance(y, Fraction) for y in sol.dual)
+        assert certificate_violations(model, sol) == []
+    else:
+        assert sol.dual == ()
+
+
+def test_certificate_check_flags_each_broken_condition():
+    model = build_lp(2, 16, 3, 3)
+    sol = solve_lp(model)
+    dual = list(sol.dual)
+    priced = next(i for i, y in enumerate(dual) if y > 0)
+    assert certificate_violations(model, replace(sol, dual=(0,) * len(dual))) == [
+        f"cover_{i}" for i in model.weight_indices
+    ] + ["value"]
+    assert certificate_violations(model, replace(sol, value=sol.value + 1)) == ["value"]
+    dual[priced] = -dual[priced]
+    bad = certificate_violations(model, replace(sol, dual=tuple(dual)))
+    assert bad[0] == f"dual_{model.constraints[priced].label}"
+    with pytest.raises(ValueError):
+        certificate_violations(model, replace(sol, dual=()))
+
+
+def test_float_dual_prices_the_model_rows():
+    # float mode solves on rows scaled to a largest entry of 1; its prices
+    # are scaled back onto the model's rows
+    model = build_lp(2, 16, 3, 3)
+    exact, approx = solve_lp(model), solve_lp(model, mode="float")
+    assert approx.dual == pytest.approx([float(y) for y in exact.dual], rel=1e-9, abs=1e-12)
 
 
 def test_lp_degenerate_all_weights_pinned():
