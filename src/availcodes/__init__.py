@@ -62,7 +62,7 @@ _EXPORTS = {
         "projective_functionals",
     ),
     "fields": ("FiniteField", "matrix_rank", "prime_power"),
-    "figures": ("FigureSpec", "emit_figure_data"),
+    "figures": ("emit_figure_data",),
     "lp": (
         "InfeasibleRelaxationError",
         "LPBoundResult",
@@ -77,7 +77,6 @@ _EXPORTS = {
     ),
     "verification": (
         "AvailabilityCheckReport",
-        "GHWResult",
         "GreedyTrace",
         "StrictCheckReport",
         "check_availability",
@@ -89,7 +88,6 @@ _EXPORTS = {
     "weights": (
         "EnumerationBudgetError",
         "WeightDistribution",
-        "binomial",
         "krawtchouk",
         "krawtchouk_column",
         "macwilliams_transform",

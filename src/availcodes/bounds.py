@@ -10,18 +10,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 
-# Both limits were measured on a 2-vCPU VM (Python 3.11).  The product
-# bound's t factors (jr+1)/(jr) multiply to a fraction of at most
+# All three limits were measured on a 2-vCPU VM (Python 3.11).  The
+# product bound's t factors (jr+1)/(jr) multiply to a fraction of at most
 # t * bit_length(rt+1) bits; within 2^17 bits the Fraction loop takes at
 # most about 0.35 s (r=10^6, t=4096), and t alone is no guide: r=10^100
-# at t=4096 takes 11 s.  The simple profile holds e_1..e_b; a shortening
-# bound over b = 2^18 entries takes 0.5 s and 47 MB end to end
-# (`bounds dmin --method shortening`, n=393216, r=1, t=2).
+# at t=4096 takes 11 s.  A profile holds e_1..e_b (b = M for the (M, delta)
+# one); a shortening bound over b = 2^18 entries takes 0.5 s and 47 MB end
+# to end (`bounds dmin --method shortening`, n=393216, r=1, t=2).  The
+# (M, delta) scan builds profiles whose lengths sum to that of M over the
+# admissible M, and takes 20 to 85 us per unit of that sum on every shape
+# tried; on the dmin3_mdelta figure rows r = 11, 17, 20 it sums to 1370,
+# 7080 and 13266 units and takes 0.04, 0.33 and 0.72 s.  2^14 units admit
+# those rows up to r = 21 (16021 units, 0.65 s), and every shape tried
+# near that limit ran within 1 s.
 PRODUCT_BITS_LIMIT = 1 << 17
 PROFILE_LIMIT = 1 << 18
+M_DELTA_SCAN_LIMIT = 1 << 14
 
 
 class BoundNotApplicableError(ValueError):
@@ -74,7 +80,6 @@ class GHWBoundProfile:
 
     n: int
     r: int
-    t: int | None
     variant: str  # simple | m_delta | linear
     e: tuple[int, ...]
     params: dict = field(default_factory=dict)
@@ -86,14 +91,15 @@ class GHWBoundProfile:
         if self.e and self.e[-1] > self.n:
             raise ValueError("profile exceeds the block length")
 
-    @property
-    def b(self) -> int:
-        return len(self.e)
-
 
 def _check_locality(r: int, t: int) -> None:
     if r < 1 or t < 1:
         raise ValueError(f"need r >= 1 and t >= 1, got r={r}, t={t}")
+
+
+def _check_block_length(n: int, r: int) -> None:
+    if n < r + 1:
+        raise ValueError(f"need n >= r+1, got n={n}, r={r}")
 
 
 def _check_dimension(n: int, k: int) -> None:
@@ -185,8 +191,7 @@ def rate_wzl_achievable(r: int, t: int) -> BoundResult:
 def ghw_profile_simple(n: int, r: int, t: int) -> GHWBoundProfile:
     """Backward recursion e_{i-1} = min(e_i, e_i - ceil(2 e_i / i) + r + 1)
     from e_b = n, with b = ceil(n (1 - best-known-rate))."""
-    if n < r + 1:
-        raise ValueError(f"need n >= r+1, got n={n}, r={r}")
+    _check_block_length(n, r)
     b = math.ceil(n * (1 - rate_best_known(r, t).value_exact))
     if b > PROFILE_LIMIT:
         raise ValueError(f"profile length {b} exceeds limit {PROFILE_LIMIT}")
@@ -194,7 +199,7 @@ def ghw_profile_simple(n: int, r: int, t: int) -> GHWBoundProfile:
     e[b] = n
     for i in range(b, 1, -1):
         e[i - 1] = min(e[i], e[i] - _ceil_div(2 * e[i], i) + r + 1)
-    return GHWBoundProfile(n=n, r=r, t=t, variant="simple", e=tuple(e[1:]))
+    return GHWBoundProfile(n=n, r=r, variant="simple", e=tuple(e[1:]))
 
 
 def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> GHWBoundProfile:
@@ -206,6 +211,9 @@ def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> GHWBoundProfi
         raise ValueError(f"need M >= 1, got {m_dim}")
     if delta < 0:
         raise ValueError(f"need delta >= 0, got {delta}")
+    _check_block_length(n, r)
+    if m_dim > PROFILE_LIMIT:
+        raise ValueError(f"profile length {m_dim} exceeds limit {PROFILE_LIMIT}")
     e = [r + 1]
     j_seq = [0]
     for i in range(2, m_dim + 1):
@@ -215,7 +223,6 @@ def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> GHWBoundProfi
     return GHWBoundProfile(
         n=n,
         r=r,
-        t=None,
         variant="m_delta",
         e=tuple(e),
         params={"M": m_dim, "delta": delta},
@@ -346,7 +353,9 @@ def dmin_m_delta_max(n: int, k: int, r: int, t: int) -> BoundResult:
     first step whose J_i changes is the first that can differ, so the scan
     jumps to the next delta at which some J_i changes and recomputes the
     profile from that step on; deltas in between repeat the last value.
-    Ties keep the first point in (M, delta) order.
+    Ties keep the first point in (M, delta) order.  The scan is refused
+    before any step when the sum of M over the admissible M, the total
+    length of its profiles, exceeds M_DELTA_SCAN_LIMIT.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -356,8 +365,13 @@ def dmin_m_delta_max(n: int, k: int, r: int, t: int) -> BoundResult:
         raise BoundNotApplicableError(
             f"no admissible M: ceil(n(1-R)) = {m_lo} exceeds n-k = {m_hi}"
         )
-    if n < r + 1:
-        ghw_profile_m_delta(n, r, m_lo, 0)  # e_1 = r+1 > n: the profile's own error
+    _check_block_length(n, r)
+    scan = (m_lo + m_hi) * (m_hi - m_lo + 1) // 2  # the profiles' total length
+    if scan > M_DELTA_SCAN_LIMIT:
+        raise ValueError(
+            f"the (M, delta) scan over M = {m_lo}..{m_hi} builds profiles of "
+            f"total length {scan}, over limit {M_DELTA_SCAN_LIMIT}"
+        )
     # Per step i: e_i, J_i, the least shortening term tamo_barg(n - e_s,
     # k + s - e_s) over the steps s <= i with e_s - s < k (every s <= M <= n-k
     # is an admissible index), and the first delta at which one of
@@ -413,19 +427,12 @@ def k_opt_griesmer(q: int, n: int, d: int) -> int:
         k += 1
 
 
-def dim_huang(
-    n: int,
-    d: int,
-    r: int,
-    t: int,
-    k_opt: Callable[[int, int, int], int] = k_opt_griesmer,
-    q: int = 2,
-) -> BoundResult:
-    """Field-size-dependent dimension bound with a pluggable best-code oracle.
+def dim_huang(n: int, d: int, r: int, t: int, q: int = 2) -> BoundResult:
+    """Field-size-dependent dimension bound with the Griesmer best-code oracle.
 
     Searches downward for the largest k* satisfying
     k* <= min over {x >= 1, s in [x, tx], (r-1)s + x < k*, rs + x <= n}
-    of (r-1)s + x + k_opt(q, n - rs - x, d).  The minimized expression
+    of (r-1)s + x + k_opt_griesmer(q, n - rs - x, d).  The minimized expression
     depends on the multiplicity vector only through its sum s, so the
     search runs over s directly.
     """
@@ -444,7 +451,7 @@ def dim_huang(
                 residual = n - (r * s + x)
                 if residual < 0:
                     break
-                if a + k_opt(q, residual, d) < k_star:
+                if a + k_opt_griesmer(q, residual, d) < k_star:
                     ok = False
                     break
             if not ok:

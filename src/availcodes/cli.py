@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lp.add_argument("--r", type=int, required=True)
     p_lp.add_argument("--t", type=int, required=True)
     p_lp.add_argument("--float", action="store_true", dest="float_mode")
-    p_lp.add_argument("--strengthen", action="store_true")
 
     p_con = sub.add_parser("construct", help="build strict-availability matrices")
     csub = p_con.add_subparsers(dest="construct_command", required=True)
@@ -180,9 +179,7 @@ def _cmd_bounds(args) -> int:
 
     mode = "float" if args.float_mode else "exact"
     try:
-        result = lp_dimension_bound(
-            args.q, args.n, args.r, args.t, mode=mode, strengthen=args.strengthen
-        )
+        result = lp_dimension_bound(args.q, args.n, args.r, args.t, mode=mode)
     except InfeasibleRelaxationError as exc:
         _print_json({"status": "no code exists under relaxation", "detail": str(exc)})
         return 0
@@ -205,8 +202,8 @@ def _cmd_construct(args) -> int:
     if args.construct_command == "partition":
         family = build_partition_family(args.r, args.g)
         choice = None
-        if args.choice:
-            choice = [int(v) for v in args.choice.split(",")]
+        if args.choice is not None:  # "" is the empty list, for partition_code to refuse
+            choice = [int(v) for v in args.choice.split(",")] if args.choice else []
         code = partition_code(family, args.t, choice)
     elif args.construct_command == "functional":
         gf = FiniteField(args.q)
@@ -248,7 +245,7 @@ def _cmd_analyze(args) -> int:
         raise ValueError("--tiebreak random requires an explicit --seed")
     with open(args.infile) as fh:
         h = parse_matrix(fh.read())
-    code = AvailabilityCode(H=h, n=h.cols, r=args.r, t=args.t)
+    code = AvailabilityCode(H=h, r=args.r, t=args.t)
     k = code.k  # the one rank computation
     doc: dict = {"code": {"n": code.n, "m": code.m, "rank": code.n - k, "k": k}}
     checks: dict = {}
@@ -256,8 +253,7 @@ def _cmd_analyze(args) -> int:
         d = min_distance_bruteforce(code)
         checks["dmin"] = "inf" if d == float("inf") else d
     if args.ghw is not None:
-        res = dual_ghw_bruteforce(code, args.ghw)
-        checks["ghw"] = {"dimension": res.dimension, "support": res.support}
+        checks["ghw"] = {"dimension": args.ghw, "support": dual_ghw_bruteforce(code, args.ghw)}
     if checks:
         doc["checks"] = checks
     if args.greedy:
@@ -268,10 +264,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    from .figures import FigureSpec, emit_figure_data
+    from .figures import emit_figure_data
 
-    spec = FigureSpec(args.figure_id, args.rmin, args.rmax)
-    _emit(emit_figure_data(spec, lp_budget=args.budget), args.out)
+    _emit(emit_figure_data(args.figure_id, args.rmin, args.rmax, args.budget), args.out)
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,33 +19,32 @@ class AvailabilityCode:
     `r` (locality) and `t` (availability) are declared parameters; they may
     be None for matrices under analysis.  `kind` records whether the matrix
     is claimed to satisfy the strict row/column-regularity conditions.
-    The dimension k = n - rank(H) is computed lazily.
+    The length n is H's column count; the dimension k = n - rank(H) is
+    computed once, on first use.
     """
 
     H: BitMatrix
-    n: int
     r: int | None = None
     t: int | None = None
     kind: str = GENERAL
     construction: str = ""
     parameters: dict = field(default_factory=dict)
-    _k: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n != self.H.cols:
-            raise ValueError(f"declared n={self.n} but H has {self.H.cols} columns")
         if self.kind not in (STRICT, GENERAL):
             raise ValueError(f"kind must be strict or general, got {self.kind!r}")
+
+    @property
+    def n(self) -> int:
+        return self.H.cols
 
     @property
     def m(self) -> int:
         return self.H.rows
 
-    @property
+    @functools.cached_property
     def k(self) -> int:
-        if self._k is None:
-            self._k = self.n - rank(self.H)
-        return self._k
+        return self.n - rank(self.H)
 
     def sidecar(self) -> dict:
         """JSON-ready description written next to serialized matrices."""

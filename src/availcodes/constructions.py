@@ -136,7 +136,6 @@ def partition_code(
     h = BitMatrix.from_supports(supports, family.n)
     return AvailabilityCode(
         H=h,
-        n=family.n,
         r=family.block_size - 1,
         t=t,
         kind=STRICT,
@@ -195,7 +194,6 @@ def functional_code(
     h = BitMatrix.from_rows(rows, n)
     return AvailabilityCode(
         H=h,
-        n=n,
         r=q ** (n1 - m1) - 1,
         t=t,
         kind=STRICT,
@@ -246,7 +244,6 @@ def product_code(r: int, t: int) -> AvailabilityCode:
     h = BitMatrix.from_rows(rows, n)
     return AvailabilityCode(
         H=h,
-        n=n,
         r=r,
         t=t,
         kind=STRICT,

@@ -9,24 +9,10 @@ column marks skipped rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import FIGURE_IDS, LP_DEFAULT_BUDGET
 from . import bounds as bd
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    figure_id: str
-    r_min: int
-    r_max: int
-
-    def __post_init__(self):
-        if self.figure_id not in FIGURE_IDS:
-            raise ValueError(f"unknown figure {self.figure_id!r}; choose from {FIGURE_IDS}")
-        if self.r_min < 1 or self.r_max < self.r_min:
-            raise ValueError(f"need 1 <= r_min <= r_max, got {self.r_min}..{self.r_max}")
 
 
 def _sweep_params(figure_id: str, r: int) -> dict:
@@ -111,13 +97,19 @@ _BUILDERS = {
 }
 
 
-def emit_figure_data(spec: FigureSpec, lp_budget: int = LP_DEFAULT_BUDGET) -> str:
-    """One CSV row per r in the requested range; see module docstring for layout."""
-    builder, columns = _BUILDERS[spec.figure_id]
+def emit_figure_data(
+    figure_id: str, r_min: int, r_max: int, lp_budget: int = LP_DEFAULT_BUDGET
+) -> str:
+    """One CSV row per r in r_min..r_max; see module docstring for layout."""
+    if figure_id not in FIGURE_IDS:
+        raise ValueError(f"unknown figure {figure_id!r}; choose from {FIGURE_IDS}")
+    if r_min < 1 or r_max < r_min:
+        raise ValueError(f"need 1 <= r_min <= r_max, got {r_min}..{r_max}")
+    builder, columns = _BUILDERS[figure_id]
     header = ["r", *columns, *(f"{c}_exact" for c in columns), "flag"]
     lines = [",".join(header)]
-    for r in range(spec.r_min, spec.r_max + 1):
-        if spec.figure_id == "lp3" and r > lp_budget:
+    for r in range(r_min, r_max + 1):
+        if figure_id == "lp3" and r > lp_budget:
             cells = [str(r)] + [""] * (2 * len(columns)) + ["budget"]
             lines.append(",".join(cells))
             continue

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import BoundResult, _check_locality
-from .weights import binomial, krawtchouk_column
+from .weights import krawtchouk_column
 
 DEFAULT_PIVOT_LIMIT = 200_000
 FLOAT_TOL = 1e-9
@@ -91,14 +91,17 @@ class LPBoundResult(BoundResult):
     solution: LPSolution = field(kw_only=True)
 
 
-def build_lp(q: int, n: int, r: int, t: int, strengthen: bool = False) -> LPModel:
+def build_lp(q: int, n: int, r: int, t: int) -> LPModel:
     """Assemble the weight-distribution LP at (q, n, r, t).
 
     Rows: dual-count nonnegativity for every transform degree j = 0..n, the
     two-row-sum counts at weights 2r (only for r > 2) and 2(r+1), and the
-    row-count lower bound on the dual count at weight r+1.  `strengthen`
-    adds the optional cap A_i <= (q-1)^i C(n, i).  Every row is stated as
-    `<=`: the dual-count rows K_j . A >= -(q-1)^j C(n, j) enter negated.
+    row-count lower bound on the dual count at weight r+1.  Every row is
+    stated as `<=`: the dual-count rows K_j . A >= -(q-1)^j C(n, j) enter
+    negated.  No cap A_i <= (q-1)^i C(n, i) is needed: with M = 1 + sum A,
+    the dual counts B_j = K_j . A / M are nonnegative and sum to q^n / M,
+    so A_i = (M / q^n) sum_j B_j K_i(j) <= K_i(0) = (q-1)^i C(n, i), as
+    |K_i(j)| <= K_i(0).
     """
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
@@ -116,7 +119,7 @@ def build_lp(q: int, n: int, r: int, t: int, strengthen: bool = False) -> LPMode
 
     def volume(w: int) -> int:
         """(q-1)^w C(n, w), the number of words of weight w."""
-        return (q - 1) ** w * binomial(n, w)
+        return (q - 1) ** w * math.comb(n, w)
 
     constraints = [
         LPConstraint(tuple(-k for k in kraw[j]), volume(j), f"dual_nonneg_{j}")
@@ -128,28 +131,23 @@ def build_lp(q: int, n: int, r: int, t: int, strengthen: bool = False) -> LPMode
         coeffs = tuple(count - k for k in kraw[w])
         return LPConstraint(coeffs, volume(w) - count, label)
 
-    pair_count = n * binomial(t, 2)
+    pair_count = n * math.comb(t, 2)
     if r > 2 and 2 * r <= n:
         constraints.append(at_least(pair_count, 2 * r, "pair_sum_2r"))
     if r >= 2 and 2 * (r + 1) <= n:
         # distinctness of disjoint-pair sums needs row weight >= 3: with
         # weight-2 rows two disjoint pairs can sum to the same codeword
-        lower = binomial(m, 2) - pair_count
+        lower = math.comb(m, 2) - pair_count
         constraints.append(at_least(lower, 2 * (r + 1), "pair_sum_2r2"))
     # row-count bound on the dual count at weight r+1
     constraints.append(at_least(m, r + 1, "row_count"))
-
-    if strengthen:
-        for pos, i in enumerate(idx):
-            unit = tuple(int(p == pos) for p in range(len(idx)))
-            constraints.append(LPConstraint(unit, volume(i), f"cap_{i}"))
 
     return LPModel(
         num_vars=len(idx),
         objective_offset=1,
         objective=(1,) * len(idx),
         constraints=tuple(constraints),
-        meta={"q": q, "n": n, "r": r, "t": t, "m": m, "strengthen": strengthen},
+        meta={"q": q, "n": n, "r": r, "t": t, "m": m},
     )
 
 
@@ -444,18 +442,11 @@ def solve_lp(
     )
 
 
-def lp_dimension_bound(
-    q: int,
-    n: int,
-    r: int,
-    t: int,
-    mode: str = "exact",
-    strengthen: bool = False,
-) -> LPBoundResult:
+def lp_dimension_bound(q: int, n: int, r: int, t: int, mode: str = "exact") -> LPBoundResult:
     """k <= log_q(M) where M is the LP optimum; M rides along in the
     diagnostics as a string and in the result's `solution`.  Raises
     InfeasibleRelaxationError when even the relaxation is empty."""
-    model = build_lp(q, n, r, t, strengthen=strengthen)
+    model = build_lp(q, n, r, t)
     sol = solve_lp(model, mode=mode)
     if sol.status == "infeasible":
         raise InfeasibleRelaxationError(

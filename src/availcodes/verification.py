@@ -123,14 +123,6 @@ def min_distance_bruteforce(code: AvailabilityCode) -> int | float:
     return next((w for w in range(1, code.n + 1) if counts[w]), math.inf)
 
 
-@dataclass(frozen=True)
-class GHWResult:
-    """Minimum support size over `dimension`-dimensional dual subspaces."""
-
-    dimension: int
-    support: int
-
-
 def gaussian_binomial(m: int, i: int) -> int:
     """Number of i-dimensional subspaces of a binary m-dimensional space."""
     if i < 0 or i > m:
@@ -142,8 +134,9 @@ def gaussian_binomial(m: int, i: int) -> int:
     return num // den
 
 
-def dual_ghw_bruteforce(code: AvailabilityCode, dimension: int) -> GHWResult:
-    """Exact generalized Hamming weight of the dual at the given dimension.
+def dual_ghw_bruteforce(code: AvailabilityCode, dimension: int) -> int:
+    """Exact generalized Hamming weight of the dual at the given dimension:
+    the least support size of a `dimension`-dimensional dual subspace.
 
     Covers the i-dimensional subspaces of the row space of H once each, via
     reduced-echelon coefficient patterns over an echelon dual basis: for a
@@ -182,7 +175,7 @@ def dual_ghw_bruteforce(code: AvailabilityCode, dimension: int) -> GHWResult:
                     coset += [v ^ g for v in coset]
             cosets.append(coset)
         best = _min_union_support(cosets, 0, best)
-    return GHWResult(dimension=dimension, support=best)
+    return best
 
 
 def _min_union_support(cosets: list[list[int]], union: int, best: int) -> int:

@@ -1,12 +1,11 @@
-"""Exact combinatorics: binomials, Krawtchouk polynomials, weight
-distributions and their transform to the dual distribution.
+"""Exact combinatorics: Krawtchouk polynomials, weight distributions and
+their transform to the dual distribution.
 
 Everything here is arbitrary-precision integer arithmetic; no floats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,15 +14,6 @@ ENUMERATION_LIMIT = 28  # enumeration is 2^min(k, n-k); keep that exponent at or
 
 class EnumerationBudgetError(ValueError):
     """An exhaustive enumeration would exceed the configured budget."""
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient; 0 when k > n or k < 0."""
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def krawtchouk_column(q: int, n: int, i: int) -> list[int]:

@@ -27,6 +27,8 @@ def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> GHWBoundProfi
         raise ValueError(f"need M >= 1, got {m_dim}")
     if delta < 0:
         raise ValueError(f"need delta >= 0, got {delta}")
+    if n < r + 1:
+        raise ValueError(f"need n >= r+1, got n={n}, r={r}")
     e = [r + 1]
     j_seq = [0]
     for i in range(2, m_dim + 1):
@@ -45,7 +47,6 @@ def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> GHWBoundProfi
     return GHWBoundProfile(
         n=n,
         r=r,
-        t=None,
         variant="m_delta",
         e=tuple(e),
         params={"M": m_dim, "delta": delta},

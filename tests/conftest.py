@@ -26,16 +26,6 @@ from availcodes import (
 # -- independent oracles ------------------------------------------------
 
 
-def pascal_binomial(n: int, k: int) -> int:
-    """Pascal-triangle evaluation, no factorials."""
-    if k < 0 or k > n:
-        return 0
-    row = [1]
-    for _ in range(n):
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    return row[k]
-
-
 def dense_rank(rows: list[list[int]]) -> int:
     """GF(2) rank by elimination on dense lists."""
     work = [r[:] for r in rows]

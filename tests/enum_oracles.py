@@ -20,13 +20,12 @@ from availcodes.verification import (
     GHW_MAX_DUAL_DIM,
     GHW_MAX_LEVEL,
     GHW_SUBSPACE_BUDGET,
-    GHWResult,
     gaussian_binomial,
 )
 from availcodes.weights import EnumerationBudgetError
 
 
-def dual_ghw_bruteforce(code, dimension: int) -> GHWResult:
+def dual_ghw_bruteforce(code, dimension: int) -> int:
     """Every reduced-echelon coefficient pattern, each basis vector summed
     from its coefficient bits, with no pruning."""
     basis = row_space_basis(code.H)
@@ -64,7 +63,7 @@ def dual_ghw_bruteforce(code, dimension: int) -> GHWResult:
             w = union.bit_count()
             if w < best:
                 best = w
-    return GHWResult(dimension=dimension, support=best)
+    return best
 
 
 def krawtchouk_sum(q: int, n: int, j: int, i: int) -> int:

@@ -164,9 +164,7 @@ def test_criterion_09_macwilliams_oracle():
             n = rng.randint(1, 14)
             m = rng.randint(1, n)
             h = BitMatrix.from_rows([rng.getrandbits(n) for _ in range(m)], n)
-            dist = macwilliams_transform(
-                weight_distribution(AvailabilityCode(H=h, n=n))
-            )
+            dist = macwilliams_transform(weight_distribution(AvailabilityCode(H=h)))
             assert list(dist.B) == dual_weight_counts(h)
 
 
@@ -211,4 +209,4 @@ def test_criterion_11_soundness_sweep(catalog):
                 assert int(bound.value_exact) >= d, (code.construction, bound.name)
             if code.r >= 2 and code.t >= 2 and code.n - code.k <= 7:
                 for i in range(1, min(3, code.n - code.k) + 1):
-                    assert dual_ghw_bruteforce(code, i).support <= i * code.r + 1
+                    assert dual_ghw_bruteforce(code, i) <= i * code.r + 1

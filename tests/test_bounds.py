@@ -7,7 +7,6 @@ import pytest
 from availcodes import (
     BoundNotApplicableError,
     GHWBoundProfile,
-    binomial,
     dim_huang,
     dmin_m_delta,
     dmin_m_delta_max,
@@ -24,7 +23,7 @@ from availcodes import (
     rate_transpose_step,
     rate_wzl_achievable,
 )
-from availcodes.bounds import PROFILE_LIMIT
+from availcodes.bounds import M_DELTA_SCAN_LIMIT, PROFILE_LIMIT
 
 
 # -- rate bounds ---------------------------------------------------------
@@ -129,7 +128,7 @@ def test_profile_simple_checkpoint():
 
 def test_profile_simple_length_and_anchor():
     profile = ghw_profile_simple(2, 1, 2)
-    assert profile.b == math.ceil(2 * (1 - Fraction(1, 3))) == 2
+    assert len(profile.e) == math.ceil(2 * (1 - Fraction(1, 3))) == 2
     assert profile.e == (2, 2)
     assert ghw_profile_simple(4, 1, 3).e == (2, 3, 4)
 
@@ -145,10 +144,18 @@ def test_profile_simple_nondecreasing_sweep():
 
 def test_profile_simple_length_limit():
     # b = ceil(n (1 - 1/3)) at r=1, t=2
-    assert ghw_profile_simple(3 * PROFILE_LIMIT // 2, 1, 2).b == PROFILE_LIMIT
+    assert len(ghw_profile_simple(3 * PROFILE_LIMIT // 2, 1, 2).e) == PROFILE_LIMIT
     for n in (3 * PROFILE_LIMIT // 2 + 1, 10**12):
         with pytest.raises(ValueError, match=f"exceeds limit {PROFILE_LIMIT}"):
             ghw_profile_simple(n, 1, 2)
+
+
+def test_profile_m_delta_checks_before_the_recursion():
+    with pytest.raises(ValueError, match=f"exceeds limit {PROFILE_LIMIT}"):
+        ghw_profile_m_delta(100, 2, 10**11, 1)
+    with pytest.raises(ValueError, match=r"need n >= r\+1, got n=5, r=9"):
+        ghw_profile_m_delta(5, 9, 2, 1)
+    assert len(ghw_profile_m_delta(10**6, 2, PROFILE_LIMIT, 3).e) == PROFILE_LIMIT
 
 
 def test_profile_m_delta_checkpoint():
@@ -185,7 +192,7 @@ def ghw_profile_linear(n: int, r: int, b: int | None = None) -> GHWBoundProfile:
     if b < 1:
         raise ValueError("block length too small for a linear profile")
     return GHWBoundProfile(
-        n=n, r=r, t=None, variant="linear", e=tuple(i * r + 1 for i in range(1, b + 1))
+        n=n, r=r, variant="linear", e=tuple(i * r + 1 for i in range(1, b + 1))
     )
 
 
@@ -234,7 +241,7 @@ def test_dmin_shortening_linear_profile_matches_substitution():
     profile = ghw_profile_linear(n, r)
     expected = min(
         int(dmin_tamo_barg(n - i * r - 1, k - (i * (r - 1) + 1), r, t).value_exact)
-        for i in range(1, profile.b + 1)
+        for i in range(1, len(profile.e) + 1)
         if i * (r - 1) + 1 < k and i <= n - k
     )
     assert dmin_shortening(n, k, r, t, profile).value_exact == expected
@@ -281,6 +288,18 @@ def test_dmin_m_delta_max_not_applicable():
         dmin_m_delta_max(9, 8, 2, 2)  # n-k = 1 < ceil(n(1-R'))
 
 
+def test_dmin_m_delta_max_checks_before_the_scan():
+    # the dmin3_mdelta rows r = 21 and 22: M = 180..253 sums to 16021 and
+    # M = 196..276 to 19116
+    assert dmin_m_delta_max(2024, 1771, 21, 3).diagnostics["argmax_M"] >= 180
+    with pytest.raises(ValueError, match=f"length 19116, over limit {M_DELTA_SCAN_LIMIT}"):
+        dmin_m_delta_max(2300, 2024, 22, 3)
+    with pytest.raises(ValueError, match="over limit"):
+        dmin_m_delta_max(100000, 10000, 2, 3)
+    with pytest.raises(ValueError, match=r"need n >= r\+1, got n=5, r=9"):
+        dmin_m_delta_max(5, 3, 9, 2)
+
+
 # -- dimension bounds ---------------------------------------------------------
 
 
@@ -289,10 +308,6 @@ def test_k_opt_griesmer_values():
     assert k_opt_griesmer(2, 3, 3) == 1
     assert k_opt_griesmer(3, 11, 1) == 11
     assert k_opt_griesmer(2, 2, 3) == 0
-
-
-def test_dim_huang_vacuous_oracle():
-    assert dim_huang(15, 3, 2, 2, k_opt=lambda q, n, d: 15).value_exact == 15
 
 
 def test_dim_huang_griesmer_point():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -173,7 +174,7 @@ def test_analyze_ghw_matches_oracle(tmp_path, capsys, level):
     path = tmp_path / "g4.txt"
     _run(capsys, "construct", "product", "--r", "3", "--t", "2", "-o", str(path))
     try:
-        expected = (0, enum_oracles.dual_ghw_bruteforce(product_code(3, 2), level).support, "")
+        expected = (0, enum_oracles.dual_ghw_bruteforce(product_code(3, 2), level), "")
     except EnumerationBudgetError as exc:
         expected = (1, None, f"error: {exc}\n")
     code, stdout, err = _run(capsys, "analyze", "--in", str(path), "--ghw", str(level))
@@ -210,6 +211,16 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
     assert run_cli(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_lp_strengthen_is_a_usage_error(capsys):
+    # the cap rows it added are implied by the model's other rows
+    code, stdout, err = _run(
+        capsys, "bounds", "lp", "--q", "2", "--n", "16", "--r", "3", "--t", "3", "--strengthen"
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: ") and "unrecognized arguments: --strengthen" in err
+    assert "Traceback" not in err
 
 
 def test_computation_error_exit_1(tmp_path, capsys):
@@ -355,12 +366,21 @@ def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
         ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method shortening", None),
         ("bounds dmin --n 1000000000000 --k 2 --r 1 --t 2 --method shortening", None),
         ("bounds rate --r 1 --t 10000000", None),
+        # the (M, delta) profile's length and block length, and the size of
+        # the m-delta-max scan, all checked before the recursion
+        ("bounds dmin --n 100 --k 50 --r 2 --t 3 --method m-delta --M 100000000000 --delta 1",
+         None),
+        ("bounds dmin --n 5 --k 3 --r 9 --t 2 --method m-delta --M 2 --delta 1", None),
+        ("bounds dmin --n 5 --k 3 --r 9 --t 2 --method m-delta-max", None),
+        ("bounds dmin --n 100000 --k 10000 --r 2 --t 3 --method m-delta-max", None),
+        # an empty --choice is the empty list, not the default
+        ("construct partition --r 1 --g 2 --t 3 --choice ''", None),
         # with t < 0 the search would try every subset of column 1's 21 rows
         ("verify --r 1 --t -1 --in", None),
     ],
 )
 def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
-    argv = [str(10 ** int(a[4:])) if a.startswith("10**") else a for a in argv.split()]
+    argv = [str(10 ** int(a[4:])) if a.startswith("10**") else a for a in shlex.split(argv)]
     if argv[-1] == "--matrices":
         path = tmp_path / "maps.json"
         path.write_text(json.dumps(matrices))

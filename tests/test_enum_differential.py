@@ -5,6 +5,8 @@ the unpruned search, the same weight distribution A whichever side
 reference nullspace basis), the same Krawtchouk values and MacWilliams
 transforms, and the same error messages."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ import matrix_oracles
 from availcodes import (
     AvailabilityCode,
     BitMatrix,
-    binomial,
     dual_ghw_bruteforce,
     krawtchouk_column,
     macwilliams_vector,
@@ -50,11 +51,11 @@ def codes(draw, max_rows, max_cols):
     rows = draw(st.lists(row, max_size=max_rows))
     if rows and draw(st.booleans()):
         rows.append(draw(st.sampled_from(rows)))
-    return AvailabilityCode(H=BitMatrix.from_rows(rows, n), n=n)
+    return AvailabilityCode(H=BitMatrix.from_rows(rows, n))
 
 
 def _rows(rows, n):
-    return AvailabilityCode(H=BitMatrix.from_rows(rows, n), n=n)
+    return AvailabilityCode(H=BitMatrix.from_rows(rows, n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,7 +85,7 @@ def _valid_distributions(q, n):
     """Weight distributions of codes over GF(q): zero, repetition, whole space."""
     zero = (1,) + (0,) * n
     repetition = (1,) + (0,) * (n - 1) + (q - 1,) if n else (q,)
-    whole = tuple(binomial(n, i) * (q - 1) ** i for i in range(n + 1))
+    whole = tuple(math.comb(n, i) * (q - 1) ** i for i in range(n + 1))
     return st.sampled_from((zero, repetition, whole))
 
 

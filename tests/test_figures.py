@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from availcodes import (
-    FigureSpec,
-    binomial,
     dmin_m_delta,
     dmin_tamo_barg,
     emit_figure_data,
@@ -23,15 +21,15 @@ def _rows(csv_text):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        FigureSpec("rate5", 1, 2)
+        emit_figure_data("rate5", 1, 2)
     with pytest.raises(ValueError):
-        FigureSpec("rate3", 3, 2)
+        emit_figure_data("rate3", 3, 2)
     with pytest.raises(ValueError):
-        FigureSpec("rate3", 0, 2)
+        emit_figure_data("rate3", 0, 2)
 
 
 def test_rate3_single_row_checkpoint():
-    header, rows = _rows(emit_figure_data(FigureSpec("rate3", 3, 3)))
+    header, rows = _rows(emit_figure_data("rate3", 3, 3))
     assert header[:5] == ["r", "greedy_t3", "tamo_barg", "song_yue", "achievable_wzl"]
     assert header[-1] == "flag"
     (row,) = rows
@@ -44,29 +42,29 @@ def test_rate3_single_row_checkpoint():
 
 
 def test_rate4_coincidence_point():
-    _, rows = _rows(emit_figure_data(FigureSpec("rate4", 3, 4)))
+    _, rows = _rows(emit_figure_data("rate4", 3, 4))
     assert rows[0]["transpose_exact"] == rows[0]["tamo_barg_exact"]
     assert rows[1]["transpose_exact"] == "1093/1820"
 
 
 def test_cells_match_module_operations():
-    _, rows = _rows(emit_figure_data(FigureSpec("rate3", 4, 6)))
+    _, rows = _rows(emit_figure_data("rate3", 4, 6))
     for row in rows:
         r = int(row["r"])
-        n = binomial(r + 3, 3)
+        n = math.comb(r + 3, 3)
         assert row["greedy_t3"] == format(float(rate_greedy_t3(n, r).value_exact), ".12g")
         assert row["tamo_barg"] == format(float(rate_tamo_barg(r, 3).value_exact), ".12g")
-    _, rows4 = _rows(emit_figure_data(FigureSpec("rate4", 5, 7)))
+    _, rows4 = _rows(emit_figure_data("rate4", 5, 7))
     for row in rows4:
         r = int(row["r"])
         assert Fraction(row["transpose_exact"]) == rate_transpose(r, 4).value_exact
 
 
 def test_dmin3_columns():
-    _, rows = _rows(emit_figure_data(FigureSpec("dmin3", 3, 5)))
+    _, rows = _rows(emit_figure_data("dmin3", 3, 5))
     for row in rows:
         r = int(row["r"])
-        n = binomial(r + 3, 3)
+        n = math.comb(r + 3, 3)
         k = r * (r + 1) * (r + 2) // 6
         assert int(row["tamo_barg_dmin"]) == int(dmin_tamo_barg(n, k, r, 3).value_exact)
         assert int(row["shortening"]) <= min(
@@ -75,11 +73,11 @@ def test_dmin3_columns():
 
 
 def test_dmin3_mdelta_adds_columns():
-    header, rows = _rows(emit_figure_data(FigureSpec("dmin3_mdelta", 3, 4)))
+    header, rows = _rows(emit_figure_data("dmin3_mdelta", 3, 4))
     assert "m_delta" in header and "m_delta_max" in header
     for row in rows:
         r = int(row["r"])
-        n = binomial(r + 3, 3)
+        n = math.comb(r + 3, 3)
         k = r * (r + 1) * (r + 2) // 6
         assert int(row["m_delta"]) == int(
             dmin_m_delta(n, k, r, 3, n - k, 3).value_exact
@@ -87,7 +85,7 @@ def test_dmin3_mdelta_adds_columns():
 
 
 def test_lp3_budget_flag():
-    header, rows = _rows(emit_figure_data(FigureSpec("lp3", 3, 8), lp_budget=4))
+    header, rows = _rows(emit_figure_data("lp3", 3, 8, lp_budget=4))
     by_r = {int(row["r"]): row for row in rows}
     assert by_r[3]["flag"] == "" and by_r[4]["flag"] == ""
     for r in (5, 6, 7, 8):
@@ -99,5 +97,4 @@ def test_lp3_budget_flag():
 
 
 def test_deterministic_regeneration():
-    spec = FigureSpec("dmin3_mdelta", 3, 6)
-    assert emit_figure_data(spec) == emit_figure_data(spec)
+    assert emit_figure_data("dmin3_mdelta", 3, 6) == emit_figure_data("dmin3_mdelta", 3, 6)

@@ -1,4 +1,5 @@
 import math
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from availcodes import (
     InfeasibleRelaxationError,
     build_lp,
     certificate_violations,
+    krawtchouk_column,
     lp_dimension_bound,
     point_violations,
     rate_tamo_barg,
@@ -115,10 +117,28 @@ def test_build_lp_divisibility_guard():
         build_lp(2, 10, 3, 3)  # 4 does not divide 30
 
 
-def test_strengthen_adds_caps():
-    base = build_lp(2, 16, 3, 3)
-    capped = build_lp(2, 16, 3, 3, strengthen=True)
-    assert len(capped.constraints) == len(base.constraints) + base.num_vars
+def test_krawtchouk_facts_that_imply_the_weight_caps():
+    # build_lp needs no cap A_i <= (q-1)^i C(n, i): with B >= 0 from the
+    # dual_nonneg rows, A_i = (M / q^n) sum_j B_j K_i(j) <= K_i(0) follows
+    # from |K_i(j)| <= K_i(0) and the orthogonality sum_j K_j(i) K_l(j) = q^n [i = l]
+    for q in (2, 3, 4, 5, 7):
+        for n in range(31):
+            columns = [krawtchouk_column(q, n, i) for i in range(n + 1)]  # K_.(i)
+            rows = list(zip(*columns))  # rows[i][j] = K_i(j)
+            for i, row in enumerate(rows):
+                assert row[0] == (q - 1) ** i * math.comb(n, i)
+                assert all(abs(v) <= row[0] for v in row), (q, n, i)
+            for i, column in enumerate(columns):
+                for l, row in enumerate(rows):
+                    expect = q**n if i == l else 0
+                    assert sum(map(operator.mul, column, row)) == expect, (q, n, i, l)
+
+
+@pytest.mark.parametrize("r", range(3, 7))
+def test_lp3_optimum_within_the_implied_caps(r):
+    n = (r + 1) ** 2
+    a = lp_dimension_bound(2, n, r, 3).solution.variables
+    assert all(v <= math.comb(n, i) for i, v in a.items()), r
 
 
 def test_real_code_weight_distribution_is_feasible(catalog):

@@ -64,7 +64,7 @@ def matrices(draw, min_rows=1, max_rows=12, max_cols=14):
 
 
 def _code(supports, n):
-    return AvailabilityCode(H=BitMatrix.from_supports(supports, n), n=n)
+    return AvailabilityCode(H=BitMatrix.from_supports(supports, n))
 
 
 @settings(max_examples=400, deadline=None)
@@ -92,7 +92,7 @@ def test_availability_check_matches_reference(h, r, t):
 @example(_code(K4_EDGES + [(a + 4, b + 4) for a, b in K4_EDGES], 8).H, 1, "lowest", 0)
 @example(_code(K4_EDGES + [(a + 4, b + 4) for a, b in K4_EDGES], 8).H, 6, "random", 1)
 def test_greedy_matches_reference(h, start, tiebreak, seed):
-    code = AvailabilityCode(H=h, n=h.cols)
+    code = AvailabilityCode(H=h)
     args = dict(start=start, tiebreak=tiebreak, seed=seed)
     assert _outcome(greedy_cover, code, **args) == _outcome(oracle.greedy_cover, code, **args)
 

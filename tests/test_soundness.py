@@ -38,7 +38,7 @@ def test_dual_ghw_below_profiles(catalog):
         simple = ghw_profile_simple(code.n, code.r, code.t).e
         capped = ghw_profile_m_delta(code.n, code.r, code.n - code.k, code.t).e
         for i in range(1, min(3, code.n - code.k) + 1):
-            ghw = dual_ghw_bruteforce(code, i).support
+            ghw = dual_ghw_bruteforce(code, i)
             if i <= len(simple):
                 assert ghw <= simple[i - 1], (code.construction, i)
             if i <= len(capped):
@@ -51,6 +51,6 @@ def test_dual_ghw_linear_cap(catalog):
         if code.r < 2 or code.t < 2 or code.n - code.k > 7:
             continue
         for i in range(1, min(3, code.n - code.k) + 1):
-            assert dual_ghw_bruteforce(code, i).support <= i * code.r + 1, (
+            assert dual_ghw_bruteforce(code, i) <= i * code.r + 1, (
                 code.construction, code.r, code.t, i,
             )
