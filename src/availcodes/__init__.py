@@ -34,7 +34,6 @@ _EXPORTS = {
     "bounds": (
         "BoundNotApplicableError",
         "BoundResult",
-        "GHWBoundProfile",
         "dim_huang",
         "dmin_m_delta",
         "dmin_m_delta_max",
@@ -87,10 +86,8 @@ _EXPORTS = {
     ),
     "weights": (
         "EnumerationBudgetError",
-        "WeightDistribution",
         "krawtchouk",
         "krawtchouk_column",
-        "macwilliams_transform",
         "macwilliams_vector",
         "weight_distribution",
     ),

@@ -74,24 +74,6 @@ def _number_text(value: Fraction | float | None) -> str:
     return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
-@dataclass(frozen=True)
-class GHWBoundProfile:
-    """Upper bounds e_1..e_b on the support sizes of dual subspaces."""
-
-    n: int
-    r: int
-    variant: str  # simple | m_delta | linear
-    e: tuple[int, ...]
-    params: dict = field(default_factory=dict)
-    J: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if any(b > a for a, b in zip(self.e[1:], self.e)):
-            raise ValueError("profile must be nondecreasing")
-        if self.e and self.e[-1] > self.n:
-            raise ValueError("profile exceeds the block length")
-
-
 def _check_locality(r: int, t: int) -> None:
     if r < 1 or t < 1:
         raise ValueError(f"need r >= 1 and t >= 1, got r={r}, t={t}")
@@ -188,8 +170,9 @@ def rate_wzl_achievable(r: int, t: int) -> BoundResult:
 # -- dual-support profiles --------------------------------------------
 
 
-def ghw_profile_simple(n: int, r: int, t: int) -> GHWBoundProfile:
-    """Backward recursion e_{i-1} = min(e_i, e_i - ceil(2 e_i / i) + r + 1)
+def ghw_profile_simple(n: int, r: int, t: int) -> tuple[int, ...]:
+    """Upper bounds e_1..e_b on the support sizes of the dual's subspaces,
+    by the backward recursion e_{i-1} = min(e_i, e_i - ceil(2 e_i / i) + r + 1)
     from e_b = n, with b = ceil(n (1 - best-known-rate))."""
     _check_block_length(n, r)
     b = math.ceil(n * (1 - rate_best_known(r, t).value_exact))
@@ -199,14 +182,14 @@ def ghw_profile_simple(n: int, r: int, t: int) -> GHWBoundProfile:
     e[b] = n
     for i in range(b, 1, -1):
         e[i - 1] = min(e[i], e[i] - _ceil_div(2 * e[i], i) + r + 1)
-    return GHWBoundProfile(n=n, r=r, variant="simple", e=tuple(e[1:]))
+    return tuple(e[1:])
 
 
-def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> GHWBoundProfile:
-    """Forward recursion for a code whose local parities admit a full-rank
-    generator with row weights <= r+1 and column weights <= delta; m_dim is
-    that generator's rank.  e values are clamped at n and kept
-    nondecreasing (a guaranteed overlap larger than a row is truncated)."""
+def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> tuple[int, ...]:
+    """e_1..e_M by the forward recursion for a code whose local parities
+    admit a full-rank generator with row weights <= r+1 and column weights
+    <= delta; m_dim is that generator's rank.  e values are clamped at n and
+    kept nondecreasing (a guaranteed overlap larger than a row is truncated)."""
     if m_dim < 1:
         raise ValueError(f"need M >= 1, got {m_dim}")
     if delta < 0:
@@ -215,19 +198,11 @@ def ghw_profile_m_delta(n: int, r: int, m_dim: int, delta: int) -> GHWBoundProfi
     if m_dim > PROFILE_LIMIT:
         raise ValueError(f"profile length {m_dim} exceeds limit {PROFILE_LIMIT}")
     e = [r + 1]
-    j_seq = [0]
+    j_i = 0
     for i in range(2, m_dim + 1):
-        j_i, e_i, _ = _m_delta_step(n, r, m_dim, delta, i, e[-1], j_seq[-1])
-        j_seq.append(j_i)
+        j_i, e_i, _ = _m_delta_step(n, r, m_dim, delta, i, e[-1], j_i)
         e.append(e_i)
-    return GHWBoundProfile(
-        n=n,
-        r=r,
-        variant="m_delta",
-        e=tuple(e),
-        params={"M": m_dim, "delta": delta},
-        J=tuple(j_seq),
-    )
+    return tuple(e)
 
 
 def _m_delta_step(
@@ -302,46 +277,45 @@ def dmin_wang(n: int, k: int, r: int, t: int) -> BoundResult:
     )
 
 
-def dmin_shortening(
-    n: int, k: int, r: int, t: int, profile: GHWBoundProfile
-) -> BoundResult:
-    """Shortening bound min over {i : e_i - i < k} of the Tamo-Barg bound
-    dmin_tamo_barg(n-e_i, k+i-e_i, r, t).
+def _shortening(n: int, k: int, r: int, t: int, e: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The least Tamo-Barg bound dmin_tamo_barg(n-e_i, k+i-e_i, r, t) over
+    S = {i <= n-k : e_i - i < k}, and S.
 
     Indices are capped at n - k (shortening cannot remove more information
-    than the code carries); an empty index set yields the Tamo-Barg bound at
-    the unshortened point.
+    than the code carries); an empty S yields the Tamo-Barg bound at the
+    unshortened point.
     """
-    if profile.n != n or profile.r != r:
-        raise ValueError("profile parameters do not match the bound point")
-    _check_locality(r, t)
-    chosen = [
-        (i, e) for i, e in enumerate(profile.e, start=1) if e - i < k and i <= n - k
-    ]
+    chosen = [(i, e_i) for i, e_i in enumerate(e, start=1) if e_i - i < k and i <= n - k]
     if not chosen:
         _check_dimension(n, k)
-        value = _tamo_barg_value(n, k, r, t)
-    else:
-        value = min(_tamo_barg_value(n - e, k + i - e, r, t) for i, e in chosen)
+        return _tamo_barg_value(n, k, r, t), []
+    value = min(_tamo_barg_value(n - e_i, k + i - e_i, r, t) for i, e_i in chosen)
+    return value, [i for i, _ in chosen]
+
+
+def dmin_shortening(n: int, k: int, r: int, t: int) -> BoundResult:
+    """Shortening bound along the simple profile `ghw_profile_simple(n, r, t)`."""
+    value, s = _shortening(n, k, r, t, ghw_profile_simple(n, r, t))
     return BoundResult(
-        f"shortening_dmin[{profile.variant}]",
-        {"n": n, "k": k, "r": r, "t": t, **profile.params},
+        "shortening_dmin[simple]",
+        {"n": n, "k": k, "r": r, "t": t},
         Fraction(value),
         "distance",
-        diagnostics={"S": [i for i, _ in chosen]},
+        diagnostics={"S": s},
     )
 
 
 def dmin_m_delta(n: int, k: int, r: int, t: int, m_dim: int, delta: int) -> BoundResult:
-    """Shortening bound driven by the (M, delta) dual-support profile."""
-    profile = ghw_profile_m_delta(n, r, m_dim, delta)
-    result = dmin_shortening(n, k, r, t, profile)
+    """Shortening bound along the profile `ghw_profile_m_delta(n, r, M, delta)`."""
+    e = ghw_profile_m_delta(n, r, m_dim, delta)
+    _check_locality(r, t)
+    value, s = _shortening(n, k, r, t, e)
     return BoundResult(
         "m_delta_dmin",
         {"n": n, "k": k, "r": r, "t": t, "M": m_dim, "delta": delta},
-        result.value_exact,
+        Fraction(value),
         "distance",
-        diagnostics=result.diagnostics,
+        diagnostics={"S": s},
     )
 
 
@@ -486,7 +460,7 @@ def applicable_distance_bounds(n: int, k: int, r: int, t: int) -> list[BoundResu
     """Every distance bound defined at (n, k, r, t)."""
     out = [dmin_tamo_barg(n, k, r, t), dmin_wang(n, k, r, t)]
     if t >= 2 and n >= r + 1:
-        out.append(dmin_shortening(n, k, r, t, ghw_profile_simple(n, r, t)))
+        out.append(dmin_shortening(n, k, r, t))
         out.append(dmin_m_delta(n, k, r, t, n - k, t))
         try:
             out.append(dmin_m_delta_max(n, k, r, t))

@@ -29,9 +29,7 @@ RATE_METHODS = {
 DMIN_METHODS = {
     "tamo-barg": lambda bd, a: bd.dmin_tamo_barg(a.n, a.k, a.r, a.t),
     "wang": lambda bd, a: bd.dmin_wang(a.n, a.k, a.r, a.t),
-    "shortening": lambda bd, a: bd.dmin_shortening(
-        a.n, a.k, a.r, a.t, bd.ghw_profile_simple(a.n, a.r, a.t)
-    ),
+    "shortening": lambda bd, a: bd.dmin_shortening(a.n, a.k, a.r, a.t),
     "m-delta": lambda bd, a: bd.dmin_m_delta(
         a.n, a.k, a.r, a.t, _require(a.M, "--M"), _require(a.delta, "--delta")
     ),
@@ -43,6 +41,16 @@ def _require(value, flag: str):
     if value is None:
         raise ValueError(f"this method requires {flag}")
     return value
+
+
+def _index_list(text: str) -> list[int]:
+    """A comma-separated list of integers; "" is the empty list."""
+    try:
+        return [int(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,7 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--r", type=int, required=True)
     p_part.add_argument("--g", type=int, required=True)
     p_part.add_argument("--t", type=int, required=True)
-    p_part.add_argument("--choice", type=str, help="comma-separated 1-based partition indices")
+    p_part.add_argument(
+        "--choice", type=_index_list, help="comma-separated 1-based partition indices"
+    )
     p_part.add_argument("-o", "--out", type=str)
 
     p_fun = csub.add_parser("functional", help="fiber construction from linear maps")
@@ -200,11 +210,7 @@ def _cmd_construct(args) -> int:
     from .fields import FiniteField
 
     if args.construct_command == "partition":
-        family = build_partition_family(args.r, args.g)
-        choice = None
-        if args.choice is not None:  # "" is the empty list, for partition_code to refuse
-            choice = [int(v) for v in args.choice.split(",")] if args.choice else []
-        code = partition_code(family, args.t, choice)
+        code = partition_code(build_partition_family(args.r, args.g), args.t, args.choice)
     elif args.construct_command == "functional":
         gf = FiniteField(args.q)
         if args.matrices:

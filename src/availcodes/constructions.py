@@ -87,11 +87,6 @@ class PartitionFamily:
             raise ValueError("partition does not cover the ground set")
         return part
 
-    @property
-    def partitions(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Every partition, built one by one."""
-        return tuple(self.partition(i) for i in range(len(self)))
-
 
 def build_partition_family(r: int, g: int) -> PartitionFamily:
     """The (f^g - 1)/(f - 1) partitions of [(r+1)^g] from the recursive

@@ -43,9 +43,8 @@ def _row_rate4(r: int) -> dict:
 def _row_dmin3(r: int) -> dict:
     p = _sweep_params("dmin3", r)
     n, k = p["n"], p["k"]
-    profile = bd.ghw_profile_simple(n, r, 3)
     return {
-        "shortening": bd.dmin_shortening(n, k, r, 3, profile),
+        "shortening": bd.dmin_shortening(n, k, r, 3),
         "tamo_barg_dmin": bd.dmin_tamo_barg(n, k, r, 3),
         "wang_dmin": bd.dmin_wang(n, k, r, 3),
     }

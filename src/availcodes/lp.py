@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundResult, _check_locality
+from .bounds import BoundResult, _check_block_length, _check_locality
 from .weights import krawtchouk_column
 
 DEFAULT_PIVOT_LIMIT = 200_000
@@ -108,8 +108,7 @@ def build_lp(q: int, n: int, r: int, t: int) -> LPModel:
     _check_locality(r, t)
     if n < t:
         raise ValueError(f"need n >= t, got n={n}, t={t}")
-    if n < r + 1:
-        raise ValueError(f"need n >= r+1, got n={n}, r={r}")
+    _check_block_length(n, r)
     if (n * t) % (r + 1):
         raise ValueError(f"r+1 = {r + 1} must divide nt = {n * t}")
     m = n * t // (r + 1)

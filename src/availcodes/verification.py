@@ -119,7 +119,7 @@ def _find_orthogonal_subset(cands: list[int], pivot_bit: int, t: int) -> bool:
 
 def min_distance_bruteforce(code: AvailabilityCode) -> int | float:
     """Exact minimum weight over nonzero codewords; math.inf for k = 0."""
-    counts = weight_distribution(code).A
+    counts = weight_distribution(code)
     return next((w for w in range(1, code.n + 1) if counts[w]), math.inf)
 
 

@@ -1,12 +1,12 @@
 """Exact combinatorics: Krawtchouk polynomials, weight distributions and
-their transform to the dual distribution.
+their transform to the dual distribution.  A distribution is the tuple
+A_0..A_n of its weight counts.
 
 Everything here is arbitrary-precision integer arithmetic; no floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 ENUMERATION_LIMIT = 28  # enumeration is 2^min(k, n-k); keep that exponent at or below this
@@ -43,39 +43,6 @@ def krawtchouk(q: int, n: int, j: int, i: int) -> int:
     return krawtchouk_column(q, n, i)[j]
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Exact codeword-weight counts A_0..A_n, optionally with the dual's B_0..B_n."""
-
-    n: int
-    q: int
-    A: tuple[int, ...]
-    B: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if len(self.A) != self.n + 1:
-            raise ValueError(f"A must have {self.n + 1} entries")
-        if self.A[0] != 1:
-            raise ValueError("A_0 must be 1")
-        if any(a < 0 for a in self.A):
-            raise ValueError("weight counts must be nonnegative")
-        if not _is_power(sum(self.A), self.q):
-            raise ValueError(f"sum(A)={sum(self.A)} is not a power of {self.q}")
-        if self.B is not None:
-            if len(self.B) != self.n + 1 or self.B[0] != 1:
-                raise ValueError("B must have n+1 entries with B_0 = 1")
-            if sum(self.A) * sum(self.B) != self.q**self.n:
-                raise ValueError("sizes of code and dual do not multiply to q^n")
-
-
-def _is_power(m: int, q: int) -> bool:
-    if m < 1:
-        return False
-    while m % q == 0:
-        m //= q
-    return m == 1
-
-
 def _gray_weight_counts(vecs: Sequence[int], n: int) -> list[int]:
     """Weight counts of the span of the independent vectors `vecs`, by
     Gray-code enumeration."""
@@ -88,33 +55,31 @@ def _gray_weight_counts(vecs: Sequence[int], n: int) -> list[int]:
     return counts
 
 
-def weight_distribution(code) -> WeightDistribution:
-    """Exact weight distribution of a binary code given by its parity matrix.
+def weight_distribution(code) -> tuple[int, ...]:
+    """Exact weight distribution A_0..A_n of a binary code given by its
+    parity matrix.
 
     Enumerates the smaller of the code (2^k words, over a nullspace basis)
     and its dual (2^(n-k) words, over the echelon rows of H); from the dual
     side, A is recovered by the MacWilliams transform.  Guarded at
-    min(k, n-k) <= ENUMERATION_LIMIT, checked before any basis is built.
+    min(k, n-k) <= ENUMERATION_LIMIT, checked before any basis is built;
+    k is the code's own, computed once.
     """
-    from .bitmatrix import _pivot_table, rank_and_nullspace
+    from .bitmatrix import rank_and_nullspace, row_space_basis
 
     h = code.H
-    n = h.cols
-    echelon = _pivot_table(h.bits)
-    k = n - len(echelon)
+    n, k = h.cols, code.k
     if min(k, n - k) > ENUMERATION_LIMIT:
         raise EnumerationBudgetError(
             f"dimension {k} and dual dimension {n - k} both exceed "
             f"enumeration limit {ENUMERATION_LIMIT}"
         )
     if n - k < k:
-        B = _gray_weight_counts(list(echelon.values()), n)
-        return WeightDistribution(n=n, q=2, A=macwilliams_vector(n, 2, tuple(B)))
-    basis = rank_and_nullspace(h)[1]
-    return WeightDistribution(n=n, q=2, A=tuple(_gray_weight_counts(basis.bits, n)))
+        return macwilliams_vector(n, 2, _gray_weight_counts(row_space_basis(h).bits, n))
+    return tuple(_gray_weight_counts(rank_and_nullspace(h)[1].bits, n))
 
 
-def macwilliams_vector(n: int, q: int, A: tuple[int, ...]) -> tuple[int, ...]:
+def macwilliams_vector(n: int, q: int, A: Sequence[int]) -> tuple[int, ...]:
     """B_j = (1/sum A) * sum_i A_i K_j(i); exact, rejects non-integer results.
 
     One `krawtchouk_column` per nonzero A_i: O(n) integer steps each.
@@ -135,8 +100,3 @@ def macwilliams_vector(n: int, q: int, A: tuple[int, ...]) -> tuple[int, ...]:
         B.append(s // size)
     return tuple(B)
 
-
-def macwilliams_transform(dist: WeightDistribution) -> WeightDistribution:
-    """Fill in the dual weight distribution of `dist` via the transform."""
-    B = macwilliams_vector(dist.n, dist.q, dist.A)
-    return WeightDistribution(n=dist.n, q=dist.q, A=dist.A, B=B)

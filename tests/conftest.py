@@ -94,6 +94,11 @@ def dual_weight_counts(h: BitMatrix) -> list[int]:
     return span_weights(list(h.bits), h.cols)
 
 
+def family_partitions(family) -> tuple:
+    """Every partition of a `PartitionFamily`, built one by one."""
+    return tuple(family.partition(i) for i in range(len(family)))
+
+
 def permutation_equivalent(a: BitMatrix, b: BitMatrix) -> bool:
     """Row/column-permutation equivalence by brute force (small n only)."""
     if a.rows != b.rows or a.cols != b.cols:

@@ -28,7 +28,7 @@ from availcodes import (
     ghw_profile_simple,
     greedy_cover,
     lp_dimension_bound,
-    macwilliams_transform,
+    macwilliams_vector,
     min_distance_bruteforce,
     partition_code,
     point_violations,
@@ -41,7 +41,7 @@ from availcodes import (
     weight_distribution,
 )
 from availcodes.bounds import applicable_distance_bounds, applicable_rate_bounds
-from conftest import dual_weight_counts, permutation_equivalent
+from conftest import dual_weight_counts, family_partitions, permutation_equivalent
 
 
 @contextmanager
@@ -84,18 +84,18 @@ def test_criterion_03_transpose_t4_tightness():
 
 def test_criterion_04_shortening_dmin_tightness():
     with criterion(4, 5.0, "shortening distance bound under both references, r=3..15"):
-        assert ghw_profile_simple(9, 2, 2).e == (3, 5, 7, 8, 9)
+        assert ghw_profile_simple(9, 2, 2) == (3, 5, 7, 8, 9)
         for r in range(3, 16):
             n = (r + 1) * (r + 2) * (r + 3) // 6
             k = r * (r + 1) * (r + 2) // 6
-            sh = dmin_shortening(n, k, r, 3, ghw_profile_simple(n, r, 3)).value_exact
+            sh = dmin_shortening(n, k, r, 3).value_exact
             assert sh <= dmin_tamo_barg(n, k, r, 3).value_exact
             assert sh <= dmin_wang(n, k, r, 3).value_exact
 
 
 def test_criterion_05_m_delta_bounds():
     with criterion(5, 60.0, "(M, delta) profile checkpoint and tightness grid, r=3..10"):
-        assert ghw_profile_m_delta(9, 2, 5, 2).e == (3, 5, 7, 9, 9)
+        assert ghw_profile_m_delta(9, 2, 5, 2) == (3, 5, 7, 9, 9)
         for r in range(3, 11):
             n = (r + 1) * (r + 2) * (r + 3) // 6
             k = r * (r + 1) * (r + 2) // 6
@@ -116,13 +116,13 @@ def test_criterion_06_partition_construction():
         for r, g in [(1, 3), (2, 2)]:
             family = build_partition_family(r, g)
             ground = set(range(1, family.n + 1))
-            for part in family.partitions:
+            for part in family_partitions(family):
                 blocks = [set(b) for b in part]
                 assert all(len(b) == r + 1 for b in blocks)
                 assert set().union(*blocks) == ground
                 for x, y in itertools.combinations(blocks, 2):
                     assert not x & y
-            for pa, pb in itertools.combinations(family.partitions, 2):
+            for pa, pb in itertools.combinations(family_partitions(family), 2):
                 for x, y in itertools.product(pa, pb):
                     assert len(set(x) & set(y)) <= 1
             for t in range(1, min(len(family), 4) + 1):
@@ -164,8 +164,8 @@ def test_criterion_09_macwilliams_oracle():
             n = rng.randint(1, 14)
             m = rng.randint(1, n)
             h = BitMatrix.from_rows([rng.getrandbits(n) for _ in range(m)], n)
-            dist = macwilliams_transform(weight_distribution(AvailabilityCode(H=h)))
-            assert list(dist.B) == dual_weight_counts(h)
+            B = macwilliams_vector(n, 2, weight_distribution(AvailabilityCode(H=h)))
+            assert list(B) == dual_weight_counts(h)
 
 
 def test_criterion_10_lp_bound():
@@ -187,7 +187,7 @@ def test_criterion_10_lp_bound():
             for code in instances[r]:
                 assert check_strict_availability(code.H, r, 3).passed
                 dist = weight_distribution(code)
-                point = {i: dist.A[i] for i in model.weight_indices}
+                point = {i: dist[i] for i in model.weight_indices}
                 assert point_violations(model, point) == []
             exact = lp_dimension_bound(2, n, r, 3, mode="exact")
             assert exact.value <= n * float(rate_tamo_barg(r, 3).value_exact) + 1e-9

@@ -6,7 +6,6 @@ import pytest
 
 from availcodes import (
     BoundNotApplicableError,
-    GHWBoundProfile,
     dim_huang,
     dmin_m_delta,
     dmin_m_delta_max,
@@ -123,28 +122,28 @@ def test_rate_wzl_reference():
 
 
 def test_profile_simple_checkpoint():
-    assert ghw_profile_simple(9, 2, 2).e == (3, 5, 7, 8, 9)
+    assert ghw_profile_simple(9, 2, 2) == (3, 5, 7, 8, 9)
 
 
 def test_profile_simple_length_and_anchor():
     profile = ghw_profile_simple(2, 1, 2)
-    assert len(profile.e) == math.ceil(2 * (1 - Fraction(1, 3))) == 2
-    assert profile.e == (2, 2)
-    assert ghw_profile_simple(4, 1, 3).e == (2, 3, 4)
+    assert len(profile) == math.ceil(2 * (1 - Fraction(1, 3))) == 2
+    assert profile == (2, 2)
+    assert ghw_profile_simple(4, 1, 3) == (2, 3, 4)
 
 
 def test_profile_simple_nondecreasing_sweep():
     for t in range(2, 7):
         for r in range(1, 21):
             for n in range(r + 1, 301, 7):
-                e = ghw_profile_simple(n, r, t).e
+                e = ghw_profile_simple(n, r, t)
                 assert all(a <= b for a, b in zip(e, e[1:])), (n, r, t)
                 assert e[-1] == n
 
 
 def test_profile_simple_length_limit():
     # b = ceil(n (1 - 1/3)) at r=1, t=2
-    assert len(ghw_profile_simple(3 * PROFILE_LIMIT // 2, 1, 2).e) == PROFILE_LIMIT
+    assert len(ghw_profile_simple(3 * PROFILE_LIMIT // 2, 1, 2)) == PROFILE_LIMIT
     for n in (3 * PROFILE_LIMIT // 2 + 1, 10**12):
         with pytest.raises(ValueError, match=f"exceeds limit {PROFILE_LIMIT}"):
             ghw_profile_simple(n, 1, 2)
@@ -155,52 +154,31 @@ def test_profile_m_delta_checks_before_the_recursion():
         ghw_profile_m_delta(100, 2, 10**11, 1)
     with pytest.raises(ValueError, match=r"need n >= r\+1, got n=5, r=9"):
         ghw_profile_m_delta(5, 9, 2, 1)
-    assert len(ghw_profile_m_delta(10**6, 2, PROFILE_LIMIT, 3).e) == PROFILE_LIMIT
+    assert len(ghw_profile_m_delta(10**6, 2, PROFILE_LIMIT, 3)) == PROFILE_LIMIT
 
 
 def test_profile_m_delta_checkpoint():
-    profile = ghw_profile_m_delta(9, 2, 5, 2)
-    assert profile.e == (3, 5, 7, 9, 9)
-    assert profile.J == (0, 1, 1, 1, 3)
+    assert ghw_profile_m_delta(9, 2, 5, 2) == (3, 5, 7, 9, 9)
 
 
 def test_profile_m_delta_base_only():
-    assert ghw_profile_m_delta(9, 2, 1, 3).e == (3,)
+    assert ghw_profile_m_delta(9, 2, 1, 3) == (3,)
 
 
 def test_profile_m_delta_delta_zero_stalls():
-    profile = ghw_profile_m_delta(20, 3, 10, 0)
-    assert profile.e[0] == 4
-    assert all(a <= b for a, b in zip(profile.e, profile.e[1:]))
-    assert profile.e[-1] == 4  # no column budget, no growth
+    e = ghw_profile_m_delta(20, 3, 10, 0)
+    assert e[0] == 4
+    assert all(a <= b for a, b in zip(e, e[1:]))
+    assert e[-1] == 4  # no column budget, no growth
 
 
 def test_profile_m_delta_nondecreasing_grid():
     for n, r in [(20, 3), (35, 4), (9, 2)]:
         for m_dim in range(1, n // 2):
             for delta in range(0, 6):
-                e = ghw_profile_m_delta(n, r, m_dim, delta).e
+                e = ghw_profile_m_delta(n, r, m_dim, delta)
                 assert all(a <= b for a, b in zip(e, e[1:]))
                 assert e[-1] <= n
-
-
-def ghw_profile_linear(n: int, r: int, b: int | None = None) -> GHWBoundProfile:
-    """The straight-line profile e_i = i*r + 1 (valid for r >= 2, t >= 2),
-    truncated so that e stays within the block length."""
-    cap = (n - 1) // r if r > 0 else n
-    b = cap if b is None else min(b, cap)
-    if b < 1:
-        raise ValueError("block length too small for a linear profile")
-    return GHWBoundProfile(
-        n=n, r=r, variant="linear", e=tuple(i * r + 1 for i in range(1, b + 1))
-    )
-
-
-def test_profile_linear():
-    profile = ghw_profile_linear(20, 3, 5)
-    assert profile.e == (4, 7, 10, 13, 16)
-    capped = ghw_profile_linear(10, 3)
-    assert capped.e[-1] <= 10
 
 
 # -- minimum-distance bounds ------------------------------------------------
@@ -228,34 +206,18 @@ def test_dmin_wang_values():
 
 
 def test_dmin_shortening_product_code_point():
-    profile = ghw_profile_simple(9, 2, 2)
-    result = dmin_shortening(9, 4, 2, 2, profile)
+    result = dmin_shortening(9, 4, 2, 2)
     assert result.value_exact == 4
     assert result.diagnostics["S"] == [1, 2]
 
 
-def test_dmin_shortening_linear_profile_matches_substitution():
-    # with e_i = i*r + 1 the selector is {i : i(r-1)+1 < k} and the inner
-    # point is (n - ir - 1, k - (i(r-1)+1))
-    n, k, r, t = 30, 9, 3, 2
-    profile = ghw_profile_linear(n, r)
-    expected = min(
-        int(dmin_tamo_barg(n - i * r - 1, k - (i * (r - 1) + 1), r, t).value_exact)
-        for i in range(1, len(profile.e) + 1)
-        if i * (r - 1) + 1 < k and i <= n - k
-    )
-    assert dmin_shortening(n, k, r, t, profile).value_exact == expected
-
-
 def test_dmin_shortening_empty_selector_falls_back():
-    profile = ghw_profile_simple(9, 2, 2)
-    result = dmin_shortening(9, 1, 2, 2, profile)
+    result = dmin_shortening(9, 1, 2, 2)
     assert result.value_exact == dmin_tamo_barg(9, 1, 2, 2).value_exact == 9
 
 
 def test_dmin_shortening_never_below_one():
-    profile = ghw_profile_simple(40, 1, 2)
-    assert dmin_shortening(40, 26, 1, 2, profile).value_exact >= 1
+    assert dmin_shortening(40, 26, 1, 2).value_exact >= 1
 
 
 def test_dmin_m_delta_single_entry():

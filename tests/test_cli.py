@@ -126,6 +126,71 @@ def test_bounds_dmin_m_delta_max_output(capsys, n, k, r, d, m, delta):
     assert stdout == M_DELTA_MAX_JSON.format(n=n, k=k, r=r, d=d, m=m, delta=delta)
 
 
+SHORTENING_JSON = """{{
+  "name": "{name}",
+  "params": {{
+    "n": {n},
+    "k": {k},
+    "r": {r},
+    "t": {t}{extra}
+  }},
+  "exact": "{d}/1",
+  "value": {d}.0,
+  "kind": "distance",
+  "diagnostics": {{
+    "S": {s}
+  }}
+}}
+"""
+
+
+def _s_text(s):
+    """`S` as json.dumps(indent=2) prints it at depth 2."""
+    return "[]" if not s else "[\n" + ",\n".join(f"      {i}" for i in s) + "\n    ]"
+
+
+@pytest.mark.parametrize(
+    "n, k, r, t, md, d, s",
+    [
+        (9, 4, 2, 2, None, 4, [1, 2]),
+        (9, 1, 2, 2, None, 9, []),  # no index qualifies: the unshortened point
+        (20, 10, 3, 3, None, 6, [1, 2, 3, 4, 5]),
+        (9, 4, 2, 2, (5, 2), 4, [1, 2]),
+        (20, 10, 3, 3, (10, 3), 7, [1, 2, 3, 4]),
+        (12, 6, 2, 2, (1, 2), 5, [1]),  # M = 1: the base entry alone
+    ],
+)
+def test_bounds_dmin_shortening_output(capsys, n, k, r, t, md, d, s):
+    argv = ["bounds", "dmin", "--n", str(n), "--k", str(k), "--r", str(r), "--t", str(t)]
+    if md is None:
+        name, extra = "shortening_dmin[simple]", ""
+        argv += ["--method", "shortening"]
+    else:
+        name, extra = "m_delta_dmin", f',\n    "M": {md[0]},\n    "delta": {md[1]}'
+        argv += ["--method", "m-delta", "--M", str(md[0]), "--delta", str(md[1])]
+    code, stdout, _ = _run(capsys, *argv)
+    assert code == 0
+    assert stdout == SHORTENING_JSON.format(
+        name=name, n=n, k=k, r=r, t=t, extra=extra, d=d, s=_s_text(s)
+    )
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_cli_lines_exit_0(tmp_path, capsys, monkeypatch):
+    # every `availcodes ...` line of the README's CLI block, in order, so that
+    # `analyze --in k4.txt` reads the matrix `construct ... -o k4.txt` wrote
+    monkeypatch.chdir(tmp_path)
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("availcodes ")]
+    assert len(lines) == 11
+    for line in lines:
+        code, _, err = _run(capsys, *shlex.split(line)[1:])
+        assert (line, code, err) == (line, 0, "")
+
+
 @pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.iterdir()))
 def test_output_matches_golden(capsys, name):
     code, stdout, _ = _run(capsys, *GOLDEN_ARGVS[name].split())
@@ -211,6 +276,12 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
     assert run_cli(["nonsense"]) == 2
     capsys.readouterr()
+    for choice in ("a", "1,,2"):
+        code, stdout, err = _run(
+            capsys, "construct", "partition", "--r", "1", "--g", "2", "--t", "3", "--choice", choice
+        )
+        assert (code, stdout) == (2, "")
+        assert f"argument --choice: expected comma-separated integers, got {choice!r}" in err
 
 
 def test_lp_strengthen_is_a_usage_error(capsys):
@@ -296,22 +367,38 @@ def test_construct_partition_rejects_repeated_choice(tmp_path, capsys):
 
 
 def test_analyze_computes_rank_once(tmp_path, capsys, monkeypatch):
+    from availcodes import bitmatrix
     from availcodes import codes as codes_module
 
     calls = []
+    eliminations = []
+    pivot_table = bitmatrix._pivot_table
 
     def counting_rank(mat):
         calls.append(mat)
         return rank(mat)
 
+    def counting_pivot_table(bits):
+        eliminations.append(bits)
+        return pivot_table(bits)
+
     monkeypatch.setattr(codes_module, "rank", counting_rank)
-    path = tmp_path / "g.txt"
-    _run(capsys, "construct", "product", "--r", "2", "--t", "2", "-o", str(path))
-    calls.clear()
-    code, stdout, _ = _run(capsys, "analyze", "--in", str(path))
-    assert code == 0
-    assert json.loads(stdout)["code"] == {"n": 9, "m": 6, "rank": 5, "k": 4}
-    assert len(calls) == 1
+    monkeypatch.setattr(bitmatrix, "_pivot_table", counting_pivot_table)
+    for r, extra, shape, count in [
+        (2, [], {"n": 9, "m": 6, "rank": 5, "k": 4}, 1),
+        # k, then the nullspace basis the enumeration runs over (k <= n-k)
+        (2, ["--dmin"], {"n": 9, "m": 6, "rank": 5, "k": 4}, 2),
+        # k, then the dual's echelon rows (k > n-k)
+        (4, ["--dmin"], {"n": 25, "m": 10, "rank": 9, "k": 16}, 2),
+    ]:
+        path = tmp_path / f"g{r}.txt"
+        _run(capsys, "construct", "product", "--r", str(r), "--t", "2", "-o", str(path))
+        calls.clear()
+        eliminations.clear()
+        code, stdout, _ = _run(capsys, "analyze", "--in", str(path), *extra)
+        assert code == 0
+        assert json.loads(stdout)["code"] == shape
+        assert (len(calls), len(eliminations)) == (1, count), extra
 
 
 def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from availcodes import (
     prime_power,
     projective_functionals,
 )
-from conftest import permutation_equivalent, support
+from conftest import family_partitions, permutation_equivalent, support
 
 
 def test_generate_mols_order_2():
@@ -69,19 +69,19 @@ def test_generate_mols_rejects_non_prime_power():
 
 def test_partition_family_r1_g2_is_the_three_matchings():
     family = build_partition_family(1, 2)
-    got = {frozenset(map(frozenset, part)) for part in family.partitions}
+    got = {frozenset(map(frozenset, part)) for part in family_partitions(family)}
     expected = {
         frozenset({frozenset({1, 2}), frozenset({3, 4})}),
         frozenset({frozenset({1, 3}), frozenset({2, 4})}),
         frozenset({frozenset({1, 4}), frozenset({2, 3})}),
     }
     assert got == expected
-    assert family.partitions[0] == ((1, 2), (3, 4))  # natural partition first
+    assert family_partitions(family)[0] == ((1, 2), (3, 4))  # natural partition first
 
 
 def test_partition_family_base_case():
     family = build_partition_family(1, 1)
-    assert family.partitions == (((1, 2),),)
+    assert family_partitions(family) == (((1, 2),),)
 
 
 @pytest.mark.parametrize(
@@ -98,7 +98,7 @@ def test_partition_family_counts(r, g, expected):
 def test_partition_family_intersection_properties(r, g):
     family = build_partition_family(r, g)
     ground = set(range(1, family.n + 1))
-    for part in family.partitions:
+    for part in family_partitions(family):
         # (i) same-partition blocks disjoint, (iv) full cover
         union: set[int] = set()
         for block in part:
@@ -107,7 +107,7 @@ def test_partition_family_intersection_properties(r, g):
             union.update(block)
         assert union == ground
     # (ii) cross-partition intersections at most one point
-    for pa, pb in itertools.combinations(family.partitions, 2):
+    for pa, pb in itertools.combinations(family_partitions(family), 2):
         for x, y in itertools.product(pa, pb):
             assert len(set(x) & set(y)) <= 1
     # (iii) the claimed count is hit exactly

@@ -78,7 +78,7 @@ def test_dual_ghw_matches_unpruned_search(code):
 @example(_rows([], 4))  # no rows: the whole space, from the dual side
 @example(_rows([0b1100, 0b0011], 4))  # k = n - k: the code side
 def test_weight_distribution_either_side(code):
-    assert weight_distribution(code).A == _nullspace_weights(code)
+    assert weight_distribution(code) == _nullspace_weights(code)
 
 
 def _valid_distributions(q, n):
@@ -124,7 +124,7 @@ def test_macwilliams_matches_krawtchouk_sums(drawn):
 
 def test_catalog_matches_oracles(catalog):
     for code in catalog:
-        assert weight_distribution(code).A == _nullspace_weights(code)
+        assert weight_distribution(code) == _nullspace_weights(code)
         dual_dim = rank(code.H)
         for level in (1, 2, 3):
             count = gaussian_binomial(dual_dim, level)

@@ -148,7 +148,7 @@ def test_real_code_weight_distribution_is_feasible(catalog):
             continue
         dist = weight_distribution(code)
         model = build_lp(2, code.n, code.r, code.t)
-        a = {i: dist.A[i] for i in model.weight_indices}
+        a = {i: dist[i] for i in model.weight_indices}
         assert point_violations(model, a) == [], (code.construction, code.r, code.t)
 
 

@@ -35,8 +35,8 @@ def test_dual_ghw_below_profiles(catalog):
     for code in catalog:
         if code.t < 2 or code.n - code.k > 7:
             continue
-        simple = ghw_profile_simple(code.n, code.r, code.t).e
-        capped = ghw_profile_m_delta(code.n, code.r, code.n - code.k, code.t).e
+        simple = ghw_profile_simple(code.n, code.r, code.t)
+        capped = ghw_profile_m_delta(code.n, code.r, code.n - code.k, code.t)
         for i in range(1, min(3, code.n - code.k) + 1):
             ghw = dual_ghw_bruteforce(code, i)
             if i <= len(simple):
