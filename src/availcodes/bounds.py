@@ -264,8 +264,7 @@ def _tamo_barg_value(n: int, k: int, r: int, t: int) -> int:
 
 def dmin_wang(n: int, k: int, r: int, t: int) -> BoundResult:
     """n - k + 2 - ceil((t(k-1)+1) / (t(r-1)+1))."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
+    _check_dimension(n, k)
     _check_locality(r, t)
     # a nonzero code has distance >= 1; extreme parameters push the closed form below
     value = max(1, n - k + 2 - _ceil_div(t * (k - 1) + 1, t * (r - 1) + 1))
@@ -440,30 +439,3 @@ def dim_huang(n: int, d: int, r: int, t: int, q: int = 2) -> BoundResult:
     return BoundResult(
         "huang_dim", {"n": n, "d": d, "r": r, "t": t, "q": q}, Fraction(0), "dimension"
     )
-
-
-# -- soundness helpers -------------------------------------------------
-
-
-def applicable_rate_bounds(n: int, r: int, t: int) -> list[BoundResult]:
-    """Every rate bound defined at (n, r, t); used by the soundness sweeps."""
-    out = [rate_tamo_barg(r, t)]
-    if t >= 2:
-        out.append(rate_best_known(r, t))
-        out.append(rate_transpose(r, t))
-    if t == 3 and (3 * n) % (r + 1) == 0:
-        out.append(rate_greedy_t3(n, r))
-    return out
-
-
-def applicable_distance_bounds(n: int, k: int, r: int, t: int) -> list[BoundResult]:
-    """Every distance bound defined at (n, k, r, t)."""
-    out = [dmin_tamo_barg(n, k, r, t), dmin_wang(n, k, r, t)]
-    if t >= 2 and n >= r + 1:
-        out.append(dmin_shortening(n, k, r, t))
-        out.append(dmin_m_delta(n, k, r, t, n - k, t))
-        try:
-            out.append(dmin_m_delta_max(n, k, r, t))
-        except BoundNotApplicableError:
-            pass
-    return out

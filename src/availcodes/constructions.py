@@ -180,12 +180,13 @@ def functional_code(
     if n > SIZE_LIMIT:
         raise ValueError(f"block length {n} exceeds limit {SIZE_LIMIT}")
     l = q**m1
+    # product() yields the base-q digits of 0, 1, 2, ..., most significant
+    # first: column col is the point x, row i*l + j the fiber A_i x = y_j
+    fiber_index = {y: j for j, y in enumerate(itertools.product(range(q), repeat=m1))}
     rows = [0] * (t * l)
-    for col in range(n):
-        x = _radix_vector(col, q, n1)
+    for col, x in enumerate(itertools.product(range(q), repeat=n1)):
         for i in range(t):
-            y = gf.matvec(maps[i], x)
-            rows[i * l + _radix_value(y, q)] |= 1 << col
+            rows[i * l + fiber_index[gf.matvec(maps[i], x)]] |= 1 << col
     h = BitMatrix.from_rows(rows, n)
     return AvailabilityCode(
         H=h,
@@ -195,22 +196,6 @@ def functional_code(
         construction="functional",
         parameters={"q": q, "n1": n1, "m1": m1, "maps": [list(map(list, a)) for a in maps]},
     )
-
-
-def _radix_vector(value: int, q: int, length: int) -> tuple[int, ...]:
-    """Digits of `value` base q, most significant first."""
-    digits = []
-    for _ in range(length):
-        digits.append(value % q)
-        value //= q
-    return tuple(reversed(digits))
-
-
-def _radix_value(vec: tuple[int, ...], q: int) -> int:
-    acc = 0
-    for d in vec:
-        acc = acc * q + d
-    return acc
 
 
 def product_code(r: int, t: int) -> AvailabilityCode:
@@ -228,14 +213,10 @@ def product_code(r: int, t: int) -> AvailabilityCode:
     rows = []
     for axis in range(t):
         stride = q**axis
-        outer = q ** (t - axis - 1)
-        for hi in range(outer):
+        line = sum(1 << v * stride for v in range(q))  # the axis line through 0
+        for hi in range(q ** (t - axis - 1)):
             for lo in range(stride):
-                base = hi * stride * q + lo
-                acc = 0
-                for v in range(q):
-                    acc |= 1 << (base + v * stride)
-                rows.append(acc)
+                rows.append(line << (hi * stride * q + lo))
     h = BitMatrix.from_rows(rows, n)
     return AvailabilityCode(
         H=h,

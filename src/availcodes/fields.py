@@ -3,7 +3,9 @@
 Elements of GF(q) with q = p^e are labelled 0..q-1; the base-p digits of a
 label are the coefficients of the polynomial representation (so 0 is the
 additive and 1 the multiplicative identity).  Prime-power orders up to 64
-are supported through hard-coded irreducible polynomials.
+are supported through hard-coded Conway polynomials.  A Conway polynomial
+is primitive, so x (the label p) generates GF(q)*, and the multiplication
+table is read off the powers of x.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from typing import Sequence
 
 MAX_ORDER = 64
 
-# Monic irreducible polynomials x^e + c_{e-1} x^{e-1} + ... + c_0 over GF(p),
-# stored as (c_0, ..., c_{e-1}).
+# The Conway polynomials x^e + c_{e-1} x^{e-1} + ... + c_0 over GF(p) for
+# every order p^e <= 64 with e >= 2, stored as (c_0, ..., c_{e-1}).  Each
+# is primitive: its root x has order q - 1.
 _IRREDUCIBLE = {
     4: (1, 1),
     8: (1, 1, 0),
@@ -55,19 +58,31 @@ class FiniteField:
         if decomp is None:
             raise ValueError(f"{q} is not a prime power")
         self.q = q
-        self.p, self.degree = decomp
-        if self.degree > 1 and q not in _IRREDUCIBLE:
-            raise ValueError(f"no irreducible polynomial on file for order {q}")
-        if self.p == 2:
+        p, e = self.p, self.degree = decomp
+        if e == 1:
+            self.add_table = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
+            self.mul_table = tuple(tuple(a * b % q for b in range(q)) for a in range(q))
+            self._neg = (0, *range(q - 1, 0, -1))
+            self._inv = (0, *(pow(a, -1, q) for a in range(1, q)))
+            return
+        if p == 2:
             self.add_table = tuple(tuple(a ^ b for b in range(q)) for a in range(q))
-        else:
+        else:  # digit by digit mod p
+            places = [p**i for i in range(e)]
             self.add_table = tuple(
-                tuple(self._add_raw(a, b) for b in range(q)) for a in range(q)
+                tuple(sum((a // w + b // w) % p * w for w in places) for b in range(q))
+                for a in range(q)
             )
         self._neg = tuple(row.index(0) for row in self.add_table)
-        # mul and inv through the powers of one primitive element g:
-        # a*b = g^(log a + log b), a^-1 = g^(-log a)
-        powers = self._primitive_powers()
+        # x^0..x^(q-2): x*a shifts a's digits up one place and adds back the
+        # top digit c as c*x^e = -c*(c_0 + ... + c_{e-1} x^{e-1}), i.e. fold[c]
+        top = q // p
+        fold = [sum(-c * ci % p * p**i for i, ci in enumerate(_IRREDUCIBLE[q])) for c in range(p)]
+        powers = [1]
+        for _ in range(q - 2):
+            a = powers[-1]
+            powers.append(self.add_table[a % top * p][fold[a // top]])
+        # mul and inv through the logs: a*b = x^(log a + log b), a^-1 = x^(-log a)
         log = [0] * q
         for j, x in enumerate(powers):
             log[x] = j
@@ -76,60 +91,6 @@ class FiniteField:
             for a in range(1, q)
         )
         self._inv = (0, *(powers[-log[a] % (q - 1)] for a in range(1, q)))
-
-    # -- raw polynomial arithmetic used to build the tables -------------
-
-    def _primitive_powers(self) -> list[int]:
-        """g^0, ..., g^(q-2) for the least element g of order q-1."""
-        q = self.q
-        for g in range(1, q):
-            powers = [1]
-            x = g
-            while x != 1 and len(powers) < q - 1:
-                powers.append(x)
-                x = self._mul_raw(x, g)
-            if x == 1 and len(powers) == q - 1:
-                return powers
-        raise ValueError(f"GF({q}) has no primitive element; its polynomial is reducible")
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.degree):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _value(self, digits: Sequence[int]) -> int:
-        acc = 0
-        for d in reversed(digits):
-            acc = acc * self.p + d
-        return acc
-
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._value([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        poly = _IRREDUCIBLE[self.q]
-        for deg in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                # x^deg == -sum poly[i] x^(deg - degree + i)
-                for i, ci in enumerate(poly):
-                    pos = deg - self.degree + i
-                    prod[pos] = (prod[pos] - c * ci) % self.p
-        return self._value(prod[: self.degree])
 
     # -- public operations ----------------------------------------------
 

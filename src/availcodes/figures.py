@@ -106,8 +106,10 @@ def emit_figure_data(
         raise ValueError(f"need 1 <= r_min <= r_max, got {r_min}..{r_max}")
     builder, columns = _BUILDERS[figure_id]
     header = ["r", *columns, *(f"{c}_exact" for c in columns), "flag"]
-    lines = [",".join(header)]
-    for r in range(r_min, r_max + 1):
+    # rows from r_max down: the profiles and the (M, delta) scan grow with r,
+    # so a range past a limit fails on its first row, not after the others
+    lines = []
+    for r in range(r_max, r_min - 1, -1):
         if figure_id == "lp3" and r > lp_budget:
             cells = [str(r)] + [""] * (2 * len(columns)) + ["budget"]
             lines.append(",".join(cells))
@@ -121,4 +123,4 @@ def emit_figure_data(
         floats = [bd._number_text(results[c].value) for c in columns]
         exacts = [bd._number_text(results[c].value_exact) for c in columns]
         lines.append(",".join([str(r), *floats, *exacts, ""]))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header), *reversed(lines)]) + "\n"

@@ -14,12 +14,23 @@ import pytest
 from availcodes import (
     AvailabilityCode,
     BitMatrix,
+    BoundNotApplicableError,
+    BoundResult,
     FiniteField,
     build_partition_family,
+    dmin_m_delta,
+    dmin_m_delta_max,
+    dmin_shortening,
+    dmin_tamo_barg,
+    dmin_wang,
     functional_code,
     partition_code,
     product_code,
     projective_functionals,
+    rate_best_known,
+    rate_greedy_t3,
+    rate_tamo_barg,
+    rate_transpose,
 )
 
 
@@ -111,6 +122,33 @@ def permutation_equivalent(a: BitMatrix, b: BitMatrix) -> bool:
         if permuted == target:
             return True
     return False
+
+
+# -- the bounds the soundness sweeps hold against every code --------------
+
+
+def applicable_rate_bounds(n: int, r: int, t: int) -> list[BoundResult]:
+    """Every rate bound defined at (n, r, t)."""
+    out = [rate_tamo_barg(r, t)]
+    if t >= 2:
+        out.append(rate_best_known(r, t))
+        out.append(rate_transpose(r, t))
+    if t == 3 and (3 * n) % (r + 1) == 0:
+        out.append(rate_greedy_t3(n, r))
+    return out
+
+
+def applicable_distance_bounds(n: int, k: int, r: int, t: int) -> list[BoundResult]:
+    """Every distance bound defined at (n, k, r, t)."""
+    out = [dmin_tamo_barg(n, k, r, t), dmin_wang(n, k, r, t)]
+    if t >= 2 and n >= r + 1:
+        out.append(dmin_shortening(n, k, r, t))
+        out.append(dmin_m_delta(n, k, r, t, n - k, t))
+        try:
+            out.append(dmin_m_delta_max(n, k, r, t))
+        except BoundNotApplicableError:
+            pass
+    return out
 
 
 # -- constructed-code catalog -------------------------------------------

@@ -40,8 +40,13 @@ from availcodes import (
     rate_transpose,
     weight_distribution,
 )
-from availcodes.bounds import applicable_distance_bounds, applicable_rate_bounds
-from conftest import dual_weight_counts, family_partitions, permutation_equivalent
+from conftest import (
+    applicable_distance_bounds,
+    applicable_rate_bounds,
+    dual_weight_counts,
+    family_partitions,
+    permutation_equivalent,
+)
 
 
 @contextmanager

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -464,6 +465,12 @@ def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
         ("construct partition --r 1 --g 2 --t 3 --choice ''", None),
         # with t < 0 the search would try every subset of column 1's 21 rows
         ("verify --r 1 --t -1 --in", None),
+        ("bounds dmin --n 5 --k 10 --r 2 --t 2 --method wang", None),
+        ("bounds dmin --n -5 --k 1 --r 2 --t 2 --method wang", None),
+        # rows from r_max down: r_max's profile and (M, delta) scan are over
+        # their limits, so neither sweep computes the rows below first
+        ("figure dmin3 --rmin 3 --rmax 2000", None),
+        ("figure dmin3_mdelta --rmin 3 --rmax 40", None),
     ],
 )
 def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
@@ -477,7 +484,9 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
         rows = [(1, j) for j in range(2, 23)]  # 21 weight-2 rows through column 1
         path.write_text(serialize_matrix(BitMatrix.from_supports(rows, 22)))
         argv.append(str(path))
+    start = time.perf_counter()
     code, stdout, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 3
     assert (code, stdout) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 

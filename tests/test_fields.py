@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import field_oracles
 from availcodes import FiniteField, matrix_rank, prime_power
 from availcodes.fields import MAX_ORDER
 
@@ -47,12 +48,13 @@ def test_field_axioms(q):
 
 @pytest.mark.parametrize("q", [q for q in range(2, MAX_ORDER + 1) if prime_power(q)])
 def test_tables_match_polynomial_arithmetic(q):
-    # the tables come from XOR / a primitive element's powers; the raw
-    # polynomial rules are the definition
+    # the tables come from modular arithmetic / the powers of x; the raw
+    # polynomial rules of the oracle are the definition
     gf = FiniteField(q)
-    assert gf.add_table == tuple(tuple(gf._add_raw(a, b) for b in range(q)) for a in range(q))
-    assert gf.mul_table == tuple(tuple(gf._mul_raw(a, b) for b in range(q)) for a in range(q))
-    assert all(gf._mul_raw(a, gf.inv(a)) == 1 for a in range(1, q))
+    elems = range(q)
+    assert gf.add_table == tuple(tuple(field_oracles.add(q, a, b) for b in elems) for a in elems)
+    assert gf.mul_table == tuple(tuple(field_oracles.mul(q, a, b) for b in elems) for a in elems)
+    assert all(field_oracles.mul(q, a, gf.inv(a)) == 1 for a in range(1, q))
 
 
 @pytest.mark.parametrize("q", [25, 27, 32, 49, 64])

@@ -1,10 +1,12 @@
-"""The package's lazy exports, and the layers each CLI command loads.
+"""The package's lazy exports, the layers each CLI command loads, and no
+public member that only the tests use.
 
 `import availcodes` loads no layer, and `run_cli` imports only the layers
 of the command it runs.  Each argv runs in a fresh interpreter, so the
 modules it leaves in `sys.modules` are its own.
 """
 
+import ast
 import contextlib
 import json
 import os
@@ -98,3 +100,25 @@ def test_unknown_name_raises_attribute_error_naming_the_package():
         availcodes.no_such
     with pytest.raises(ImportError):
         from availcodes import no_such  # noqa: F401
+
+
+def test_every_public_member_is_exported_or_used_in_the_package():
+    # a public function or class that neither `__all__` nor other package
+    # code names is test-only; it belongs in the tests
+    package = Path(availcodes.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    named = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    assert defined - set(availcodes.__all__) - named == set()

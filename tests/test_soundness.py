@@ -8,7 +8,7 @@ from availcodes import (
     ghw_profile_simple,
     min_distance_bruteforce,
 )
-from availcodes.bounds import applicable_distance_bounds, applicable_rate_bounds
+from conftest import applicable_distance_bounds, applicable_rate_bounds
 
 
 def test_rate_bounds_dominate_measured_rates(catalog):
