@@ -9,8 +9,6 @@ followed by m lines of '0'/'1' characters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable, Sequence
 
 
@@ -143,38 +141,24 @@ def row_space_basis(mat: BitMatrix) -> BitMatrix:
 
 
 def rank_and_nullspace(mat: BitMatrix) -> tuple[int, BitMatrix]:
-    """Rank of `mat` and a basis of its right nullspace.
-
-    The basis matrix has one row per free column; rank plus basis rows
-    always equals `mat.cols`.  A full-column-rank input yields a basis
-    with zero rows.
+    """Rank of `mat` and a basis of its right nullspace, one row per free
+    column; a full-column-rank input yields a basis with zero rows.
 
     The vector of free column j is bit j plus the pivot of every reduced
-    row with a one in column j.  The columns of the reduced form are read
-    off its rows' bit strings in one transpose (zip), and each column's
-    rows are turned into pivot bits a byte at a time, by tables of the
-    256 unions of eight rows' pivots; both steps run in C.
+    row with a one in column j.  That is O(free * rank) steps, few because
+    the package asks for a basis only when at most `ENUMERATION_LIMIT`
+    columns are free (see `weights.weight_distribution`).
     """
     echelon, pivots = _rref(mat.bits)
-    if not echelon:
-        return 0, BitMatrix.from_rows((1 << j for j in range(mat.cols)), mat.cols)
-    place = []  # place[g][b]: union of the pivot bits of rows 8g + (bits of b)
-    for start in range(0, len(pivots), 8):
-        table = [0]
-        for p in pivots[start : start + 8]:
-            table += [v | 1 << p for v in table]
-        place.append(table)
-    width = f"0{mat.cols}b"
-    # Most significant column first, and the last row first, so that the
-    # characters of one column read as an int with bit i set by row i.
-    columns = zip(*(format(row, width) for row in reversed(echelon)))
     pivot_set = set(pivots)
     basis = []
-    for j, column in zip(range(mat.cols - 1, -1, -1), columns):
+    for j in range(mat.cols):
         if j not in pivot_set:
-            rows_hit = int("".join(column), 2).to_bytes(len(place), "little")
-            basis.append(reduce(or_, map(list.__getitem__, place, rows_hit), 1 << j))
-    basis.reverse()
+            vec = 1 << j
+            for row, p in zip(echelon, pivots):
+                if row >> j & 1:
+                    vec |= 1 << p
+            basis.append(vec)
     return len(pivots), BitMatrix(len(basis), mat.cols, tuple(basis))
 
 

@@ -389,6 +389,8 @@ def dmin_m_delta_max(n: int, k: int, r: int, t: int) -> BoundResult:
 
 def k_opt_griesmer(q: int, n: int, d: int) -> int:
     """Largest k with sum_{i<k} ceil(d/q^i) <= n; 0 when d > n."""
+    if q < 2:
+        raise ValueError(f"need q >= 2, got {q}")
     if n < 0 or d < 1:
         raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
     total = 0
@@ -409,6 +411,8 @@ def dim_huang(n: int, d: int, r: int, t: int, q: int = 2) -> BoundResult:
     depends on the multiplicity vector only through its sum s, so the
     search runs over s directly.
     """
+    if q < 2:
+        raise ValueError(f"need q >= 2, got {q}")
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
     if r < 1 or t < 1 or n < 1:

@@ -182,6 +182,8 @@ def _cmd_bounds(args) -> int:
         from . import bounds
 
         methods = RATE_METHODS if args.bounds_command == "rate" else DMIN_METHODS
+        if args.method == "greedy-t3" and args.t != 3:  # the only rate method with fixed t
+            raise ValueError(f"greedy-t3 needs t = 3, got t={args.t}")
         _print_json(methods[args.method](bounds, args).to_json())
         return 0
     from .bounds import _number_text

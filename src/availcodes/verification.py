@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .bitmatrix import BitMatrix, _rows_through, row_space_basis
 from .codes import AvailabilityCode
@@ -18,6 +19,7 @@ from .weights import EnumerationBudgetError, weight_distribution
 GHW_MAX_DUAL_DIM = 16
 GHW_MAX_LEVEL = 3
 GHW_SUBSPACE_BUDGET = 2_000_000
+AVAILABILITY_STEP_BUDGET = 6_000_000  # about 1 s of the general search at 6-7 M steps/s
 
 
 @dataclass(frozen=True)
@@ -87,31 +89,39 @@ class AvailabilityCheckReport:
 
 def check_availability(h_des: BitMatrix, r: int, t: int) -> AvailabilityCheckReport:
     """For each column, search for t rows of weight <= r+1 through it whose
-    supports pairwise intersect exactly in that column."""
+    supports pairwise intersect exactly in that column.  All the searches
+    together get `AVAILABILITY_STEP_BUDGET` candidate steps."""
     if t < 0:  # the search could never stop early and would try every subset
         raise ValueError(f"need t >= 0, got t={t}")
     bits = h_des.bits
     light = [row.bit_count() <= r + 1 for row in bits]
+    steps = iter(range(AVAILABILITY_STEP_BUDGET))
     column_ok = []
     for j, through in enumerate(_rows_through(h_des)):
         cands = [bits[i] for i in through if light[i]]
-        column_ok.append(_find_orthogonal_subset(cands, 1 << j, t))
+        column_ok.append(_find_orthogonal_subset(cands, 1 << j, t, steps))
+    if next(steps, None) is None:  # a search ran dry, so its False is unproven
+        raise EnumerationBudgetError(
+            f"general availability search reaches {AVAILABILITY_STEP_BUDGET} candidate steps"
+        )
     return AvailabilityCheckReport(all(column_ok), tuple(column_ok))
 
 
-def _find_orthogonal_subset(cands: list[int], pivot_bit: int, t: int) -> bool:
-    """Exact search for t candidate rows pairwise meeting only at pivot_bit."""
+def _find_orthogonal_subset(
+    cands: list[int], pivot_bit: int, t: int, steps: Iterator = itertools.repeat(None)
+) -> bool:
+    """Exact search for t candidate rows pairwise meeting only at pivot_bit.
+    Each candidate tried takes one item of `steps`; if they run out, the
+    search stops and returns False."""
 
     def rec(start: int, chosen: int, union: int) -> bool:
         if chosen == t:
             return True
-        for idx in range(start, len(cands)):
-            if len(cands) - idx < t - chosen:
-                return False
+        # past index len - (t - chosen) too few candidates remain
+        for idx, _ in zip(range(start, len(cands) - t + chosen + 1), steps):
             row = cands[idx]
-            if row & union == pivot_bit:
-                if rec(idx + 1, chosen + 1, union | row):
-                    return True
+            if row & union == pivot_bit and rec(idx + 1, chosen + 1, union | row):
+                return True
         return False
 
     return rec(0, 0, pivot_bit)

@@ -272,6 +272,18 @@ def test_k_opt_griesmer_values():
     assert k_opt_griesmer(2, 2, 3) == 0
 
 
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_k_opt_griesmer_needs_a_field(q):
+    with pytest.raises(ValueError, match=f"need q >= 2, got {q}"):
+        k_opt_griesmer(q, 10, 3)
+
+
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_dim_huang_needs_a_field(q):
+    with pytest.raises(ValueError, match=f"need q >= 2, got {q}"):
+        dim_huang(10, 3, 2, 2, q=q)
+
+
 def test_dim_huang_griesmer_point():
     result = dim_huang(15, 3, 2, 2)
     assert 1 <= result.value_exact <= 15

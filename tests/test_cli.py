@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import shlex
@@ -79,6 +80,10 @@ def test_bounds_rate_greedy_requires_n(capsys):
         capsys, "bounds", "rate", "--r", "3", "--t", "3", "--n", "20", "--method", "greedy-t3"
     )
     assert json.loads(stdout)["exact"] == "11/20"
+    code, stdout, err = _run(
+        capsys, "bounds", "rate", "--r", "3", "--t", "5", "--n", "20", "--method", "greedy-t3"
+    )
+    assert (code, stdout, err) == (1, "", "error: greedy-t3 needs t = 3, got t=5\n")
 
 
 def test_bounds_dmin_methods(capsys):
@@ -423,6 +428,11 @@ def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
     assert doc["trace"]["final_bound"] >= doc["code"]["k"]
 
 
+# An apex column 1 and a row {1, a, b} for each pair of columns 2..18: at
+# r = 2, t = 9 column 1's search tries every matching of 17 points
+_APEX_17 = [(1, a, b) for a, b in itertools.combinations(range(2, 19), 2)]
+
+
 @pytest.mark.parametrize(
     "argv,matrices",
     [
@@ -465,6 +475,9 @@ def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
         ("construct partition --r 1 --g 2 --t 3 --choice ''", None),
         # with t < 0 the search would try every subset of column 1's 21 rows
         ("verify --r 1 --t -1 --in", None),
+        # the general search stops at its step budget
+        ("verify --r 2 --t 9 --in", _APEX_17),
+        ("bounds rate --r 3 --t 5 --n 20 --method greedy-t3", None),
         ("bounds dmin --n 5 --k 10 --r 2 --t 2 --method wang", None),
         ("bounds dmin --n -5 --k 1 --r 2 --t 2 --method wang", None),
         # rows from r_max down: r_max's profile and (M, delta) scan are over
@@ -481,8 +494,9 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
         argv.append(str(path))
     elif argv[-1] == "--in":
         path = tmp_path / "h.txt"
-        rows = [(1, j) for j in range(2, 23)]  # 21 weight-2 rows through column 1
-        path.write_text(serialize_matrix(BitMatrix.from_supports(rows, 22)))
+        rows = matrices or [(1, j) for j in range(2, 23)]  # 21 weight-2 rows through column 1
+        n = max(map(max, rows))
+        path.write_text(serialize_matrix(BitMatrix.from_supports(rows, n)))
         argv.append(str(path))
     start = time.perf_counter()
     code, stdout, err = _run(capsys, *argv)

@@ -4,6 +4,8 @@
 nullspaces, partitions, serialized text and `MatrixFormatError` messages
 and line numbers."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,17 @@ import matrix_oracles as oracle
 from availcodes import (
     AvailabilityCode,
     BitMatrix,
+    FiniteField,
     MatrixFormatError,
     build_partition_family,
     check_availability,
     check_strict_availability,
+    functional_code,
     greedy_cover,
     parse_matrix,
+    partition_code,
+    product_code,
+    projective_functionals,
     rank,
     rank_and_nullspace,
     row_space_basis,
@@ -98,8 +105,33 @@ def test_greedy_matches_reference(h, start, tiebreak, seed):
     assert _outcome(greedy_cover, code, **args) == _outcome(oracle.greedy_cover, code, **args)
 
 
+def _fiber(q, t):
+    gf = FiniteField(q)
+    return functional_code(gf, 2, 1, projective_functionals(gf, t)).H
+
+
+def _high_rank(n, k):
+    """n - k independent rows: a shuffled staircase on the first n - k
+    columns with random bits on the last k, so that rank = n - k."""
+    rng = random.Random(k)
+    m = n - k
+    rows = [1 << i | (1 << i + 1 if i + 1 < m else 0) | rng.getrandbits(k) << m for i in range(m)]
+    rng.shuffle(rows)
+    return BitMatrix.from_rows(rows, n)
+
+
 @settings(max_examples=400, deadline=None)
 @given(matrices(max_rows=20, max_cols=20))
+# constructed codes, then the high-rank shape with k = 0, 1 and 28 free columns
+@example(partition_code(build_partition_family(3, 3), 3).H)
+@example(partition_code(build_partition_family(3, 4), 4).H)
+@example(_fiber(7, 5))
+@example(_fiber(16, 5))
+@example(product_code(3, 3).H)
+@example(product_code(3, 4).H)
+@example(_high_rank(512, 0))
+@example(_high_rank(512, 1))
+@example(_high_rank(512, 28))
 def test_rank_and_text_match_reference(h):
     assert rank(h) == oracle.rank(h)
     assert rank_and_nullspace(h) == oracle.rank_and_nullspace(h)

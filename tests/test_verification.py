@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from availcodes import (
     projective_functionals,
     rank,
 )
+from availcodes import verification
 from availcodes.verification import gaussian_binomial
 from conftest import flagged, span_weights, stack
 
@@ -85,6 +87,18 @@ def test_availability_needs_light_rows():
     h = BitMatrix.from_supports([(1, 2), (1, 3), (1, 2, 3, 4)], 4)
     assert check_availability(h, 1, 2).column_ok[0]
     assert not check_availability(h, 1, 3).column_ok[0]
+
+
+def test_availability_budget_counts_candidate_steps(monkeypatch):
+    # an apex column 1 and a row {1, a, b} for each pair of columns 2..8:
+    # column 1 needs a perfect matching of seven points, so its search
+    # exhausts every smaller matching; all searches together try 1114 rows
+    h = BitMatrix.from_supports([(1, a, b) for a, b in itertools.combinations(range(2, 9), 2)], 8)
+    monkeypatch.setattr(verification, "AVAILABILITY_STEP_BUDGET", 1115)
+    assert not check_availability(h, 2, 4).passed
+    monkeypatch.setattr(verification, "AVAILABILITY_STEP_BUDGET", 1114)
+    with pytest.raises(EnumerationBudgetError, match="reaches 1114 candidate steps"):
+        check_availability(h, 2, 4)
 
 
 # -- minimum distance -----------------------------------------------------
