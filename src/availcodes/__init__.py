@@ -19,7 +19,9 @@ import importlib
 __version__ = "0.1.0"
 
 FIGURE_IDS = ("rate3", "rate4", "dmin3", "dmin3_mdelta", "lp3")
-LP_DEFAULT_BUDGET = 7  # largest r whose exact lp3 row solves within about 1 s
+# the largest r whose lp3 row, n = (r+1)^2, is within the LP's LP_SIZE_LIMIT
+# of 800; that row takes 0.43 s, 0.40 s of it in dim_huang (2-vCPU VM)
+LP_DEFAULT_BUDGET = 27
 
 _EXPORTS = {
     "bitmatrix": (
@@ -66,6 +68,7 @@ _EXPORTS = {
         "InfeasibleRelaxationError",
         "LPBoundResult",
         "LPModel",
+        "LPSizeError",
         "LPSolution",
         "PivotLimitError",
         "build_lp",
@@ -88,6 +91,7 @@ _EXPORTS = {
         "EnumerationBudgetError",
         "krawtchouk",
         "krawtchouk_column",
+        "krawtchouk_row",
         "macwilliams_vector",
         "weight_distribution",
     ),

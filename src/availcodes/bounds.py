@@ -8,7 +8,6 @@ including for negative arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -34,20 +33,51 @@ class BoundNotApplicableError(ValueError):
     """The bound's parameter region is empty at the requested point."""
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """A named bound value with exact and float forms."""
+class _Record:
+    """Equality and repr over the `__slots__` of a record's class and bases."""
 
-    name: str
-    params: dict
-    value_exact: Fraction | None
-    kind: str  # rate | distance | dimension
-    value: float = field(default=math.nan)
-    diagnostics: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value_exact is not None and math.isnan(self.value):
-            object.__setattr__(self, "value", float(self.value_exact))
+    def _fields(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for cls in reversed(type(self).__mro__)
+            for name in getattr(cls, "__slots__", ())
+        }
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class BoundResult(_Record):
+    """A named bound value with exact and float forms; `value` defaults to
+    the float of `value_exact`."""
+
+    __slots__ = ("name", "params", "value_exact", "kind", "value", "diagnostics")
+
+    def __init__(
+        self,
+        name: str,
+        params: dict,
+        value_exact: Fraction | None,
+        kind: str,  # rate | distance | dimension
+        value: float = math.nan,
+        diagnostics: dict | None = None,
+    ):
+        if value_exact is not None and math.isnan(value):
+            value = float(value_exact)
+        self.name = name
+        self.params = params
+        self.value_exact = value_exact
+        self.kind = kind
+        self.value = value
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_json(self) -> dict:
         exact = None

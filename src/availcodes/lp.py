@@ -1,11 +1,36 @@
-"""Linear program over weight-distribution variables and its dimension bound.
+"""The weight-distribution linear program and its dimension bound.
 
-The model maximizes 1 + sum A_i over A_{t+1}..A_n subject to nonnegativity
-of the code's and the dual's weight counts plus the structural rows coming
-from sums of one or two parity rows.  Constraints stated on dual counts are
-folded into A-space through the weight-distribution transform, so every
-row is a `<=` row of exact integers, read off one Krawtchouk column per
-variable; the default solver is exact rational.
+A code of length n over a q-ary alphabet with M words has distance
+distribution A_0 = 1, A_1..A_n, and its MacWilliams transform
+B_j = (1/M) sum_i K_j(i) A_i, a dual distribution with B_0 = 1 and
+sum_j B_j = q^n / M (Delsarte 1973).  For strict t-availability with
+locality r the code has distance at least t+1, so A_1..A_t = 0, and the
+dual holds at least m = nt/(r+1) words of weight r+1 plus the sums of two
+parity rows at weights 2r and 2r+2.
+
+`build_lp` states that model in A-space: maximize M = 1 + sum A_i over
+A_{t+1}..A_n subject to every B_j >= 0 and the three dual-count floors,
+each a `<=` row of exact integers.  It is the model of record for a code's
+A-vector (`point_violations`, `certificate_violations`), and `solve_lp`
+solves it; its optimum has almost every A_i positive, so its basis holds
+about n variables.
+
+`lp_dimension_bound` solves the same program in dual-distribution
+(B) space, where the optimum has only a few positive B_j: minimize
+sum_j B_j over y_j = B_j - lb_j >= 0 (lb_0 = 1 fixes B_0), with one row
+sum_j K_i(j) B_j >= 0 per weight i (an equality for i <= t) and the floors
+as the lower bounds lb_j, each clamped at 0; then M = q^n / min sum B and
+A_i = sum_j K_i(j) B_j / sum_j B_j.  The master problem holds a few columns
+and rows and grows by column generation (Gilmore-Gomory 1961) and by
+cutting planes: each round re-solves it, prices every column with its
+duals and checks its point against every row, in integers in exact mode,
+and adds the most negative columns and the most violated rows.  The loop
+ends only when no row is violated and no column prices negative: that
+final check on the full model is the optimality certificate, so no answer
+rests on the restricted master alone.  An infeasible master is priced with
+its phase-1 Farkas ray instead, and the columns that ray prices negative
+enter; when none does, the ray proves the full model infeasible too, as
+its rows include the master's.
 
 Sums of three or more parity rows would contribute further valid rows;
 they are deliberately not modeled here.
@@ -15,15 +40,32 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .bounds import BoundResult, _check_block_length, _check_locality
-from .weights import krawtchouk_column
+from .bounds import BoundResult, _check_block_length, _check_locality, _Record
+from .weights import krawtchouk_column, krawtchouk_row
 
 DEFAULT_PIVOT_LIMIT = 200_000
 FLOAT_TOL = 1e-9
+# Both limits were measured on a 2-vCPU VM (Python 3.11).  The master's
+# simplex work (see `_simplex_max`) runs at 6 to 16 ns per unit on the
+# shapes that need the most, such as (q, r, t) = (2, 2, 5) at any n, so a
+# budget of 10^8 units stops them within 0.5 to 1.1 s; the t=3 family
+# (q=2, n=(r+1)^2) needs 3.5 M units at r=20 and 32 M at r=60.  The
+# Krawtchouk rows and their pricing grow with n and t on their own: the
+# costliest shape probed at each n, t = n or a budget stop, took 0.54 s
+# at n=120, 0.74 s at 400, 1.08 s and 202 MB at 800, and 1.69 s and
+# 312 MB at 960.  `lp_dimension_bound` refuses n over LP_SIZE_LIMIT
+# before any Krawtchouk column is built.  A float entry takes 100 to 300 ns
+# and counts FLOAT_ENTRY_WORK units, so a float solve that stalls stops
+# within about 1 s too; the float solves that finish need at most 1.6 M
+# entries (50 M units), at (2, 100, 4, 5).
+LP_SIZE_LIMIT = 800
+LP_WORK_BUDGET = 10**8
+FLOAT_ENTRY_WORK = 32
+COLUMN_BATCH = 5  # the most negative columns that enter per round
+ROW_BATCH = 10  # the most violated rows that enter per round
 
 
 class PivotLimitError(RuntimeError):
@@ -34,8 +76,12 @@ class InfeasibleRelaxationError(ValueError):
     """The relaxation admits no point: no code exists under these constraints."""
 
 
-@dataclass(frozen=True)
-class LPConstraint:
+class LPSizeError(ValueError):
+    """The weight LP's block length is over `LP_SIZE_LIMIT`, or its master
+    problems need more than `LP_WORK_BUDGET` units of simplex work."""
+
+
+class LPConstraint(NamedTuple):
     """The row coeffs . x <= rhs, in integers."""
 
     coeffs: tuple[int, ...]
@@ -43,26 +89,33 @@ class LPConstraint:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class LPModel:
+class LPModel(_Record):
     """Variables are A_i for i = t+1..n; lower weights are pinned to zero
     because the minimum distance is at least t+1.  Nonnegativity of the
     variables is implicit in the solver's standard form."""
 
-    num_vars: int
-    objective_offset: int
-    objective: tuple[int, ...]
-    constraints: tuple[LPConstraint, ...]
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("num_vars", "objective_offset", "objective", "constraints", "meta")
 
-    def __post_init__(self):
-        if not all(type(v) is int for v in (self.objective_offset, *self.objective)):
+    def __init__(
+        self,
+        num_vars: int,
+        objective_offset: int,
+        objective: tuple[int, ...],
+        constraints: tuple[LPConstraint, ...],
+        meta: dict | None = None,
+    ):
+        if not all(type(v) is int for v in (objective_offset, *objective)):
             raise ValueError("the objective must hold integers")
-        for c in self.constraints:
-            if len(c.coeffs) != self.num_vars:
+        for c in constraints:
+            if len(c.coeffs) != num_vars:
                 raise ValueError(f"constraint {c.label!r} has wrong arity")
             if not all(type(v) is int for v in (*c.coeffs, c.rhs)):
                 raise ValueError(f"constraint {c.label!r} must hold integers")
+        self.num_vars = num_vars
+        self.objective_offset = objective_offset
+        self.objective = objective
+        self.constraints = constraints
+        self.meta = {} if meta is None else meta
 
     @property
     def weight_indices(self) -> range:
@@ -70,11 +123,11 @@ class LPModel:
         return range(t + 1, self.meta["n"] + 1)
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     """`dual` holds one price per model constraint, in the constraints'
     order, when the status is optimal: y >= 0 with y . coeffs >= objective
-    and y . rhs = value - objective_offset (see `certificate_violations`)."""
+    and y . rhs = value - objective_offset (see `certificate_violations`).
+    The B-space solve of `lp_dimension_bound` leaves it empty."""
 
     status: str  # optimal | infeasible | unbounded
     value: Fraction | float | None
@@ -82,13 +135,42 @@ class LPSolution:
     dual: tuple = ()
 
 
-@dataclass(frozen=True)
 class LPBoundResult(BoundResult):
     """The LP dimension bound together with the solve it came from:
     `solution.value` is the optimum M (a Fraction in exact mode) and
     `solution.variables` the optimal A-vector."""
 
-    solution: LPSolution = field(kw_only=True)
+    __slots__ = ("solution",)
+
+    def __init__(self, *args, solution: LPSolution, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.solution = solution
+
+
+def _dual_floors(q: int, n: int, r: int, t: int) -> list[tuple[int, int, str]]:
+    """Check (q, n, r, t) and return the dual-count floors (w, count,
+    label), each asking for at least `count` dual words of weight w: sums
+    of two parity rows at weights 2r (only for r > 2) and 2(r+1), and the
+    m parity rows at weight r+1."""
+    if q < 2:
+        raise ValueError(f"need q >= 2, got {q}")
+    _check_locality(r, t)
+    if n < t:
+        raise ValueError(f"need n >= t, got n={n}, t={t}")
+    _check_block_length(n, r)
+    if (n * t) % (r + 1):
+        raise ValueError(f"r+1 = {r + 1} must divide nt = {n * t}")
+    m = n * t // (r + 1)
+    pair_count = n * math.comb(t, 2)
+    floors = []
+    if r > 2 and 2 * r <= n:
+        floors.append((2 * r, pair_count, "pair_sum_2r"))
+    if r >= 2 and 2 * (r + 1) <= n:
+        # distinctness of disjoint-pair sums needs row weight >= 3: with
+        # weight-2 rows two disjoint pairs can sum to the same codeword
+        floors.append((2 * (r + 1), math.comb(m, 2) - pair_count, "pair_sum_2r2"))
+    floors.append((r + 1, m, "row_count"))
+    return floors
 
 
 def build_lp(q: int, n: int, r: int, t: int) -> LPModel:
@@ -103,15 +185,7 @@ def build_lp(q: int, n: int, r: int, t: int) -> LPModel:
     so A_i = (M / q^n) sum_j B_j K_i(j) <= K_i(0) = (q-1)^i C(n, i), as
     |K_i(j)| <= K_i(0).
     """
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    _check_locality(r, t)
-    if n < t:
-        raise ValueError(f"need n >= t, got n={n}, t={t}")
-    _check_block_length(n, r)
-    if (n * t) % (r + 1):
-        raise ValueError(f"r+1 = {r + 1} must divide nt = {n * t}")
-    m = n * t // (r + 1)
+    floors = _dual_floors(q, n, r, t)
     idx = range(t + 1, n + 1)
     columns = [krawtchouk_column(q, n, i) for i in idx]
     kraw = [[column[j] for column in columns] for j in range(n + 1)]  # K_j(i), i in idx
@@ -124,29 +198,17 @@ def build_lp(q: int, n: int, r: int, t: int) -> LPModel:
         LPConstraint(tuple(-k for k in kraw[j]), volume(j), f"dual_nonneg_{j}")
         for j in range(n + 1)
     ]
-
-    def at_least(count: int, w: int, label: str) -> LPConstraint:
-        """The dual count at weight w is at least `count`, in A-space."""
-        coeffs = tuple(count - k for k in kraw[w])
-        return LPConstraint(coeffs, volume(w) - count, label)
-
-    pair_count = n * math.comb(t, 2)
-    if r > 2 and 2 * r <= n:
-        constraints.append(at_least(pair_count, 2 * r, "pair_sum_2r"))
-    if r >= 2 and 2 * (r + 1) <= n:
-        # distinctness of disjoint-pair sums needs row weight >= 3: with
-        # weight-2 rows two disjoint pairs can sum to the same codeword
-        lower = math.comb(m, 2) - pair_count
-        constraints.append(at_least(lower, 2 * (r + 1), "pair_sum_2r2"))
-    # row-count bound on the dual count at weight r+1
-    constraints.append(at_least(m, r + 1, "row_count"))
-
+    # the dual count at weight w is at least `count`, in A-space
+    constraints += [
+        LPConstraint(tuple(count - k for k in kraw[w]), volume(w) - count, label)
+        for w, count, label in floors
+    ]
     return LPModel(
         num_vars=len(idx),
         objective_offset=1,
         objective=(1,) * len(idx),
         constraints=tuple(constraints),
-        meta={"q": q, "n": n, "r": r, "t": t, "m": m},
+        meta={"q": q, "n": n, "r": r, "t": t, "m": n * t // (r + 1)},
     )
 
 
@@ -222,11 +284,17 @@ def _simplex_max(
     *,
     exact: bool,
     pivot_limit: int,
-) -> tuple[str, object, list, list]:
+    work_limit: float = math.inf,
+) -> tuple[str, object, list, list, int]:
     """maximize obj.x  s.t.  rows[i].x <= rhs[i], x >= 0  (rhs of any sign).
 
-    Returns (status, value, x, y); at the optimum y is the dual vector, one
-    price per row: y >= 0, y.rows >= obj and y.rhs = value.
+    Returns (status, value, x, y, work), y holding one price per row.  At
+    the optimum y is the dual vector: y >= 0, y.rows >= obj and y.rhs =
+    value.  When the rows admit no point, y is phase 1's Farkas ray: y >= 0,
+    y.rows >= 0 and y.rhs < 0.  `work` counts the tableau entries the
+    pivots rewrote, each weighed by the bit length of its pivot row's scale
+    in exact mode and by FLOAT_ENTRY_WORK in float mode; past `pivot_limit`
+    pivots or `work_limit` work the solve raises PivotLimitError.
 
     Variables are numbered structural 0..nv-1, then one slack per row, then
     one artificial per row whose right side is negative; such a row is
@@ -297,10 +365,10 @@ def _simplex_max(
         new[-2] = p * row[-2]
         return _reduce_content(new)
 
-    pivots_used = 0
+    pivots_used = work = 0
 
     def pivot(pr: int, pc: int, obj_row: list) -> None:
-        nonlocal pivots_used
+        nonlocal pivots_used, work
         pivots_used += 1
         if pivots_used > pivot_limit:
             raise PivotLimitError(f"exceeded {pivot_limit} pivots")
@@ -309,6 +377,9 @@ def _simplex_max(
         if prow[-2] < zero:
             prow = [-v for v in prow]
         prow = tableau[pr] = rescale(prow)
+        work += len(tableau) * len(prow) * (prow[-2].bit_length() if exact else FLOAT_ENTRY_WORK)
+        if work > work_limit:
+            raise PivotLimitError(f"exceeded {work_limit} units of work")
         basis[pr], nonbasic[pc] = nonbasic[pc], basis[pr]
         for i, row in enumerate(tableau):
             f = row[pc]
@@ -356,17 +427,27 @@ def _simplex_max(
                 row = eliminate(row, -cost[b] * row[-2], prow)
         return row
 
+    def prices(obj_row: list) -> list:
+        """Each row's price: its slack's entry in the objective row over
+        that row's scale, 0 for a basic slack."""
+        y = [quotient(zero, one)] * m
+        for d, v in zip(obj_row, nonbasic):
+            if nv <= v < nv + m:
+                y[v - nv] = quotient(d, obj_row[-2])
+        return y
+
     if n_art:
         obj_row = make_obj_row([zero] * (nv + m) + [-one] * n_art)
         status = run(obj_row)
-        if status == "unbounded":
+        if status == "unbounded":  # only rounding can do that, in float mode
+            why = "" if exact else ": a float rounding failure; use exact mode"
             raise RuntimeError(
                 "phase 1 reported unbounded, but its objective -sum(artificials)"
-                " is bounded above by 0"
+                f" is bounded above by 0{why}"
             )
         # the objective row's scale is positive (exact) or 1 (float)
         if obj_row[-1] < -feas_tol:
-            return "infeasible", None, [], []
+            return "infeasible", None, [], prices(obj_row), work
         # drive leftover artificial basics out, dropping redundant rows
         for i, row in enumerate(tableau):
             if basis[i] >= nv + m:
@@ -385,16 +466,46 @@ def _simplex_max(
         tableau[:] = [[row[j] for j in keep] for row in tableau]
     obj_row = make_obj_row(list(obj) + [zero] * (m + n_art))
     if run(obj_row) == "unbounded":
-        return "unbounded", None, [], []
+        return "unbounded", None, [], [], work
     x = [quotient(zero, one)] * nv  # Fraction(0) or 0.0
-    y = [quotient(zero, one)] * m
     for row, b in zip(tableau, basis):
         if b < nv:
             x[b] = quotient(row[-1], row[-2])
-    for d, v in zip(obj_row, nonbasic):
-        if v >= nv:
-            y[v - nv] = quotient(d, obj_row[-2])
-    return "optimal", quotient(obj_row[-1], obj_row[-2]), x, y
+    return "optimal", quotient(obj_row[-1], obj_row[-2]), x, prices(obj_row), work
+
+
+def _floats(values) -> list[float]:
+    """The values as doubles; ValueError when one is beyond the double range."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(
+            "float mode cannot hold this model: an entry exceeds the double "
+            "range; use exact mode"
+        ) from None
+
+
+def _solve_rows(
+    obj: Sequence[int],
+    rows: list[Sequence[int]],
+    rhs: list[int],
+    exact: bool,
+    pivot_limit: int = DEFAULT_PIVOT_LIMIT,
+    work_limit: float = math.inf,
+) -> tuple[str, object, list, list, int]:
+    """`_simplex_max` on integer rows.  Float mode converts every entry to a
+    double, normalizes each row by its largest absolute entry and puts the
+    prices of the normalized rows back on the given rows."""
+    limits = {"pivot_limit": pivot_limit, "work_limit": work_limit}
+    if exact:
+        return _simplex_max(obj, rows, rhs, exact=True, **limits)
+    obj, rhs = _floats(obj), _floats(rhs)
+    rows = [_floats(row) for row in rows]
+    scales = [max([abs(v) for v in fr] + [abs(fb), 1.0]) for fr, fb in zip(rows, rhs)]
+    rows = [[v / scale for v in fr] for fr, scale in zip(rows, scales)]
+    rhs = [fb / scale for fb, scale in zip(rhs, scales)]
+    status, value, x, y, work = _simplex_max(obj, rows, rhs, exact=False, **limits)
+    return status, value, x, [v / scale for v, scale in zip(y, scales)], work
 
 
 def solve_lp(
@@ -409,30 +520,13 @@ def solve_lp(
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    exact = mode == "exact"
-    obj = model.objective
     rows = [c.coeffs for c in model.constraints]
     rhs = [c.rhs for c in model.constraints]
-    if not exact:
-        try:
-            obj = [float(v) for v in obj]
-            rows = [[float(v) for v in coeffs] for coeffs in rows]
-            rhs = [float(b) for b in rhs]
-        except OverflowError:
-            raise ValueError(
-                "float mode cannot hold this model: an entry exceeds the double "
-                "range; use exact mode"
-            ) from None
-        scales = [max([abs(v) for v in fr] + [abs(fb), 1.0]) for fr, fb in zip(rows, rhs)]
-        rows = [[v / scale for v in fr] for fr, scale in zip(rows, scales)]
-        rhs = [fb / scale for fb, scale in zip(rhs, scales)]
-    status, value, x, y = _simplex_max(
-        obj, rows, rhs, exact=exact, pivot_limit=pivot_limit
+    status, value, x, y, _ = _solve_rows(
+        model.objective, rows, rhs, mode == "exact", pivot_limit
     )
     if status != "optimal":
         return LPSolution(status=status, value=None, variables={})
-    if not exact:  # the prices of the normalized rows, back on the model's rows
-        y = [v / scale for v, scale in zip(y, scales)]
     return LPSolution(
         status="optimal",
         value=model.objective_offset + value,
@@ -441,24 +535,137 @@ def solve_lp(
     )
 
 
+def _common_scale(values: list) -> tuple[list[int], int]:
+    """(D * values, D) for ints and Fractions, D their least common denominator."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _combine(weights: list, vectors: list[list]) -> list:
+    """sum_k weights[k] * vectors[k], entry by entry."""
+    total = [0] * len(vectors[0])
+    for w, vec in zip(weights, vectors):
+        if w:
+            total = [a + w * v for a, v in zip(total, vec)]
+    return total
+
+
+def _solve_dual_space(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution:
+    """The weight LP's optimum by row and column generation in B-space (see
+    the module docstring): value M and the A-vector over weights t+1..n."""
+    lb = {0: 1}
+    for w, count, _ in _dual_floors(q, n, r, t):
+        if count > 0:  # a floor at or below 0 adds nothing to B_w >= 0
+            lb[w] = count
+    if n > LP_SIZE_LIMIT:
+        raise LPSizeError(f"block length n={n} is over the LP's limit {LP_SIZE_LIMIT}")
+    if exact:
+        as_number, scaled, ratio, tol = list, _common_scale, Fraction, 0
+    else:
+        as_number, scaled, ratio, tol = _floats, lambda v: (v, 1.0), operator.truediv, FLOAT_TOL
+    rows_k: dict[int, list] = {}  # weight i -> K_i(0..n): row i's coefficients
+    cols_k: dict[int, list] = {}  # weight j -> K_0(j)..K_n(j): B_j's column
+
+    def row(i: int) -> list:
+        if i not in rows_k:
+            rows_k[i] = as_number(krawtchouk_row(q, n, i))
+        return rows_k[i]
+
+    def col(j: int) -> list:
+        if j not in cols_k:
+            cols_k[j] = as_number(krawtchouk_column(q, n, j))
+        return cols_k[j]
+
+    # the master starts at the pinned weights, the floors' weights, the
+    # middle weights and those near n - 2r; rows 1..t are always in it
+    half = n // 2
+    start = {*range(1, t + 1), r + 1, 2 * r, 2 * r + 2}
+    start |= {*range(half - 1, half + 3), *range(n - 2 * r - 1, n - 2 * r + 4)}
+    columns = sorted(j for j in start if 1 <= j <= n)
+    cuts = sorted(i for i in start if t < i <= n)
+    work_left = LP_WORK_BUDGET
+    while True:
+        # a row sum_j K_i(j) (lb_j + y_j) >= 0 reads -sum_j K_i(j) y_j <= h_i;
+        # rows 1..t are equalities, stated once more as `>=`
+        degrees = [*range(1, t + 1), *cuts]
+        krows = [row(i) for i in degrees]
+        h = [sum(k[j] * v for j, v in lb.items()) for k in krows]
+        master = [[-k[j] for j in columns] for k in krows]
+        master += [[-v for v in coeffs] for coeffs in master[:t]]
+        try:
+            status, _, x, y, work = _solve_rows(
+                [-1] * len(columns), master, h + [-v for v in h[:t]], exact, work_limit=work_left
+            )
+        except PivotLimitError:
+            raise LPSizeError(
+                f"the weight LP at (q={q}, n={n}, r={r}, t={t}) needs more than "
+                f"{LP_WORK_BUDGET} units of simplex work"
+            ) from None
+        work_left -= work
+        if status not in ("optimal", "infeasible"):  # sum B >= 0 bounds the master
+            raise RuntimeError(f"unexpected LP status {status}")
+        prices = y[: len(degrees)]
+        for k in range(t):  # an equality's price is free
+            prices[k] -= y[len(degrees) + k]
+        # column j's reduced cost is c_j - sum_i price_i K_i(j), times the
+        # prices' denominator: c_j = 1 at the optimum and 0 on a Farkas ray
+        prices, unit = scaled(prices)
+        cost = unit if status == "optimal" else 0
+        weighed = _combine(prices, krows)
+        negative = sorted(
+            (cost - weighed[j], j) for j in range(1, n + 1) if cost - weighed[j] < -tol
+        )
+        new_columns = [j for _, j in negative if j not in columns][:COLUMN_BATCH]
+        if status == "infeasible":
+            if not new_columns:  # the ray proves the full model infeasible too
+                raise InfeasibleRelaxationError(
+                    f"no code exists under relaxation at (q={q}, n={n}, r={r}, t={t})"
+                )
+            columns = sorted(columns + new_columns)
+            continue
+        b = dict(lb)
+        for j, v in zip(columns, x):
+            if v:
+                b[j] = b.get(j, 0) + v
+        numerators, scale = scaled(list(b.values()))
+        # A_i times sum B, times the common denominator, over weights 0..n
+        slack = _combine(numerators, [col(j) for j in b])
+        total, volumes = slack[0], col(0)
+        violated = sorted(
+            (ratio(slack[i], volumes[i]), i)
+            for i in range(t + 1, n + 1)
+            if slack[i] < -tol * volumes[i] * total
+        )
+        new_cuts = [i for _, i in violated if i not in cuts][:ROW_BATCH]
+        if not new_cuts and not new_columns:
+            break
+        cuts = sorted(cuts + new_cuts)
+        columns = sorted(columns + new_columns)
+    if exact and (violated or negative or any(slack[1 : t + 1])):
+        raise RuntimeError("the master's optimum fails its certificate on the full model")
+    top = q**n if exact else _floats([q**n])[0]
+    a = [ratio(v, total) for v in slack[t + 1 :]]
+    return LPSolution("optimal", ratio(top * scale, total), dict(zip(range(t + 1, n + 1), a)))
+
+
 def lp_dimension_bound(q: int, n: int, r: int, t: int, mode: str = "exact") -> LPBoundResult:
     """k <= log_q(M) where M is the LP optimum; M rides along in the
-    diagnostics as a string and in the result's `solution`.  Raises
-    InfeasibleRelaxationError when even the relaxation is empty."""
-    model = build_lp(q, n, r, t)
-    sol = solve_lp(model, mode=mode)
-    if sol.status == "infeasible":
-        raise InfeasibleRelaxationError(
-            f"no code exists under relaxation at (q={q}, n={n}, r={r}, t={t})"
-        )
-    if sol.status == "unbounded" and mode == "float":
-        # the dual_nonneg rows sum to M * sum_j B_j = q^n, so M <= q^n
-        raise RuntimeError(
-            f"float simplex reported unbounded, but the model is bounded by "
-            f"q^n = {q}^{n}: a numerical failure; use exact mode"
-        )
-    if sol.status != "optimal":
-        raise RuntimeError(f"unexpected LP status {sol.status}")
+    diagnostics as a string and in the result's `solution`, whose
+    variables are the optimal A-vector.  Raises InfeasibleRelaxationError
+    when even the relaxation is empty, which float mode confirms with an
+    exact solve, and LPSizeError past LP_SIZE_LIMIT or LP_WORK_BUDGET."""
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    try:
+        sol = _solve_dual_space(q, n, r, t, mode == "exact")
+    except InfeasibleRelaxationError:
+        if mode == "float":  # a float ray proves nothing: ask the exact model
+            _solve_dual_space(q, n, r, t, True)
+            raise RuntimeError(
+                "the float simplex found no point where the exact model has one: "
+                "a float rounding failure; use exact mode"
+            ) from None
+        raise
     m_value = sol.value
     try:
         m_float = float(m_value)

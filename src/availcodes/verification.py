@@ -6,8 +6,10 @@ convention used for partition blocks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -19,7 +21,9 @@ from .weights import EnumerationBudgetError, weight_distribution
 GHW_MAX_DUAL_DIM = 16
 GHW_MAX_LEVEL = 3
 GHW_SUBSPACE_BUDGET = 2_000_000
-AVAILABILITY_STEP_BUDGET = 6_000_000  # about 1 s of the general search at 6-7 M steps/s
+# about 1 s of the general search at the 1.7-2.5 M steps/s of its slowest
+# shape measured: disjoint triangles of rows through one column (2-vCPU VM)
+AVAILABILITY_STEP_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -110,21 +114,35 @@ def check_availability(h_des: BitMatrix, r: int, t: int) -> AvailabilityCheckRep
 def _find_orthogonal_subset(
     cands: list[int], pivot_bit: int, t: int, steps: Iterator = itertools.repeat(None)
 ) -> bool:
-    """Exact search for t candidate rows pairwise meeting only at pivot_bit.
-    Each candidate tried takes one item of `steps`; if they run out, the
-    search stops and returns False."""
+    """Exact search for t candidate rows, each through pivot_bit, pairwise
+    meeting only at pivot_bit.  Each candidate tried, and each candidate
+    checked against a grown union, takes one item of `steps`; if they run
+    out, the search stops and returns False.
 
-    def rec(start: int, chosen: int, union: int) -> bool:
-        if chosen == t:
+    A node keeps the candidates disjoint from its chosen rows outside the
+    pivot.  The rows still needed are pairwise disjoint outside the pivot,
+    so the node is cut, before any candidate is tried, when fewer of them
+    remain or when their fresh columns number fewer than that many times
+    the least fresh weight among them."""
+
+    def rec(cands: list[int], need: int, union: int) -> bool:
+        if need <= 0:
+            return need == 0
+        if len(cands) < need:
+            return False
+        if need == 1:  # any candidate left completes the choice
             return True
-        # past index len - (t - chosen) too few candidates remain
-        for idx, _ in zip(range(start, len(cands) - t + chosen + 1), steps):
-            row = cands[idx]
-            if row & union == pivot_bit and rec(idx + 1, chosen + 1, union | row):
+        fresh = functools.reduce(operator.or_, cands).bit_count() - 1
+        if fresh < need * (min(map(int.bit_count, cands)) - 1):
+            return False
+        for idx, _ in zip(range(len(cands) - need + 1), steps):
+            grown = union | cands[idx]
+            rest = [row for row, _ in zip(cands[idx + 1 :], steps) if row & grown == pivot_bit]
+            if rec(rest, need - 1, grown):
                 return True
         return False
 
-    return rec(0, 0, pivot_bit)
+    return rec(cands, t, pivot_bit)
 
 
 def min_distance_bruteforce(code: AvailabilityCode) -> int | float:

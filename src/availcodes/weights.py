@@ -7,6 +7,7 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 ENUMERATION_LIMIT = 28  # enumeration is 2^min(k, n-k); keep that exponent at or below this
@@ -33,6 +34,25 @@ def krawtchouk_column(q: int, n: int, i: int) -> list[int]:
         ) // (j + 1)
         column.append(cur)
     return column
+
+
+def krawtchouk_row(q: int, n: int, j: int) -> list[int]:
+    """K_j(0)..K_j(n) over a q-ary alphabet, from K_j(0) = (q-1)^j C(n, j) and
+    the three-term recurrence in i,
+    (q-1)(n-i) K_j(i+1) = ((q-1)(n-i) + i - q j) K_j(i) - i K_j(i-1),
+    whose divisions are exact: O(n) integer steps.
+    """
+    if q < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {q}")
+    if not 0 <= j <= n:
+        raise ValueError(f"degree j={j} outside 0..{n}")
+    prev, cur = 0, (q - 1) ** j * math.comb(n, j)  # K_j(i-1), K_j(i)
+    row = [cur]
+    for i in range(n):
+        step = (q - 1) * (n - i)
+        prev, cur = cur, ((step + i - q * j) * cur - i * prev) // step
+        row.append(cur)
+    return row
 
 
 def krawtchouk(q: int, n: int, j: int, i: int) -> int:

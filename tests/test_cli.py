@@ -15,7 +15,7 @@ import enum_oracles
 from availcodes import FIGURE_IDS, BitMatrix, EnumerationBudgetError
 from availcodes import cli as cli_module
 from availcodes import lp as lp_module
-from availcodes import parse_matrix, product_code, rank, serialize_matrix, solve_lp
+from availcodes import parse_matrix, product_code, rank, serialize_matrix
 from availcodes.bitmatrix import MatrixFormatError
 from availcodes.cli import run_cli
 
@@ -207,13 +207,13 @@ def test_output_matches_golden(capsys, name):
 def test_bounds_lp_json(capsys, monkeypatch):
     # the bound and the printed A-vector come from one solve
     solves = []
+    solve = lp_module.lp_dimension_bound
 
     def counting_solve(*args, **kwargs):
         solves.append(args)
-        return solve_lp(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(lp_module, "solve_lp", counting_solve)
-    monkeypatch.setattr(cli_module, "solve_lp", counting_solve, raising=False)
+    monkeypatch.setattr(lp_module, "lp_dimension_bound", counting_solve)
     code, stdout, _ = _run(
         capsys, "bounds", "lp", "--q", "2", "--n", "16", "--r", "3", "--t", "3"
     )
@@ -429,8 +429,14 @@ def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):
 
 
 # An apex column 1 and a row {1, a, b} for each pair of columns 2..18: at
-# r = 2, t = 9 column 1's search tries every matching of 17 points
+# r = 2, t = 9 nine disjoint pairs need 18 points, so counting answers
 _APEX_17 = [(1, a, b) for a, b in itertools.combinations(range(2, 19), 2)]
+# Rows {1, a, b} for the edges of 12 disjoint triangles on columns 2..37: at
+# r = 2, t = 13 counting admits 13 pairs in 36 points, and column 1's search
+# tries the ways to take one edge from each of up to 12 triangles
+_TRIANGLES_12 = [
+    (1, 2 + 3 * c + x, 2 + 3 * c + y) for c in range(12) for x, y in ((0, 1), (0, 2), (1, 2))
+]
 
 
 @pytest.mark.parametrize(
@@ -439,6 +445,10 @@ _APEX_17 = [(1, a, b) for a, b in itertools.combinations(range(2, 19), 2)]
         ("bounds dmin --n 10 --k 5 --r 0 --t 3", None),
         ("bounds dmin --n 10 --k 5 --r 0 --t 3 --method m-delta --M 3 --delta 1", None),
         ("bounds lp --q 2 --n 4 --r -1 --t 3", None),
+        # the LP's block-length limit, checked before any Krawtchouk column,
+        # and its simplex work budget
+        ("bounds lp --q 2 --n 20000 --r 1 --t 1", None),
+        ("bounds lp --q 2 --n 441 --r 2 --t 5", None),
         ("bounds rate --r 0 --t 0 --method wzl", None),
         ("bounds dmin --n 10 --k 5 --r 2 --t -1 --method wang", None),
         ("construct functional --q 2 --t 1 --matrices", 5),
@@ -476,7 +486,7 @@ _APEX_17 = [(1, a, b) for a, b in itertools.combinations(range(2, 19), 2)]
         # with t < 0 the search would try every subset of column 1's 21 rows
         ("verify --r 1 --t -1 --in", None),
         # the general search stops at its step budget
-        ("verify --r 2 --t 9 --in", _APEX_17),
+        ("verify --r 2 --t 13 --in", _TRIANGLES_12),
         ("bounds rate --r 3 --t 5 --n 20 --method greedy-t3", None),
         ("bounds dmin --n 5 --k 10 --r 2 --t 2 --method wang", None),
         ("bounds dmin --n -5 --k 1 --r 2 --t 2 --method wang", None),
@@ -503,6 +513,16 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
     assert time.perf_counter() - start < 3
     assert (code, stdout) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_answers_the_apex_matrix_by_counting(tmp_path, capsys):
+    path = tmp_path / "apex.txt"
+    path.write_text(serialize_matrix(BitMatrix.from_supports(_APEX_17, 18)))
+    start = time.perf_counter()
+    code, stdout, err = _run(capsys, "verify", "--in", str(path), "--r", "2", "--t", "9")
+    assert time.perf_counter() - start < 3
+    assert (code, err) == (0, "")
+    assert json.loads(stdout) == {"pass": False, "failing_columns": list(range(1, 19))}
 
 
 @pytest.mark.parametrize(

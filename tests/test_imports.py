@@ -2,8 +2,10 @@
 public member that only the tests use.
 
 `import availcodes` loads no layer, and `run_cli` imports only the layers
-of the command it runs.  Each argv runs in a fresh interpreter, so the
-modules it leaves in `sys.modules` are its own.
+of the command it runs; the bound commands load no `dataclasses`, which
+would bring `inspect`, `ast`, `dis` and `tokenize` with it.  Each argv
+runs in a fresh interpreter, so the modules it leaves in `sys.modules` are
+its own.
 """
 
 import ast
@@ -26,7 +28,7 @@ import contextlib, io, json, sys
 from availcodes.cli import run_cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = run_cli(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "availcodes")]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 _BOUNDS_LP = {"bounds", "lp", "weights"}
@@ -61,8 +63,8 @@ def workdir(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("argv, layers", FOOTPRINTS, ids=[argv for argv, _ in FOOTPRINTS])
-def test_command_loads_only_its_layers(workdir, argv, layers):
+def _loaded_modules(workdir, argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after `run_cli(argv)` exits 0."""
     env = {k: v for k, v in os.environ.items() if k != "AVAILCODES_OUTDIR"}
     env["PYTHONPATH"] = SRC
     proc = subprocess.run(
@@ -71,8 +73,28 @@ def test_command_loads_only_its_layers(workdir, argv, layers):
     )
     code, modules = json.loads(proc.stdout)
     assert code == 0
-    expected = {"availcodes", "availcodes.cli", *(f"availcodes.{m}" for m in layers)}
-    assert set(modules) == expected
+    return set(modules)
+
+
+@pytest.mark.parametrize("argv, layers", FOOTPRINTS, ids=[argv for argv, _ in FOOTPRINTS])
+def test_command_loads_only_its_layers(workdir, argv, layers):
+    package = {m for m in _loaded_modules(workdir, argv) if m.split(".")[0] == "availcodes"}
+    assert package == {"availcodes", "availcodes.cli", *(f"availcodes.{m}" for m in layers)}
+
+
+# the matrix layers keep their dataclasses; these commands load none of them
+BOUND_COMMANDS = [
+    "bounds lp --q 2 --n 16 --r 3 --t 3",
+    "figure lp3 --rmin 3 --rmax 3",
+    "bounds rate --r 3 --t 3",
+    "figure rate3 --rmin 3 --rmax 5",
+]
+
+
+@pytest.mark.parametrize("argv", BOUND_COMMANDS)
+def test_bound_command_loads_no_dataclasses(workdir, argv):
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert _loaded_modules(workdir, argv) & heavy == set()
 
 
 def test_exports_are_the_defining_modules_objects():

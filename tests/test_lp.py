@@ -1,6 +1,5 @@
 import math
 import operator
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,8 @@ from availcodes import (
     solve_lp,
     weight_distribution,
 )
-from availcodes.lp import LPConstraint, LPModel, PivotLimitError
+from availcodes import lp as lp_module
+from availcodes.lp import LPConstraint, LPModel, LPSizeError, PivotLimitError
 from test_lp_differential import small_lps
 
 
@@ -177,7 +177,10 @@ def test_lp_dimension_bound_improvement_claim():
         n = (r + 1) ** 2
         bound = lp_dimension_bound(2, n, r, 3)
         assert bound.value <= n * float(rate_tamo_barg(r, 3).value_exact) + 1e-9
-        assert bound.solution == solve_lp(build_lp(2, n, r, 3))
+        # the B-space solve against the A-space model of record; the dual
+        # prices belong to the A-space model alone
+        oracle = solve_lp(build_lp(2, n, r, 3))
+        assert bound.solution[:3] == oracle[:3]
 
 
 def test_lp_exact_float_agreement():
@@ -219,15 +222,15 @@ def test_certificate_check_flags_each_broken_condition():
     sol = solve_lp(model)
     dual = list(sol.dual)
     priced = next(i for i, y in enumerate(dual) if y > 0)
-    assert certificate_violations(model, replace(sol, dual=(0,) * len(dual))) == [
+    assert certificate_violations(model, sol._replace(dual=(0,) * len(dual))) == [
         f"cover_{i}" for i in model.weight_indices
     ] + ["value"]
-    assert certificate_violations(model, replace(sol, value=sol.value + 1)) == ["value"]
+    assert certificate_violations(model, sol._replace(value=sol.value + 1)) == ["value"]
     dual[priced] = -dual[priced]
-    bad = certificate_violations(model, replace(sol, dual=tuple(dual)))
+    bad = certificate_violations(model, sol._replace(dual=tuple(dual)))
     assert bad[0] == f"dual_{model.constraints[priced].label}"
     with pytest.raises(ValueError):
-        certificate_violations(model, replace(sol, dual=()))
+        certificate_violations(model, sol._replace(dual=()))
 
 
 def test_float_dual_prices_the_model_rows():
@@ -245,17 +248,67 @@ def test_lp_degenerate_all_weights_pinned():
     assert bound.solution.value == 1 and bound.solution.variables == {}
 
 
+def test_lp_size_limit_is_checked_before_any_krawtchouk_column(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("a Krawtchouk column was built")
+
+    monkeypatch.setattr(lp_module, "krawtchouk_row", unexpected)
+    monkeypatch.setattr(lp_module, "krawtchouk_column", unexpected)
+    n = lp_module.LP_SIZE_LIMIT + 1
+    with pytest.raises(LPSizeError, match=f"n={n} is over the LP's limit"):
+        lp_dimension_bound(2, n, 1, 2)
+    with pytest.raises(ValueError, match="must divide"):  # the model's checks come first
+        lp_dimension_bound(2, n, 3, 2)
+
+
+def test_lp_work_budget_stops_the_master():
+    # (q, r, t) = (2, 2, 5) needs about 3 * 10^8 units of simplex work at n = 60;
+    # at (2, 74, 36, 3) the float master stalls until the budget stops it
+    with pytest.raises(LPSizeError, match="units of simplex work"):
+        lp_dimension_bound(2, 60, 2, 5)
+    with pytest.raises(LPSizeError, match="units of simplex work"):
+        lp_dimension_bound(2, 74, 36, 3, mode="float")
+
+
+def test_lp3_row_at_r20_is_within_both_limits():
+    bound = lp_dimension_bound(2, 441, 20, 3)
+    assert 1 + sum(bound.solution.variables.values()) == bound.solution.value
+    approx = lp_dimension_bound(2, 441, 20, 3, mode="float")
+    assert approx.value == pytest.approx(bound.value, rel=1e-6)
+
+
 def test_lp_infeasible_relaxation_reported():
     # eight weight-2 rows on four columns cannot pairwise intersect in at
     # most one point; the relaxation already knows it
     with pytest.raises(InfeasibleRelaxationError):
         lp_dimension_bound(2, 4, 1, 4)
+    with pytest.raises(InfeasibleRelaxationError):
+        lp_dimension_bound(2, 4, 1, 4, mode="float")
+
+
+def test_float_infeasibility_needs_the_exact_model(monkeypatch):
+    # at (2, 270, 2, 5) the float rays find no entering column at once, and
+    # the exact solve that must confirm them runs out of its work budget
+    with pytest.raises(LPSizeError):
+        lp_dimension_bound(2, 270, 2, 5, mode="float")
+    solve = lp_module._solve_dual_space
+
+    def float_finds_nothing(q, n, r, t, exact):
+        if not exact:
+            raise InfeasibleRelaxationError("no point")
+        return solve(q, n, r, t, exact)
+
+    monkeypatch.setattr(lp_module, "_solve_dual_space", float_finds_nothing)
+    with pytest.raises(RuntimeError, match="float rounding failure"):
+        lp_dimension_bound(2, 16, 3, 3, mode="float")
 
 
 def test_float_unbounded_is_reported_as_a_numerical_failure():
     # every model is bounded by q^n, and here the exact optimum is finite,
-    # but the float simplex reports unbounded
-    assert lp_dimension_bound(4, 36, 5, 3).solution.status == "optimal"
+    # but the float simplex on the A-space model reports unbounded; the
+    # B-space solve of the same LP agrees with exact mode
+    exact = lp_dimension_bound(4, 36, 5, 3)
+    assert exact.solution.status == "optimal"
     assert solve_lp(build_lp(4, 36, 5, 3), mode="float").status == "unbounded"
-    with pytest.raises(RuntimeError, match=r"bounded by q\^n = 4\^36.*use exact mode"):
-        lp_dimension_bound(4, 36, 5, 3, mode="float")
+    approx = lp_dimension_bound(4, 36, 5, 3, mode="float")
+    assert approx.value == pytest.approx(exact.value, rel=1e-6)

@@ -1,6 +1,8 @@
 """The exact simplex against the Fraction-tableau reference in
 `fraction_simplex.py`: same status, same optimum and same optimal vertex,
-and the same PivotLimitError at the same pivot budget."""
+and the same PivotLimitError at the same pivot budget.  Then the B-space
+solve of `lp_dimension_bound` against `solve_lp` on the A-space model of
+record: same status and exact M, and an A-vector that model accepts."""
 
 from fractions import Fraction
 
@@ -8,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from availcodes import build_lp, solve_lp
+from availcodes import (
+    InfeasibleRelaxationError,
+    build_lp,
+    lp_dimension_bound,
+    point_violations,
+    solve_lp,
+)
 from availcodes.lp import DEFAULT_PIVOT_LIMIT, LPConstraint, LPModel, PivotLimitError
 from fraction_simplex import reference_solve
 
@@ -80,3 +88,55 @@ def test_weight_lp_matches_fraction_reference(r):
     got = _outcome(_exact, model, DEFAULT_PIVOT_LIMIT)
     assert got[0] == "optimal"
     assert got == _outcome(reference_solve, model, DEFAULT_PIVOT_LIMIT)
+
+
+# -- the B-space solve of `lp_dimension_bound` against the A-space model --
+
+
+def _weight_lp_points(q, n_max):
+    """Every (q, n, r, t) with t <= 5 and n <= n_max that `build_lp` takes."""
+    return [
+        (q, n, r, t)
+        for n in range(2, n_max + 1)
+        for t in range(1, min(n, 5) + 1)
+        for r in range(1, n)
+        if (n * t) % (r + 1) == 0
+    ]
+
+
+# the t=3 family and shapes off it; the start support alone is infeasible
+# at (4, 36, 5, 3) and (5, 25, 4, 2)
+_OFF_FAMILY = [(2, 36, 5, 2), (2, 24, 3, 2), (3, 16, 3, 2), (4, 36, 5, 3), (5, 25, 4, 2),
+               (2, 30, 4, 3), (3, 25, 4, 2)]
+
+
+@pytest.mark.parametrize("q, n_max", [(2, 20), (3, 16), (4, 14)])
+def test_dual_space_matches_the_a_space_model(q, n_max):
+    for point in _weight_lp_points(q, n_max) + [p for p in _OFF_FAMILY if p[0] == q]:
+        model = build_lp(*point)
+        oracle = solve_lp(model)
+        try:
+            got = lp_dimension_bound(*point).solution
+        except InfeasibleRelaxationError:
+            assert oracle.status == "infeasible", point
+            continue
+        assert (got.status, got.value) == (oracle.status, oracle.value), point
+        assert point_violations(model, got.variables) == [], point
+        assert 1 + sum(got.variables.values()) == got.value, point
+
+
+@pytest.mark.parametrize("r", (3, 4, 5, 6))
+def test_dual_space_gives_the_a_space_optimum_on_lp3_rows(r):
+    n = (r + 1) ** 2
+    assert lp_dimension_bound(2, n, r, 3).solution[:3] == solve_lp(build_lp(2, n, r, 3))[:3]
+
+
+@pytest.mark.parametrize(
+    "point", [(2, (r + 1) ** 2, r, 3) for r in range(3, 13)] + [(4, 36, 5, 3)]
+)
+def test_float_dual_space_agrees_with_exact(point):
+    exact = lp_dimension_bound(*point)
+    approx = lp_dimension_bound(*point, mode="float")
+    assert approx.diagnostics["mode"] == "float"
+    assert approx.value == pytest.approx(exact.value, rel=1e-6)
+    assert float(approx.solution.value) == pytest.approx(float(exact.solution.value), rel=1e-6)

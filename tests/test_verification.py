@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from availcodes import (
     AvailabilityCode,
@@ -89,16 +91,64 @@ def test_availability_needs_light_rows():
     assert not check_availability(h, 1, 3).column_ok[0]
 
 
+def _triangles(k):
+    """Rows {1, a, b} for the three edges of each of k disjoint triangles
+    on columns 2..3k+1: column 1 has 3k fresh columns, enough for
+    t = k+1 rows by counting, but its rows hold no k+1 disjoint edges."""
+    edges = ((0, 1), (0, 2), (1, 2))
+    return [(1, 2 + 3 * c + x, 2 + 3 * c + y) for c in range(k) for x, y in edges]
+
+
 def test_availability_budget_counts_candidate_steps(monkeypatch):
-    # an apex column 1 and a row {1, a, b} for each pair of columns 2..8:
-    # column 1 needs a perfect matching of seven points, so its search
-    # exhausts every smaller matching; all searches together try 1114 rows
-    h = BitMatrix.from_supports([(1, a, b) for a, b in itertools.combinations(range(2, 9), 2)], 8)
-    monkeypatch.setattr(verification, "AVAILABILITY_STEP_BUDGET", 1115)
-    assert not check_availability(h, 2, 4).passed
-    monkeypatch.setattr(verification, "AVAILABILITY_STEP_BUDGET", 1114)
-    with pytest.raises(EnumerationBudgetError, match="reaches 1114 candidate steps"):
+    # column 1's search tries 93 candidates or checks them against a grown
+    # union; the counting cut answers every other column at once
+    h = BitMatrix.from_supports(_triangles(3), 10)
+    monkeypatch.setattr(verification, "AVAILABILITY_STEP_BUDGET", 94)
+    assert check_availability(h, 2, 4).failing_columns == tuple(range(1, 11))
+    monkeypatch.setattr(verification, "AVAILABILITY_STEP_BUDGET", 93)
+    with pytest.raises(EnumerationBudgetError, match="reaches 93 candidate steps"):
         check_availability(h, 2, 4)
+
+
+@pytest.mark.parametrize("points", (13, 15, 17, 31))
+def test_apex_matrices_are_decided_by_counting(points):
+    # an apex column 1 and a row {1, a, b} for each pair of the other
+    # columns: t = (points+1)/2 disjoint pairs need points+1 fresh columns
+    rows = list(itertools.combinations(range(2, points + 2), 2))
+    h = BitMatrix.from_supports([(1, a, b) for a, b in rows], points + 1)
+    steps = iter(range(1))
+    assert not verification._find_orthogonal_subset(
+        [r for r in h.bits if r & 1], 1, (points + 1) // 2, steps
+    )
+    assert next(steps, None) == 0  # no candidate was tried
+    assert check_availability(h, 2, (points + 1) // 2).failing_columns == tuple(
+        range(1, points + 2)
+    )
+
+
+def _plain_orthogonal_subset(cands, pivot_bit, t):
+    """Every t-subset of the candidates in turn, without the counting cut."""
+    return any(
+        all(a & b == pivot_bit for a, b in itertools.combinations(subset, 2))
+        for subset in itertools.combinations(cands, t)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(2, 14).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sets(st.integers(1, n - 1), max_size=3), max_size=12),
+            st.integers(0, 5),
+        )
+    )
+)
+def test_counting_cut_keeps_the_search_exact(drawn):
+    fresh_sets, t = drawn
+    cands = [1 | sum(1 << c for c in fresh) for fresh in fresh_sets]  # rows through column 0
+    assert verification._find_orthogonal_subset(cands, 1, t) == _plain_orthogonal_subset(
+        cands, 1, t
+    )
 
 
 # -- minimum distance -----------------------------------------------------

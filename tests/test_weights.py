@@ -10,6 +10,8 @@ from availcodes import (
     BitMatrix,
     EnumerationBudgetError,
     krawtchouk,
+    krawtchouk_column,
+    krawtchouk_row,
     macwilliams_vector,
     weight_distribution,
 )
@@ -41,6 +43,19 @@ def test_krawtchouk_rejects_bad_ranges():
         krawtchouk(2, 4, 0, -1)
     with pytest.raises(ValueError):
         krawtchouk(1, 4, 0, 0)
+
+
+def test_krawtchouk_row_is_the_transposed_columns():
+    # the B-space LP reads its rows K_j(0..n) from the recurrence in the point
+    for q in (2, 3, 4, 7):
+        for n in range(25):
+            columns = [krawtchouk_column(q, n, i) for i in range(n + 1)]
+            for j in range(n + 1):
+                assert krawtchouk_row(q, n, j) == [column[j] for column in columns], (q, n, j)
+    with pytest.raises(ValueError):
+        krawtchouk_row(2, 4, 5)
+    with pytest.raises(ValueError):
+        krawtchouk_row(1, 4, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
