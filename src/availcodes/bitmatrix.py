@@ -146,7 +146,7 @@ def rank_and_nullspace(mat: BitMatrix) -> tuple[int, BitMatrix]:
 
     The vector of free column j is bit j plus the pivot of every reduced
     row with a one in column j.  That is O(free * rank) steps, few because
-    the package asks for a basis only when at most `ENUMERATION_LIMIT`
+    the package asks for a basis only when at most `ENUMERATION_LIMIT` = 21
     columns are free (see `weights.weight_distribution`).
     """
     echelon, pivots = _rref(mat.bits)

@@ -12,8 +12,8 @@ parity rows at weights 2r and 2r+2.
 A_{t+1}..A_n subject to every B_j >= 0 and the three dual-count floors,
 each a `<=` row of exact integers.  It is the model of record for a code's
 A-vector (`point_violations`, `certificate_violations`), and `solve_lp`
-solves it; its optimum has almost every A_i positive, so its basis holds
-about n variables.
+solves it exactly, the test oracle of the B-space solve below; its optimum
+has almost every A_i positive, so its basis holds about n variables.
 
 `lp_dimension_bound` solves the same program in dual-distribution
 (B) space, where the optimum has only a few positive B_j: minimize
@@ -187,8 +187,7 @@ def build_lp(q: int, n: int, r: int, t: int) -> LPModel:
     """
     floors = _dual_floors(q, n, r, t)
     idx = range(t + 1, n + 1)
-    columns = [krawtchouk_column(q, n, i) for i in idx]
-    kraw = [[column[j] for column in columns] for j in range(n + 1)]  # K_j(i), i in idx
+    kraw = [krawtchouk_row(q, n, j)[t + 1 :] for j in range(n + 1)]  # K_j(i), i in idx
 
     def volume(w: int) -> int:
         """(q-1)^w C(n, w), the number of words of weight w."""
@@ -243,21 +242,30 @@ def certificate_violations(model: LPModel, solution: LPSolution) -> list[str]:
     """
     if solution.status != "optimal" or len(solution.dual) != len(model.constraints):
         raise ValueError("need an optimal solution with one price per constraint")
-    prices = [Fraction(y) for y in solution.dual]
     gap = Fraction(solution.value) - model.objective_offset
-    d = math.lcm(gap.denominator, *(y.denominator for y in prices))
-    big_y = [y.numerator * (d // y.denominator) for y in prices]
+    (*big_y, big_gap), d = _common_scale([Fraction(y) for y in solution.dual] + [gap])
     rows = model.constraints
     bad = [f"dual_{c.label or i}" for i, (c, y) in enumerate(zip(rows, big_y)) if y < 0]
     for k, (i, c_k) in enumerate(zip(model.weight_indices, model.objective)):
         if sum(y * c.coeffs[k] for y, c in zip(big_y, rows)) < d * c_k:
             bad.append(f"cover_{i}")
-    if sum(y * c.rhs for y, c in zip(big_y, rows)) != gap.numerator * (d // gap.denominator):
+    if sum(y * c.rhs for y, c in zip(big_y, rows)) != big_gap:
         bad.append("value")
     return bad
 
 
 # -- two-phase simplex --------------------------------------------------
+
+
+def _floats(values) -> list[float]:
+    """The values as doubles; ValueError when one is beyond the double range."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(
+            "float mode cannot hold this model: an entry exceeds the double "
+            "range; use exact mode"
+        ) from None
 
 
 def _reduce_content(row: list[int]) -> list[int]:
@@ -279,14 +287,16 @@ def _unit_scale(row: list[float]) -> list[float]:
 
 def _simplex_max(
     obj: Sequence,
-    rows: list[list],
+    rows: list[Sequence],
     rhs: list,
     *,
     exact: bool,
-    pivot_limit: int,
+    pivot_limit: int = DEFAULT_PIVOT_LIMIT,
     work_limit: float = math.inf,
 ) -> tuple[str, object, list, list, int]:
     """maximize obj.x  s.t.  rows[i].x <= rhs[i], x >= 0  (rhs of any sign).
+    Exact mode takes integer rows as they are; float mode divides each row
+    by its largest absolute entry and puts the prices back on the given rows.
 
     Returns (status, value, x, y, work), y holding one price per row.  At
     the optimum y is the dual vector: y >= 0, y.rows >= obj and y.rhs =
@@ -323,14 +333,20 @@ def _simplex_max(
     its scale, which keeps every scale at 1.0.  Artificial columns are
     dropped after phase 1, as no artificial re-enters.
     """
+    nv = len(obj)
+    m = len(rows)
     if exact:
         zero, one, tol, feas_tol = 0, 1, 0, 0
         rescale, quotient = _reduce_content, Fraction
+        scales = [1] * m
     else:
         zero, one, tol, feas_tol = 0.0, 1.0, FLOAT_TOL, 1e-7
         rescale, quotient = _unit_scale, operator.truediv
-    nv = len(obj)
-    m = len(rows)
+        obj, rhs = _floats(obj), _floats(rhs)
+        rows = [_floats(row) for row in rows]
+        scales = [max([abs(v) for v in fr] + [abs(fb), 1.0]) for fr, fb in zip(rows, rhs)]
+        rows = [[v / scale for v in fr] for fr, scale in zip(rows, scales)]
+        rhs = [fb / scale for fb, scale in zip(rhs, scales)]
     neg_rows = [i for i in range(m) if rhs[i] < -tol]
     n_art = len(neg_rows)
     # a negated row's slack starts nonbasic, with coefficient -1
@@ -429,11 +445,11 @@ def _simplex_max(
 
     def prices(obj_row: list) -> list:
         """Each row's price: its slack's entry in the objective row over
-        that row's scale, 0 for a basic slack."""
+        the scales of both rows, 0 for a basic slack."""
         y = [quotient(zero, one)] * m
         for d, v in zip(obj_row, nonbasic):
             if nv <= v < nv + m:
-                y[v - nv] = quotient(d, obj_row[-2])
+                y[v - nv] = quotient(d, obj_row[-2] * scales[v - nv])
         return y
 
     if n_art:
@@ -474,56 +490,13 @@ def _simplex_max(
     return "optimal", quotient(obj_row[-1], obj_row[-2]), x, prices(obj_row), work
 
 
-def _floats(values) -> list[float]:
-    """The values as doubles; ValueError when one is beyond the double range."""
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise ValueError(
-            "float mode cannot hold this model: an entry exceeds the double "
-            "range; use exact mode"
-        ) from None
-
-
-def _solve_rows(
-    obj: Sequence[int],
-    rows: list[Sequence[int]],
-    rhs: list[int],
-    exact: bool,
-    pivot_limit: int = DEFAULT_PIVOT_LIMIT,
-    work_limit: float = math.inf,
-) -> tuple[str, object, list, list, int]:
-    """`_simplex_max` on integer rows.  Float mode converts every entry to a
-    double, normalizes each row by its largest absolute entry and puts the
-    prices of the normalized rows back on the given rows."""
-    limits = {"pivot_limit": pivot_limit, "work_limit": work_limit}
-    if exact:
-        return _simplex_max(obj, rows, rhs, exact=True, **limits)
-    obj, rhs = _floats(obj), _floats(rhs)
-    rows = [_floats(row) for row in rows]
-    scales = [max([abs(v) for v in fr] + [abs(fb), 1.0]) for fr, fb in zip(rows, rhs)]
-    rows = [[v / scale for v in fr] for fr, scale in zip(rows, scales)]
-    rhs = [fb / scale for fb, scale in zip(rhs, scales)]
-    status, value, x, y, work = _simplex_max(obj, rows, rhs, exact=False, **limits)
-    return status, value, x, [v / scale for v, scale in zip(y, scales)], work
-
-
-def solve_lp(
-    model: LPModel, mode: str = "exact", pivot_limit: int = DEFAULT_PIVOT_LIMIT
-) -> LPSolution:
-    """Solve the model; `mode` is "exact" (rational) or "float".
-
-    Exact mode pivots on the model's integer rows as they are.  Float mode
-    normalizes each row by its largest absolute coefficient and works to a
-    1e-9 feasibility tolerance; it raises ValueError when an entry is
-    beyond the double range.
-    """
-    if mode not in ("exact", "float"):
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+def solve_lp(model: LPModel, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPSolution:
+    """Solve the A-space model exactly, with its dual prices when optimal:
+    the oracle for the B-space solve of `lp_dimension_bound`."""
     rows = [c.coeffs for c in model.constraints]
     rhs = [c.rhs for c in model.constraints]
-    status, value, x, y, _ = _solve_rows(
-        model.objective, rows, rhs, mode == "exact", pivot_limit
+    status, value, x, y, _ = _simplex_max(
+        model.objective, rows, rhs, exact=True, pivot_limit=pivot_limit
     )
     if status != "optimal":
         return LPSolution(status=status, value=None, variables={})
@@ -593,8 +566,9 @@ def _solve_dual_space(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution
         master = [[-k[j] for j in columns] for k in krows]
         master += [[-v for v in coeffs] for coeffs in master[:t]]
         try:
-            status, _, x, y, work = _solve_rows(
-                [-1] * len(columns), master, h + [-v for v in h[:t]], exact, work_limit=work_left
+            status, _, x, y, work = _simplex_max(
+                [-1] * len(columns), master, h + [-v for v in h[:t]],
+                exact=exact, work_limit=work_left,
             )
         except PivotLimitError:
             raise LPSizeError(
@@ -644,7 +618,8 @@ def _solve_dual_space(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution
     if exact and (violated or negative or any(slack[1 : t + 1])):
         raise RuntimeError("the master's optimum fails its certificate on the full model")
     top = q**n if exact else _floats([q**n])[0]
-    a = [ratio(v, total) for v in slack[t + 1 :]]
+    # a float A_i that met its row only within the tolerance reads 0
+    a = [ratio(max(v, 0), total) for v in slack[t + 1 :]]
     return LPSolution("optimal", ratio(top * scale, total), dict(zip(range(t + 1, n + 1), a)))
 
 

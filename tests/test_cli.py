@@ -487,6 +487,8 @@ _TRIANGLES_12 = [
         ("verify --r 1 --t -1 --in", None),
         # the general search stops at its step budget
         ("verify --r 2 --t 13 --in", _TRIANGLES_12),
+        # a dual of dimension 27 and k = 169: both over the enumeration limit
+        ("analyze --dmin --in", "construct product --r 13 --t 2"),
         ("bounds rate --r 3 --t 5 --n 20 --method greedy-t3", None),
         ("bounds dmin --n 5 --k 10 --r 2 --t 2 --method wang", None),
         ("bounds dmin --n -5 --k 1 --r 2 --t 2 --method wang", None),
@@ -504,9 +506,12 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
         argv.append(str(path))
     elif argv[-1] == "--in":
         path = tmp_path / "h.txt"
-        rows = matrices or [(1, j) for j in range(2, 23)]  # 21 weight-2 rows through column 1
-        n = max(map(max, rows))
-        path.write_text(serialize_matrix(BitMatrix.from_supports(rows, n)))
+        if isinstance(matrices, str):  # the matrix a construct argv writes
+            assert _run(capsys, *shlex.split(matrices), "-o", str(path))[0] == 0
+        else:
+            rows = matrices or [(1, j) for j in range(2, 23)]  # 21 weight-2 rows through column 1
+            n = max(map(max, rows))
+            path.write_text(serialize_matrix(BitMatrix.from_supports(rows, n)))
         argv.append(str(path))
     start = time.perf_counter()
     code, stdout, err = _run(capsys, *argv)

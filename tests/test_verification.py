@@ -172,7 +172,7 @@ def test_min_distance_guard():
 
 
 def test_min_distance_from_the_dual_side():
-    # k = 45 > 28, n - k = 19: reached through the dual's 2^19 words
+    # k = 45 > 21, n - k = 19: reached through the dual's 2^19 words
     partition = partition_code(build_partition_family(7, 2), 3)
     gf = FiniteField(8)
     fiber = functional_code(gf, 2, 1, projective_functionals(gf, 3))
