@@ -23,6 +23,32 @@ FIGURE_IDS = ("rate3", "rate4", "dmin3", "dmin3_mdelta", "lp3")
 # of 800; that row takes 0.43 s, 0.40 s of it in dim_huang (2-vCPU VM)
 LP_DEFAULT_BUDGET = 27
 
+
+class _Record:
+    """Equality and repr over the public `__slots__` of a record's class
+    and bases; a slot named with a leading underscore is a cache, not a
+    field."""
+
+    __slots__ = ()
+
+    def _fields(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for cls in reversed(type(self).__mro__)
+            for name in getattr(cls, "__slots__", ())
+            if not name.startswith("_")
+        }
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__name__}({fields})"
+
+
 _EXPORTS = {
     "bitmatrix": (
         "BitMatrix",

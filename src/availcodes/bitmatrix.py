@@ -8,8 +8,9 @@ followed by m lines of '0'/'1' characters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from . import _Record
 
 
 class MatrixFormatError(ValueError):
@@ -22,27 +23,37 @@ class MatrixFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """An immutable rows x cols matrix over GF(2).
+class BitMatrix(_Record):
+    """An immutable rows x cols matrix over GF(2), hashed by value.
 
     Zero-row matrices are permitted so that the nullspace basis of a
     full-column-rank matrix has a natural representation.
     """
 
-    rows: int
-    cols: int
-    bits: tuple[int, ...]
+    __slots__ = ("rows", "cols", "bits")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 1:
-            raise ValueError(f"bad matrix shape {self.rows}x{self.cols}")
-        if len(self.bits) != self.rows:
-            raise ValueError(f"expected {self.rows} packed rows, got {len(self.bits)}")
-        mask = (1 << self.cols) - 1
-        for i, row in enumerate(self.bits):
+    def __init__(self, rows: int, cols: int, bits: tuple[int, ...]):
+        if rows < 0 or cols < 1:
+            raise ValueError(f"bad matrix shape {rows}x{cols}")
+        if len(bits) != rows:
+            raise ValueError(f"expected {rows} packed rows, got {len(bits)}")
+        mask = (1 << cols) - 1
+        for i, row in enumerate(bits):
             if row < 0 or row & ~mask:
-                raise ValueError(f"row {i} has bits outside {self.cols} columns")
+                raise ValueError(f"row {i} has bits outside {cols} columns")
+        set_field = object.__setattr__
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.bits))
 
     # -- constructors -------------------------------------------------
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _Record
+
 
 # All three limits were measured on a 2-vCPU VM (Python 3.11).  The
 # product bound's t factors (jr+1)/(jr) multiply to a fraction of at most
@@ -31,28 +33,6 @@ M_DELTA_SCAN_LIMIT = 1 << 14
 
 class BoundNotApplicableError(ValueError):
     """The bound's parameter region is empty at the requested point."""
-
-
-class _Record:
-    """Equality and repr over the `__slots__` of a record's class and bases."""
-
-    __slots__ = ()
-
-    def _fields(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for cls in reversed(type(self).__mro__)
-            for name in getattr(cls, "__slots__", ())
-        }
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
-        return f"{type(self).__name__}({fields})"
 
 
 class BoundResult(_Record):

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from fractions import Fraction
+import math
 
+from . import _Record
 from .bitmatrix import BitMatrix, rank
 
 STRICT = "strict"
 GENERAL = "general"
 
 
-@dataclass
-class AvailabilityCode:
+class AvailabilityCode(_Record):
     """A binary code given as the nullspace of a parity-check matrix H.
 
     `r` (locality) and `t` (availability) are declared parameters; they may
@@ -23,16 +21,26 @@ class AvailabilityCode:
     computed once, on first use.
     """
 
-    H: BitMatrix
-    r: int | None = None
-    t: int | None = None
-    kind: str = GENERAL
-    construction: str = ""
-    parameters: dict = field(default_factory=dict)
+    __slots__ = ("H", "r", "t", "kind", "construction", "parameters", "_k")
 
-    def __post_init__(self):
-        if self.kind not in (STRICT, GENERAL):
-            raise ValueError(f"kind must be strict or general, got {self.kind!r}")
+    def __init__(
+        self,
+        H: BitMatrix,
+        r: int | None = None,
+        t: int | None = None,
+        kind: str = GENERAL,
+        construction: str = "",
+        parameters: dict | None = None,
+    ):
+        if kind not in (STRICT, GENERAL):
+            raise ValueError(f"kind must be strict or general, got {kind!r}")
+        self.H = H
+        self.r = r
+        self.t = t
+        self.kind = kind
+        self.construction = construction
+        self.parameters = {} if parameters is None else parameters
+        self._k = None
 
     @property
     def n(self) -> int:
@@ -42,9 +50,11 @@ class AvailabilityCode:
     def m(self) -> int:
         return self.H.rows
 
-    @functools.cached_property
+    @property
     def k(self) -> int:
-        return self.n - rank(self.H)
+        if self._k is None:
+            self._k = self.n - rank(self.H)
+        return self._k
 
     def sidecar(self) -> dict:
         """JSON-ready description written next to serialized matrices."""
@@ -58,8 +68,11 @@ class AvailabilityCode:
             "construction": self.construction,
             "parameters": self.parameters,
         }
-        if self.r is not None and self.t is not None:  # rate k/n against the r/(r+t) baseline
-            rate = Fraction(self.k, self.n)
-            doc["rate"] = f"{rate.numerator}/{rate.denominator}"
-            doc["exceeds_reference_rate"] = rate > Fraction(self.r, self.r + self.t)
+        if self.r is not None and self.t is not None:
+            # rate k/n in lowest terms against the r/(r+t) baseline; every
+            # construction has r, t >= 1, so r+t > 0 and cross-multiplying
+            # keeps the comparison's direction
+            g = math.gcd(self.k, self.n)
+            doc["rate"] = f"{self.k // g}/{self.n // g}"
+            doc["exceeds_reference_rate"] = self.k * (self.r + self.t) > self.r * self.n
         return doc

@@ -8,8 +8,8 @@ full-rank linear maps, and an axis-parity product code used as a fixture.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from . import _Record
 from .bitmatrix import BitMatrix
 from .codes import STRICT, AvailabilityCode
 from .fields import FiniteField, matrix_rank, prime_power
@@ -36,8 +36,7 @@ def generate_mols(q: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     return tuple(squares)
 
 
-@dataclass(frozen=True)
-class PartitionFamily:
+class PartitionFamily(_Record):
     """Resolutions of [n] into blocks of size r+1 with cross-partition
     block intersections of at most one point.
 
@@ -49,10 +48,19 @@ class PartitionFamily:
     symbol x, in row order (see `generate_mols`).
     """
 
-    n: int
-    block_size: int
-    levels: int
-    cells: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    __slots__ = ("n", "block_size", "levels", "cells")
+
+    def __init__(
+        self,
+        n: int,
+        block_size: int,
+        levels: int,
+        cells: tuple[tuple[tuple[tuple[int, int], ...], ...], ...],
+    ):
+        self.n = n
+        self.block_size = block_size
+        self.levels = levels
+        self.cells = cells
 
     def __len__(self) -> int:
         f = len(self.cells)

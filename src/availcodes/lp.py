@@ -43,7 +43,8 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .bounds import BoundResult, _check_block_length, _check_locality, _Record
+from . import _Record
+from .bounds import BoundResult, _check_block_length, _check_locality
 from .weights import krawtchouk_column, krawtchouk_row
 
 DEFAULT_PIVOT_LIMIT = 200_000

@@ -11,12 +11,12 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import Iterator
 
+from . import _Record
 from .bitmatrix import BitMatrix, _rows_through, row_space_basis
 from .codes import AvailabilityCode
-from .weights import EnumerationBudgetError, weight_distribution
+from .weights import EnumerationBudgetError, _binary_macwilliams_entries, _smaller_side_counts
 
 GHW_MAX_DUAL_DIM = 16
 GHW_MAX_LEVEL = 3
@@ -26,15 +26,30 @@ GHW_SUBSPACE_BUDGET = 2_000_000
 AVAILABILITY_STEP_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class StrictCheckReport:
+class StrictCheckReport(_Record):
     """Outcome of the strict row/column-regularity check."""
 
-    passed: bool
-    row_weight_violations: tuple[int, ...]
-    column_weight_violations: tuple[int, ...]
-    intersection_violations: tuple[tuple[int, int], ...]
-    balance_ok: bool
+    __slots__ = (
+        "passed",
+        "row_weight_violations",
+        "column_weight_violations",
+        "intersection_violations",
+        "balance_ok",
+    )
+
+    def __init__(
+        self,
+        passed: bool,
+        row_weight_violations: tuple[int, ...],
+        column_weight_violations: tuple[int, ...],
+        intersection_violations: tuple[tuple[int, int], ...],
+        balance_ok: bool,
+    ):
+        self.passed = passed
+        self.row_weight_violations = row_weight_violations
+        self.column_weight_violations = column_weight_violations
+        self.intersection_violations = intersection_violations
+        self.balance_ok = balance_ok
 
     def to_json(self) -> dict:
         return {
@@ -76,12 +91,14 @@ def check_strict_availability(h: BitMatrix, r: int, t: int) -> StrictCheckReport
     return StrictCheckReport(passed, bad_rows, bad_cols, tuple(bad_pairs), balance_ok)
 
 
-@dataclass(frozen=True)
-class AvailabilityCheckReport:
+class AvailabilityCheckReport(_Record):
     """Per-column outcome of the general availability search."""
 
-    passed: bool
-    column_ok: tuple[bool, ...]
+    __slots__ = ("passed", "column_ok")
+
+    def __init__(self, passed: bool, column_ok: tuple[bool, ...]):
+        self.passed = passed
+        self.column_ok = column_ok
 
     @property
     def failing_columns(self) -> tuple[int, ...]:
@@ -146,9 +163,16 @@ def _find_orthogonal_subset(
 
 
 def min_distance_bruteforce(code: AvailabilityCode) -> int | float:
-    """Exact minimum weight over nonzero codewords; math.inf for k = 0."""
-    counts = weight_distribution(code)
-    return next((w for w in range(1, code.n + 1) if counts[w]), math.inf)
+    """Exact minimum weight over nonzero codewords; math.inf for k = 0.
+
+    When the dual is the side enumerated (n - k < k), its counts are
+    transformed one weight at a time, and only up to the first nonzero
+    A_j (see `weights._binary_macwilliams_entries`).
+    """
+    counts, dual = _smaller_side_counts(code)
+    if dual:
+        counts = _binary_macwilliams_entries(code.n, counts)
+    return next((w for w, a in enumerate(counts) if w and a), math.inf)
 
 
 def gaussian_binomial(m: int, i: int) -> int:
@@ -220,15 +244,23 @@ def _min_union_support(cosets: list[list[int]], union: int, best: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(_Record):
     """Record of the covering walk: chosen coordinates, rows gained per step,
-    and the resulting dimension bound n - |S|."""
+    the resulting dimension bound n - |S|, and the (step, kind) flags."""
 
-    sigma: tuple[int, ...]
-    g: tuple[int, ...]
-    final_bound: int
-    flags: tuple[tuple[int, str], ...] = field(default=())
+    __slots__ = ("sigma", "g", "final_bound", "flags")
+
+    def __init__(
+        self,
+        sigma: tuple[int, ...],
+        g: tuple[int, ...],
+        final_bound: int,
+        flags: tuple[tuple[int, str], ...] = (),
+    ):
+        self.sigma = sigma
+        self.g = g
+        self.final_bound = final_bound
+        self.flags = flags
 
     def to_json(self) -> dict:
         return {

@@ -2,10 +2,11 @@
 public member that only the tests use.
 
 `import availcodes` loads no layer, and `run_cli` imports only the layers
-of the command it runs; the bound commands load no `dataclasses`, which
-would bring `inspect`, `ast`, `dis` and `tokenize` with it.  Each argv
-runs in a fresh interpreter, so the modules it leaves in `sys.modules` are
-its own.
+of the command it runs.  No command loads `dataclasses`, which would bring
+`inspect`, `ast`, `dis` and `tokenize` with it: every record is a slotted
+class on `availcodes._Record`.  The matrix commands (`construct`, `verify`,
+`analyze`) load no `fractions` or `decimal` either.  Each argv runs in a
+fresh interpreter, so the modules it leaves in `sys.modules` are its own.
 """
 
 import ast
@@ -82,19 +83,23 @@ def test_command_loads_only_its_layers(workdir, argv, layers):
     assert package == {"availcodes", "availcodes.cli", *(f"availcodes.{m}" for m in layers)}
 
 
-# the matrix layers keep their dataclasses; these commands load none of them
-BOUND_COMMANDS = [
-    "bounds lp --q 2 --n 16 --r 3 --t 3",
-    "figure lp3 --rmin 3 --rmax 3",
-    "bounds rate --r 3 --t 3",
-    "figure rate3 --rmin 3 --rmax 5",
-]
+# No command loads `dataclasses`, which would bring `inspect`, `ast`, `dis`
+# and `tokenize` with it.  The bound layers do their exact arithmetic in
+# `fractions`, which brings `decimal`; the matrix layers need neither.
+_DATACLASSES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+_FRACTIONS = {"fractions", "decimal"}
+MATRIX_COMMANDS = [argv for argv, layers in FOOTPRINTS if "bitmatrix" in layers]
+BOUND_COMMANDS = [argv for argv, layers in FOOTPRINTS if "bitmatrix" not in layers]
 
 
 @pytest.mark.parametrize("argv", BOUND_COMMANDS)
 def test_bound_command_loads_no_dataclasses(workdir, argv):
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-    assert _loaded_modules(workdir, argv) & heavy == set()
+    assert _loaded_modules(workdir, argv) & _DATACLASSES == set()
+
+
+@pytest.mark.parametrize("argv", MATRIX_COMMANDS)
+def test_matrix_command_loads_no_dataclasses_or_fractions(workdir, argv):
+    assert _loaded_modules(workdir, argv) & (_DATACLASSES | _FRACTIONS) == set()
 
 
 def test_exports_are_the_defining_modules_objects():
