@@ -55,6 +55,11 @@ class BitMatrix(_Record):
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.bits))
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which rechecks the shape;
+        # the default restore sets each slot and would meet __setattr__
+        return (BitMatrix, (self.rows, self.cols, self.bits))
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -16,7 +16,7 @@ from typing import Iterator
 from . import _Record
 from .bitmatrix import BitMatrix, _rows_through, row_space_basis
 from .codes import AvailabilityCode
-from .weights import EnumerationBudgetError, _binary_macwilliams_entries, _smaller_side_counts
+from .weights import EnumerationBudgetError, weight_distribution
 
 GHW_MAX_DUAL_DIM = 16
 GHW_MAX_LEVEL = 3
@@ -163,16 +163,9 @@ def _find_orthogonal_subset(
 
 
 def min_distance_bruteforce(code: AvailabilityCode) -> int | float:
-    """Exact minimum weight over nonzero codewords; math.inf for k = 0.
-
-    When the dual is the side enumerated (n - k < k), its counts are
-    transformed one weight at a time, and only up to the first nonzero
-    A_j (see `weights._binary_macwilliams_entries`).
-    """
-    counts, dual = _smaller_side_counts(code)
-    if dual:
-        counts = _binary_macwilliams_entries(code.n, counts)
-    return next((w for w, a in enumerate(counts) if w and a), math.inf)
+    """Exact minimum weight over nonzero codewords; math.inf for k = 0."""
+    counts = weight_distribution(code)
+    return next((w for w in range(1, code.n + 1) if counts[w]), math.inf)
 
 
 def gaussian_binomial(m: int, i: int) -> int:

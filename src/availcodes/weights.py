@@ -8,7 +8,7 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # Enumeration is 2^min(k, n-k) words; keep that exponent at or below this.
 # The Gray walk takes 0.2-0.4 us a word at n <= 1024 and 0.5-1.0 us at
@@ -79,12 +79,15 @@ def _gray_weight_counts(vecs: Sequence[int], n: int) -> list[int]:
     return counts
 
 
-def _smaller_side_counts(code) -> tuple[list[int], bool]:
-    """Weight counts of the smaller of the code (2^k words, over a
-    nullspace basis) and its dual (2^(n-k) words, over the echelon rows of
-    H), and whether they are the dual's.  Guarded at min(k, n-k) <=
-    ENUMERATION_LIMIT, checked before any basis is built; k is the code's
-    own, computed once.
+def weight_distribution(code) -> tuple[int, ...]:
+    """Exact weight distribution A_0..A_n of a binary code given by its
+    parity matrix.
+
+    Enumerates the smaller of the code (2^k words, over a nullspace basis)
+    and its dual (2^(n-k) words, over the echelon rows of H); from the dual
+    side, A is recovered by the MacWilliams transform.  Guarded at
+    min(k, n-k) <= ENUMERATION_LIMIT, checked before any basis is built;
+    k is the code's own, computed once.
     """
     from .bitmatrix import rank_and_nullspace, row_space_basis
 
@@ -96,25 +99,8 @@ def _smaller_side_counts(code) -> tuple[list[int], bool]:
             f"enumeration limit {ENUMERATION_LIMIT}"
         )
     if n - k < k:
-        return _gray_weight_counts(row_space_basis(h).bits, n), True
-    return _gray_weight_counts(rank_and_nullspace(h)[1].bits, n), False
-
-
-def weight_distribution(code) -> tuple[int, ...]:
-    """Exact weight distribution A_0..A_n of a binary code given by its
-    parity matrix: the counts of the smaller side, taken from the dual side
-    through the MacWilliams transform."""
-    counts, dual = _smaller_side_counts(code)
-    return macwilliams_vector(code.n, 2, counts) if dual else tuple(counts)
-
-
-def _transformed_count(j: int, s: int, size: int) -> int:
-    """B_j = s / size, which must be a nonnegative integer."""
-    if s < 0 or s % size:
-        raise ValueError(
-            f"invalid weight distribution: B_{j} = {s}/{size} is not a nonnegative integer"
-        )
-    return s // size
+        return macwilliams_vector(n, 2, _gray_weight_counts(row_space_basis(h).bits, n))
+    return tuple(_gray_weight_counts(rank_and_nullspace(h)[1].bits, n))
 
 
 def macwilliams_vector(n: int, q: int, A: Sequence[int]) -> tuple[int, ...]:
@@ -129,17 +115,12 @@ def macwilliams_vector(n: int, q: int, A: Sequence[int]) -> tuple[int, ...]:
     for i, a in enumerate(A):
         if a:
             sums = [s + a * k for s, k in zip(sums, krawtchouk_column(q, n, i))]
-    return tuple(_transformed_count(j, s, size) for j, s in enumerate(sums))
+    B = []
+    for j, s in enumerate(sums):
+        if s < 0 or s % size:
+            raise ValueError(
+                f"invalid weight distribution: B_{j} = {s}/{size} is not a nonnegative integer"
+            )
+        B.append(s // size)
+    return tuple(B)
 
-
-def _binary_macwilliams_entries(n: int, A: Sequence[int]) -> Iterator[int]:
-    """B_0, B_1, ... of the binary transform of A, one at a time: one
-    `krawtchouk_row` per entry, O(n) integer steps, so a caller that stops
-    at the first nonzero B_j past B_0 pays for j + 1 rows where the whole
-    transform pays for one column per nonzero A_i.  Each entry is checked
-    as in `macwilliams_vector`."""
-    size = sum(A)
-    support = [(i, a) for i, a in enumerate(A) if a]
-    for j in range(n + 1):
-        row = krawtchouk_row(2, n, j)
-        yield _transformed_count(j, sum(a * row[i] for i, a in support), size)

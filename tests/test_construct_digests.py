@@ -1,9 +1,9 @@
 """Byte pins on the `construct` output.
 
-Each argv runs through `run_cli`, and the sha256 of its stdout must equal
-the digest recorded here; run again with `-o`, the sha256 of the JSON
-sidecar it writes (k, the rate k/n in lowest terms, whether it exceeds
-r/(r+t), the construction's parameters) must equal the second digest.  The
+Each argv runs through `run_cli` with `-o`.  The sha256 of the matrix
+text it writes must equal the first digest recorded here, and the sha256
+of the JSON sidecar beside it (k, the rate k/n in lowest terms, whether it
+exceeds r/(r+t), the construction's parameters) the second.  The
 argvs cover the fiber and partition constructions over every field order
 up to 64, a spread of product codes up to n = 4096, and general
 (n1, m1) = (3, 2) fiber codes whose maps use entries outside the prime
@@ -351,42 +351,24 @@ MAPPED_DIGESTS = [
 ]
 
 
-def _digest(capsys, argv: list[str]) -> str:
-    assert run_cli(["construct", *argv]) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-
-
-def _sidecar_digest(tmp_path, argv: list[str]) -> str:
-    """The sha256 of the JSON sidecar that `-o` writes beside the matrix."""
+def _digests(tmp_path, argv: list[str]) -> tuple[str, str]:
+    """The sha256 of the matrix text and of the JSON sidecar that `-o` writes."""
     assert run_cli(["construct", *argv, "-o", str(tmp_path / "code.txt")]) == 0
-    return hashlib.sha256((tmp_path / "code.json").read_bytes()).hexdigest()
+    return tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("code.txt", "code.json")
+    )
 
 
-@pytest.mark.parametrize("argv, digest, _", DIGESTS, ids=[argv for argv, _, _ in DIGESTS])
-def test_construct_output_digest(capsys, argv, digest, _):
-    assert _digest(capsys, argv.split()) == digest
+@pytest.mark.parametrize("argv, digest, sidecar", DIGESTS, ids=[argv for argv, _, _ in DIGESTS])
+def test_construct_output_digest(tmp_path, argv, digest, sidecar):
+    assert _digests(tmp_path, argv.split()) == (digest, sidecar)
 
 
-@pytest.mark.parametrize("argv, _, digest", DIGESTS, ids=[argv for argv, _, _ in DIGESTS])
-def test_construct_sidecar_digest(tmp_path, argv, _, digest):
-    assert _sidecar_digest(tmp_path, argv.split()) == digest
-
-
-def _with_maps(tmp_path, argv: str, maps: list) -> list[str]:
+@pytest.mark.parametrize(
+    "argv, maps, digest, sidecar", MAPPED_DIGESTS, ids=[argv for argv, *_ in MAPPED_DIGESTS]
+)
+def test_construct_functional_matrices_digest(tmp_path, argv, maps, digest, sidecar):
     path = tmp_path / "maps.json"
     path.write_text(json.dumps(maps))
-    return [*argv.split(), str(path)]
-
-
-@pytest.mark.parametrize(
-    "argv, maps, digest, _", MAPPED_DIGESTS, ids=[argv for argv, *_ in MAPPED_DIGESTS]
-)
-def test_construct_functional_matrices_digest(tmp_path, capsys, argv, maps, digest, _):
-    assert _digest(capsys, _with_maps(tmp_path, argv, maps)) == digest
-
-
-@pytest.mark.parametrize(
-    "argv, maps, _, digest", MAPPED_DIGESTS, ids=[argv for argv, *_ in MAPPED_DIGESTS]
-)
-def test_construct_functional_matrices_sidecar_digest(tmp_path, argv, maps, _, digest):
-    assert _sidecar_digest(tmp_path, _with_maps(tmp_path, argv, maps)) == digest
+    assert _digests(tmp_path, [*argv.split(), str(path)]) == (digest, sidecar)

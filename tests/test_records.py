@@ -7,6 +7,9 @@ assignment.  `AvailabilityCode` compares by value too but is unhashable,
 and its dimension k is computed once, on first use, and is not a field.
 """
 
+import copy
+import pickle
+
 import pytest
 
 import availcodes.codes
@@ -43,6 +46,10 @@ def test_bitmatrix_is_an_immutable_value():
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert (a.rows, a.cols, a.bits) == (2, 3, (5, 2))
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a)
+        with pytest.raises(AttributeError):
+            twin.rows = 3
 
 
 def test_strict_report_record():
@@ -61,6 +68,7 @@ def test_availability_report_record():
     assert report == AvailabilityCheckReport(True, (True, True, True))
     assert report != AvailabilityCheckReport(True, (True, True))
     assert repr(report) == "AvailabilityCheckReport(passed=True, column_ok=(True, True, True))"
+    assert copy.deepcopy(report) == report == pickle.loads(pickle.dumps(report))
     assert AvailabilityCheckReport(False, (True, False)).failing_columns == (2,)
 
 
@@ -86,6 +94,7 @@ def test_availability_code_record(monkeypatch):
     assert (code.k, code.k) == (1, 1)
     assert len(ranks) == 1
     assert code == same  # a cached k is not compared
+    assert copy.deepcopy(code) == code == pickle.loads(pickle.dumps(code))
     assert repr(code) == (
         "AvailabilityCode(H=BitMatrix(rows=6, cols=4, bits=(3, 12, 9, 6, 5, 10)), r=1, t=3, "
         "kind='strict', construction='partition', parameters={'g': 2, 'choice': [1, 2, 3]})"
