@@ -20,7 +20,8 @@ __version__ = "0.1.0"
 
 FIGURE_IDS = ("rate3", "rate4", "dmin3", "dmin3_mdelta", "lp3")
 # the largest r whose lp3 row, n = (r+1)^2, is within the LP's LP_SIZE_LIMIT
-# of 800; that row takes 0.43 s, 0.40 s of it in dim_huang (2-vCPU VM)
+# of 800; that row takes about 0.05 s, nearly all of it in the LP, and
+# dim_huang under 1 ms of it (2-vCPU VM)
 LP_DEFAULT_BUDGET = 27
 
 

@@ -405,21 +405,27 @@ def k_opt_griesmer(q: int, n: int, d: int) -> int:
         raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
     total = 0
     k = 0
-    while True:
-        total += _ceil_div(d, q**k)
+    while (term := _ceil_div(d, q**k)) >= 2:
+        total += term
         if total > n:
             return k
         k += 1
+    return k + (n - total)  # every later term is 1
 
 
 def dim_huang(n: int, d: int, r: int, t: int, q: int = 2) -> BoundResult:
     """Field-size-dependent dimension bound with the Griesmer best-code oracle.
 
-    Searches downward for the largest k* satisfying
-    k* <= min over {x >= 1, s in [x, tx], (r-1)s + x < k*, rs + x <= n}
-    of (r-1)s + x + k_opt_griesmer(q, n - rs - x, d).  The minimized expression
-    depends on the multiplicity vector only through its sum s, so the
-    search runs over s directly.
+    The bound is the largest k* <= n such that, with D = (r-1)t + 1,
+    k* <= (r-1)s + x + k_opt_griesmer(q, n - rs - x, d) for every pair
+    x >= 1, x <= s <= tx, rs + x <= n with (r-1)s + x < k* and
+    (x-1)D + 1 < k* (that is, x <= ceil((k*-1)/D)).  The expression depends
+    on the multiplicity vector only through its sum s.  A pair thus rules
+    out exactly the k* above max((x-1)D + 1, (r-1)s + x + k_opt), so the
+    largest k* left is
+        min(n, min over pairs of max((x-1)D + 1, (r-1)s + x + k_opt)),
+    which is at least 1.  rs + x <= n with s >= x caps x at n // (r+1), and
+    the scan over x stops once (x-1)D + 1 reaches the running minimum.
     """
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
@@ -427,29 +433,15 @@ def dim_huang(n: int, d: int, r: int, t: int, q: int = 2) -> BoundResult:
         raise ValueError(f"need d >= 1, got d={d}")
     if r < 1 or t < 1 or n < 1:
         raise ValueError(f"need n, r, t >= 1, got n={n}, r={r}, t={t}")
-    for k_star in range(n, 0, -1):
-        x_max = _ceil_div(k_star - 1, (r - 1) * t + 1)
-        ok = True
-        for x in range(1, x_max + 1):
-            for s in range(x, t * x + 1):
-                a = (r - 1) * s + x
-                if a >= k_star:
-                    break
-                residual = n - (r * s + x)
-                if residual < 0:
-                    break
-                if a + k_opt_griesmer(q, residual, d) < k_star:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return BoundResult(
-                "huang_dim",
-                {"n": n, "d": d, "r": r, "t": t, "q": q},
-                Fraction(k_star),
-                "dimension",
-            )
+    big_d = (r - 1) * t + 1
+    k_star = n
+    for x in range(1, n // (r + 1) + 1):
+        least = (x - 1) * big_d + 1
+        if least >= k_star:
+            break
+        for s in range(x, min(t * x, (n - x) // r) + 1):
+            k_opt = k_opt_griesmer(q, n - r * s - x, d)
+            k_star = min(k_star, max(least, (r - 1) * s + x + k_opt))
     return BoundResult(
-        "huang_dim", {"n": n, "d": d, "r": r, "t": t, "q": q}, Fraction(0), "dimension"
+        "huang_dim", {"n": n, "d": d, "r": r, "t": t, "q": q}, Fraction(k_star), "dimension"
     )

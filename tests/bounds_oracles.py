@@ -1,12 +1,14 @@
-"""Reference oracles for the (M, delta) bounds: the profile recursion written
-out step by step, the shortening bound written from its formula, and the
-exhaustive grid maximum that builds one profile and one shortening bound per
-grid point.
+"""Reference oracles for the (M, delta) and Huang bounds: the profile
+recursion written out step by step, the shortening bound written from its
+formula, the exhaustive grid maximum that builds one profile and one
+shortening bound per grid point, and Huang's dimension bound as a search
+over k* with the Griesmer sum added term by term.
 
 These are the direct versions the package used before `dmin_m_delta_max`
-began to reuse each profile's prefix across delta.
-`test_bounds_differential.py` requires the package to agree with them
-exactly: the same profiles, the same value, S and argmax, the same errors.
+began to reuse each profile's prefix across delta, and before `dim_huang`
+became one minimum over (x, s).  `test_bounds_differential.py` requires
+the package to agree with them exactly: the same profiles, the same value,
+S and argmax, the same errors.
 """
 
 from __future__ import annotations
@@ -87,3 +89,47 @@ def dmin_m_delta_max(n: int, k: int, r: int, t: int) -> BoundResult:
         "distance",
         diagnostics={"argmax_M": best_point[0], "argmax_delta": best_point[1]},
     )
+
+
+def k_opt_griesmer(q: int, n: int, d: int) -> int:
+    if q < 2:
+        raise ValueError(f"need q >= 2, got {q}")
+    if n < 0 or d < 1:
+        raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
+    total = 0
+    k = 0
+    while True:
+        total += _ceil_div(d, q**k)
+        if total > n:
+            return k
+        k += 1
+
+
+def dim_huang(n: int, d: int, r: int, t: int, q: int = 2) -> int:
+    """The largest k* <= n that no pair (x, s) with x <= ceil((k*-1)/D) and
+    (r-1)s + x < k* rules out, found by trying k* = n, n-1, ..."""
+    if q < 2:
+        raise ValueError(f"need q >= 2, got {q}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
+    if r < 1 or t < 1 or n < 1:
+        raise ValueError(f"need n, r, t >= 1, got n={n}, r={r}, t={t}")
+    for k_star in range(n, 0, -1):
+        x_max = _ceil_div(k_star - 1, (r - 1) * t + 1)
+        ok = True
+        for x in range(1, x_max + 1):
+            for s in range(x, t * x + 1):
+                a = (r - 1) * s + x
+                if a >= k_star:
+                    break
+                residual = n - (r * s + x)
+                if residual < 0:
+                    break
+                if a + k_opt_griesmer(q, residual, d) < k_star:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return k_star
+    return 0

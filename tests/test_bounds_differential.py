@@ -1,13 +1,23 @@
 """`dmin_m_delta_max`, `dmin_m_delta` and `ghw_profile_m_delta` against the
 direct reference versions in `bounds_oracles.py`: the same value, S and
-argmax (ties included), the same profiles and the same errors."""
+argmax (ties included), the same profiles and the same errors; `dim_huang`
+and `k_opt_griesmer` against the search over k* and the term-by-term
+Griesmer sum: the same values and the same errors."""
+
+import itertools
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bounds_oracles as oracle
-from availcodes import dmin_m_delta, dmin_m_delta_max, ghw_profile_m_delta
+from availcodes import (
+    dim_huang,
+    dmin_m_delta,
+    dmin_m_delta_max,
+    ghw_profile_m_delta,
+    k_opt_griesmer,
+)
 from availcodes.figures import _sweep_params
 
 
@@ -99,3 +109,63 @@ def test_m_delta_matches_oracle_shortening(n, k, r, t, m_dim, delta):
     assert _m_delta_outcome(n, k, r, t, m_dim, delta) == _oracle_m_delta_outcome(
         n, k, r, t, m_dim, delta
     )
+
+
+def _huang_outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return getattr(result, "value_exact", result)
+
+
+def _assert_huang_matches(n, d, r, t, q):
+    point = (n, d, r, t, q)
+    assert _huang_outcome(dim_huang, *point) == _huang_outcome(oracle.dim_huang, *point), point
+
+
+def test_dim_huang_matches_the_search_over_k_star():
+    # the search takes about 0.15 s up to n = 20 and 200 s up to n = 89;
+    # the drawn test below samples the rest of the range
+    grid = itertools.product(range(1, 21), (1, 2, 3, 4, 5, 7), range(1, 9), range(1, 6), (2, 3))
+    for point in grid:
+        _assert_huang_matches(*point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(21, 89),
+    st.sampled_from((1, 2, 3, 4, 5, 7)),
+    st.integers(1, 8),
+    st.integers(1, 5),
+    st.sampled_from((2, 3)),
+)
+@example(89, 7, 1, 5, 3)  # the slowest point of the search
+@example(89, 4, 2, 5, 2)
+def test_dim_huang_matches_the_search_on_longer_codes(n, d, r, t, q):
+    _assert_huang_matches(n, d, r, t, q)
+
+
+@pytest.mark.parametrize(
+    "point",
+    # (n, d, r, t, q): each check alone, then pairs that show the check order
+    [(10, 3, 2, 2, 1), (10, 3, 2, 2, 0), (10, 0, 2, 2, 2), (0, 3, 2, 2, 2), (10, 3, 0, 2, 2),
+     (10, 3, 2, 0, 3), (10, 0, 2, 2, 1), (0, 0, 2, 2, 2), (0, 3, 0, -1, 2)],
+)
+def test_dim_huang_raises_as_the_search_does(point):
+    assert isinstance(_huang_outcome(oracle.dim_huang, *point), tuple)
+    assert _huang_outcome(dim_huang, *point) == _huang_outcome(oracle.dim_huang, *point)
+
+
+@pytest.mark.parametrize("r", range(1, 28))
+def test_dim_huang_matches_the_search_on_lp3_rows(r):
+    n = _sweep_params("lp3", r)["n"]
+    assert dim_huang(n, 4, r, 3).value_exact == oracle.dim_huang(n, 4, r, 3)
+
+
+def test_k_opt_griesmer_matches_the_term_by_term_sum():
+    for q, n, d in itertools.product(range(0, 5), range(-1, 60), range(0, 12)):
+        point = (q, n, d)
+        assert _huang_outcome(k_opt_griesmer, *point) == _huang_outcome(
+            oracle.k_opt_griesmer, *point
+        ), point

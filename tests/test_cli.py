@@ -466,6 +466,9 @@ _TRIANGLES_12 = [
         ("construct functional --q 2305843009213693951 --t 3", None),
         ("construct partition --r 2305843009213693950 --g 1 --t 1", None),
         ("construct partition --r 1 --g 2 --t 1000000000", None),
+        # the partition code's entry count, checked before any partition is built
+        ("construct partition --r 2 --g 7 --t 801", None),
+        ("construct partition --r 1 --g 12 --t 4095", None),
         # OverflowError: the float of the exact value
         ("bounds dmin --n 10**400 --k 2 --r 1 --t 2", None),
         ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method wang", None),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from availcodes import (
     rate_tamo_barg,
     rate_transpose,
 )
+from availcodes.cli import run_cli
 
 
 def _rows(csv_text):
@@ -98,3 +100,10 @@ def test_lp3_budget_flag():
 
 def test_deterministic_regeneration():
     assert emit_figure_data("dmin3_mdelta", 3, 6) == emit_figure_data("dmin3_mdelta", 3, 6)
+
+
+def test_default_lp3_figure_is_pinned(capsys):
+    # every row up to the default budget; the lp3 goldens stop at r = 8
+    assert run_cli(["figure", "lp3", "--rmin", "1", "--rmax", "27"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "8627b155a914298177eb707196ad3f2863284dd5ae4937dbc2fee4c0ddc0dae2"

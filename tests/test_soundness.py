@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from availcodes import (
+    dim_huang,
     dual_ghw_bruteforce,
     ghw_profile_m_delta,
     ghw_profile_simple,
@@ -29,6 +30,18 @@ def test_distance_bounds_dominate_bruteforce(catalog):
             assert int(bound.value_exact) >= d, (
                 code.construction, code.r, code.t, bound.name, d,
             )
+
+
+def test_huang_dimension_bound_dominates_built_codes(catalog):
+    # every catalog code is binary, Huang's default field
+    tight = 0
+    for code in catalog:
+        if not 1 <= code.k <= 20:
+            continue
+        bound = dim_huang(code.n, min_distance_bruteforce(code), code.r, code.t).value_exact
+        assert bound >= code.k, (code.construction, code.n, code.r, code.t, bound)
+        tight += bound == code.k
+    assert tight > 0  # e.g. the (r, g, t) = (2, 2, 2) partition code, n = 9, k = 4
 
 
 def test_dual_ghw_below_profiles(catalog):
