@@ -466,9 +466,6 @@ _TRIANGLES_12 = [
         ("construct functional --q 2305843009213693951 --t 3", None),
         ("construct partition --r 2305843009213693950 --g 1 --t 1", None),
         ("construct partition --r 1 --g 2 --t 1000000000", None),
-        # the partition code's entry count, checked before any partition is built
-        ("construct partition --r 2 --g 7 --t 801", None),
-        ("construct partition --r 1 --g 12 --t 4095", None),
         # OverflowError: the float of the exact value
         ("bounds dmin --n 10**400 --k 2 --r 1 --t 2", None),
         ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method wang", None),
@@ -499,6 +496,9 @@ _TRIANGLES_12 = [
         # their limits, so neither sweep computes the rows below first
         ("figure dmin3 --rmin 3 --rmax 2000", None),
         ("figure dmin3_mdelta --rmin 3 --rmax 40", None),
+        # the partition code's entry count, checked before any partition is built
+        ("construct partition --r 2 --g 7 --t 801", None),
+        ("construct partition --r 1 --g 12 --t 4095", None),
     ],
 )
 def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
