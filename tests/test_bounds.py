@@ -22,7 +22,9 @@ from availcodes import (
     rate_transpose_step,
     rate_wzl_achievable,
 )
+from availcodes import bounds
 from availcodes.bounds import M_DELTA_SCAN_LIMIT, PROFILE_LIMIT
+from availcodes.figures import _sweep_params
 
 
 # -- rate bounds ---------------------------------------------------------
@@ -260,6 +262,24 @@ def test_dmin_m_delta_max_checks_before_the_scan():
         dmin_m_delta_max(100000, 10000, 2, 3)
     with pytest.raises(ValueError, match=r"need n >= r\+1, got n=5, r=9"):
         dmin_m_delta_max(5, 3, 9, 2)
+
+
+def test_dmin_m_delta_max_cuts_profiles_at_the_best_value(monkeypatch):
+    # the dmin3_mdelta rows r = 3..11 take 33,005 steps without the cut
+    # and 5,429 with it
+    steps = 0
+    step = bounds._m_delta_step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(bounds, "_m_delta_step", counted)
+    for r in range(3, 12):
+        p = _sweep_params("dmin3_mdelta", r)
+        dmin_m_delta_max(p["n"], p["k"], r, p["t"])
+    assert 0 < steps <= 6000
 
 
 # -- dimension bounds ---------------------------------------------------------

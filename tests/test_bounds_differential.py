@@ -30,10 +30,10 @@ def _max_outcome(fn, n, k, r, t):
 
 
 @st.composite
-def points(draw):
-    n = draw(st.integers(2, 60))
+def points(draw, r_max=6, t_max=5):
+    n = draw(st.integers(2, 60))  # keeps the grid oracle cheap
     k = draw(st.integers(1, n - 1))
-    return n, k, draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    return n, k, draw(st.integers(1, r_max)), draw(st.integers(2, t_max))
 
 
 @settings(max_examples=150, deadline=None)
@@ -47,10 +47,17 @@ def test_m_delta_max_matches_grid(point):
     assert _max_outcome(dmin_m_delta_max, *point) == _max_outcome(oracle.dmin_m_delta_max, *point)
 
 
-@pytest.mark.parametrize("r", range(3, 11))
+@pytest.mark.parametrize("r", range(3, 12))  # the rows the bounds-sweep benchmark runs
 def test_m_delta_max_matches_grid_on_figure_rows(r):
     p = _sweep_params("dmin3_mdelta", r)
     point = (p["n"], p["k"], r, p["t"])
+    assert _max_outcome(dmin_m_delta_max, *point) == _max_outcome(oracle.dmin_m_delta_max, *point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points(r_max=30, t_max=8))
+def test_m_delta_max_matches_grid_at_wide_locality(point):
+    # r up to 30 puts e_1 = r+1 near or past n; t up to 8 widens the M range
     assert _max_outcome(dmin_m_delta_max, *point) == _max_outcome(oracle.dmin_m_delta_max, *point)
 
 

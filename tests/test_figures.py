@@ -107,3 +107,10 @@ def test_default_lp3_figure_is_pinned(capsys):
     assert run_cli(["figure", "lp3", "--rmin", "1", "--rmax", "27"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "8627b155a914298177eb707196ad3f2863284dd5ae4937dbc2fee4c0ddc0dae2"
+
+
+def test_widest_dmin3_mdelta_figure_is_pinned(capsys):
+    # r = 21 is the last row under M_DELTA_SCAN_LIMIT; the goldens stop at r = 11
+    assert run_cli(["figure", "dmin3_mdelta", "--rmin", "3", "--rmax", "21"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ff92455829c40781b91ca86949c45c796db2c4e02819ce393c4c2b19bf82e451"
