@@ -109,9 +109,16 @@ def _rows_through(mat: BitMatrix) -> list[list[int]]:
 def _pivot_table(bits: Sequence[int]) -> dict[int, int]:
     """Row echelon form as pivot rows keyed by their lowest set bit: each
     row is reduced by the pivots it meets, lowest first, until it is zero
-    or opens a new pivot column (no back-substitution)."""
+    or opens a new pivot column (no back-substitution).
+
+    The rows are taken last first.  The pivot columns and the reduced form
+    do not depend on the order, but the work does: the product code lists
+    its checks axis by axis, and in that order each later axis's line is
+    reduced through long chains of the earlier axes' pivots (r = 1, t = 12:
+    2.2 s given, 54 ms last first).  On every other constructed matrix
+    measured the reversed order was as fast or faster."""
     pivots: dict[int, int] = {}
-    for row in bits:
+    for row in reversed(bits):
         while row:
             col = (row & -row).bit_length() - 1
             pivot = pivots.get(col)

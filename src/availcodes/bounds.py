@@ -25,10 +25,13 @@ from . import _Record
 # shape tried.  Its cut at the best value takes the dmin3_mdelta figure
 # rows r = 11, 17, 20, 21 (1370, 7080, 13266 and 16021 units) from 0.04,
 # 0.30, 0.67 and 0.85 s to 4, 25, 51 and 75 ms, and makes 23 of 25 random
-# shapes of 8000 to 16384 units at least 30 times faster.  It does not
-# lower the worst case, so the limit stays at 2^14 units: a profile with no
-# shortening term is never cut, and (n, k, r, t) = (191, 8, 9, 4), whose
-# best value is the unshortened bound, still takes 0.97 s for 16095 units.
+# shapes of 8000 to 16384 units at least 30 times faster.  A profile with
+# no shortening term yet is cut too, once the best value reaches both the
+# unshortened bound and n - k - i + 1, above which no later term can lie:
+# (n, k, r, t) = (191, 8, 9, 4), whose best value is the unshortened bound,
+# fell from 0.97 s (567,673 steps) to 0.4 ms (76), and the slowest of 60
+# random shapes of 8000 to 16384 units from 0.68 s to 8 ms.  The limit
+# stays at 2^14 units until it is derived again from the scan with both cuts.
 PRODUCT_BITS_LIMIT = 1 << 17
 PROFILE_LIMIT = 1 << 18
 M_DELTA_SCAN_LIMIT = 1 << 14
@@ -347,9 +350,13 @@ def dmin_m_delta_max(n: int, k: int, r: int, t: int) -> BoundResult:
     best; only a strictly greater value replaces best, so a cut point would
     not have replaced it even on a tie; and the steps kept are valid for
     every delta' below the least `until` among them, so the scan jumps to
-    that delta and every delta in between is cut as well.  The scan is refused
-    before any step when the sum of M over the admissible M, the total
-    length of its profiles, exceeds M_DELTA_SCAN_LIMIT.
+    that delta and every delta in between is cut as well.  A profile with no
+    shortening term yet (low infinite) is cut the same way before step i
+    once best is at least the unshortened value and n - k - i + 1: every
+    later term is a Tamo-Barg bound at n' - k' = n - k - s <= n - k - i,
+    hence at most n - k - i + 1.  The scan is refused before any step when
+    the sum of M over the admissible M, the total length of its profiles,
+    exceeds M_DELTA_SCAN_LIMIT.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -383,6 +390,8 @@ def dmin_m_delta_max(n: int, k: int, r: int, t: int) -> BoundResult:
                     break  # later steps stay at n and have n - i >= k: inert
                 if low[-1] <= best:
                     break  # cut: the value is at most low[-1], so it cannot beat best
+                if low[-1] == math.inf and max(unshortened, n - k - i + 1) <= best:
+                    break  # cut: no term yet, and each later one is at most n - k - i + 1
                 j_i, e_i, until = _m_delta_step(n, r, m_dim, delta, i, e[-1], js[-1])
                 e.append(e_i)
                 js.append(j_i)

@@ -6,10 +6,9 @@ explicit --seed.  Relative -o paths resolve against $AVAILCODES_OUTDIR when
 that variable is set.
 """
 
-from __future__ import annotations
-
+# No `from __future__ import annotations`: the annotations here evaluate on
+# 3.10 as they stand, and `--help` need not import `__future__`.
 import argparse
-import json
 import os
 import sys
 
@@ -53,87 +52,112 @@ def _index_list(text: str) -> list[int]:
         ) from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every command's name and help, at each level of the parser
+_COMMANDS = {
+    "bounds": "evaluate closed-form and LP bounds",
+    "construct": "build strict-availability matrices",
+    "verify": "check availability properties of a matrix",
+    "analyze": "rank/distance/trace analyses of a matrix",
+    "figure": "emit figure data as CSV",
+}
+_BOUNDS_COMMANDS = {
+    "rate": "rate bounds",
+    "dmin": "minimum-distance bounds",
+    "lp": "weight-distribution LP dimension bound",
+}
+_CONSTRUCT_COMMANDS = {
+    "partition": "recursive partition construction",
+    "functional": "fiber construction from linear maps",
+    "product": "axis-parity product code",
+}
+
+
+def _add_commands(parser, dest: str, commands: dict, argv: list[str]):
+    """Add a subparser for each command; return the name and parser of the
+    one argv selects, its first token that does not start with "-", and the
+    tokens after it, or (None, None, []) when that token names none."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    parsers = {name: sub.add_parser(name, help=text) for name, text in commands.items()}
+    token = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), None)
+    if token is None or argv[token] not in parsers:
+        return None, None, []
+    return argv[token], parsers[argv[token]], argv[token + 1:]
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv.  Every command is listed with its help, but only
+    the command argv selects gets its arguments: argparse reads only the
+    branch it parses, and help pages list only names and help strings, so
+    each help page, usage error and Namespace is that of the full parser."""
     parser = argparse.ArgumentParser(prog="availcodes")
-    sub = parser.add_subparsers(dest="command", required=True)
+    command, p, argv = _add_commands(parser, "command", _COMMANDS, argv)
+    if command == "bounds":
+        command, p, _ = _add_commands(p, "bounds_command", _BOUNDS_COMMANDS, argv)
+    elif command == "construct":
+        command, p, _ = _add_commands(p, "construct_command", _CONSTRUCT_COMMANDS, argv)
 
-    p_bounds = sub.add_parser("bounds", help="evaluate closed-form and LP bounds")
-    bsub = p_bounds.add_subparsers(dest="bounds_command", required=True)
-
-    p_rate = bsub.add_parser("rate", help="rate bounds")
-    p_rate.add_argument("--r", type=int, required=True)
-    p_rate.add_argument("--t", type=int, required=True)
-    p_rate.add_argument("--n", type=int, help="block length (greedy-t3 only)")
-    p_rate.add_argument("--method", choices=sorted(RATE_METHODS), default="tamo-barg")
-
-    p_dmin = bsub.add_parser("dmin", help="minimum-distance bounds")
-    p_dmin.add_argument("--n", type=int, required=True)
-    p_dmin.add_argument("--k", type=int, required=True)
-    p_dmin.add_argument("--r", type=int, required=True)
-    p_dmin.add_argument("--t", type=int, required=True)
-    p_dmin.add_argument("--M", type=int)
-    p_dmin.add_argument("--delta", type=int)
-    p_dmin.add_argument("--method", choices=sorted(DMIN_METHODS), default="tamo-barg")
-
-    p_lp = bsub.add_parser("lp", help="weight-distribution LP dimension bound")
-    p_lp.add_argument("--q", type=int, required=True)
-    p_lp.add_argument("--n", type=int, required=True)
-    p_lp.add_argument("--r", type=int, required=True)
-    p_lp.add_argument("--t", type=int, required=True)
-    p_lp.add_argument("--float", action="store_true", dest="float_mode")
-
-    p_con = sub.add_parser("construct", help="build strict-availability matrices")
-    csub = p_con.add_subparsers(dest="construct_command", required=True)
-
-    p_part = csub.add_parser("partition", help="recursive partition construction")
-    p_part.add_argument("--r", type=int, required=True)
-    p_part.add_argument("--g", type=int, required=True)
-    p_part.add_argument("--t", type=int, required=True)
-    p_part.add_argument(
-        "--choice", type=_index_list, help="comma-separated 1-based partition indices"
-    )
-    p_part.add_argument("-o", "--out", type=str)
-
-    p_fun = csub.add_parser("functional", help="fiber construction from linear maps")
-    p_fun.add_argument("--q", type=int, required=True)
-    p_fun.add_argument("--n1", type=int, default=2)
-    p_fun.add_argument("--m1", type=int, default=1)
-    p_fun.add_argument("--t", type=int, required=True)
-    p_fun.add_argument(
-        "--matrices", type=str, help="JSON file with t m1 x n1 matrices; defaults to "
-        "pairwise-independent directions when n1=2, m1=1"
-    )
-    p_fun.add_argument("-o", "--out", type=str)
-
-    p_prod = csub.add_parser("product", help="axis-parity product code")
-    p_prod.add_argument("--r", type=int, required=True)
-    p_prod.add_argument("--t", type=int, required=True)
-    p_prod.add_argument("-o", "--out", type=str)
-
-    p_ver = sub.add_parser("verify", help="check availability properties of a matrix")
-    p_ver.add_argument("--in", dest="infile", type=str, required=True)
-    p_ver.add_argument("--r", type=int, required=True)
-    p_ver.add_argument("--t", type=int, required=True)
-    p_ver.add_argument("--strict", action="store_true")
-
-    p_ana = sub.add_parser("analyze", help="rank/distance/trace analyses of a matrix")
-    p_ana.add_argument("--in", dest="infile", type=str, required=True)
-    p_ana.add_argument("--r", type=int)
-    p_ana.add_argument("--t", type=int)
-    p_ana.add_argument("--dmin", action="store_true")
-    p_ana.add_argument("--greedy", action="store_true")
-    p_ana.add_argument("--start", type=int, default=1)
-    p_ana.add_argument("--tiebreak", choices=["lowest", "random"], default="lowest")
-    p_ana.add_argument("--seed", type=int)
-    p_ana.add_argument("--ghw", type=int, metavar="I")
-
-    p_fig = sub.add_parser("figure", help="emit figure data as CSV")
-    p_fig.add_argument("figure_id", choices=FIGURE_IDS)
-    p_fig.add_argument("--rmin", type=int, required=True)
-    p_fig.add_argument("--rmax", type=int, required=True)
-    p_fig.add_argument("--budget", type=int, default=LP_DEFAULT_BUDGET)
-    p_fig.add_argument("-o", "--out", type=str)
-
+    if command == "rate":
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--n", type=int, help="block length (greedy-t3 only)")
+        p.add_argument("--method", choices=sorted(RATE_METHODS), default="tamo-barg")
+    elif command == "dmin":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--M", type=int)
+        p.add_argument("--delta", type=int)
+        p.add_argument("--method", choices=sorted(DMIN_METHODS), default="tamo-barg")
+    elif command == "lp":
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--float", action="store_true", dest="float_mode")
+    elif command == "partition":
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--g", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument(
+            "--choice", type=_index_list, help="comma-separated 1-based partition indices"
+        )
+        p.add_argument("-o", "--out", type=str)
+    elif command == "functional":
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--n1", type=int, default=2)
+        p.add_argument("--m1", type=int, default=1)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument(
+            "--matrices", type=str, help="JSON file with t m1 x n1 matrices; defaults to "
+            "pairwise-independent directions when n1=2, m1=1"
+        )
+        p.add_argument("-o", "--out", type=str)
+    elif command == "product":
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("-o", "--out", type=str)
+    elif command == "verify":
+        p.add_argument("--in", dest="infile", type=str, required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--strict", action="store_true")
+    elif command == "analyze":
+        p.add_argument("--in", dest="infile", type=str, required=True)
+        p.add_argument("--r", type=int)
+        p.add_argument("--t", type=int)
+        p.add_argument("--dmin", action="store_true")
+        p.add_argument("--greedy", action="store_true")
+        p.add_argument("--start", type=int, default=1)
+        p.add_argument("--tiebreak", choices=["lowest", "random"], default="lowest")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--ghw", type=int, metavar="I")
+    elif command == "figure":
+        p.add_argument("figure_id", choices=FIGURE_IDS)
+        p.add_argument("--rmin", type=int, required=True)
+        p.add_argument("--rmax", type=int, required=True)
+        p.add_argument("--budget", type=int, default=LP_DEFAULT_BUDGET)
+        p.add_argument("-o", "--out", type=str)
     return parser
 
 
@@ -153,10 +177,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _print_json(doc: dict) -> None:
+    import json
+
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _write_code(code, out: str | None) -> None:
+    import json
+
     from .bitmatrix import serialize_matrix
 
     _emit(serialize_matrix(code.H), out)
@@ -165,6 +193,8 @@ def _write_code(code, out: str | None) -> None:
 
 
 def _load_matrices(path: str) -> list:
+    import json
+
     with open(path) as fh:
         data = json.load(fh)
     # JSON integers only: `type(v) is int` turns away floats, strings and bools
@@ -279,7 +309,9 @@ def _cmd_figure(args) -> int:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -264,22 +264,37 @@ def test_dmin_m_delta_max_checks_before_the_scan():
         dmin_m_delta_max(5, 3, 9, 2)
 
 
-def test_dmin_m_delta_max_cuts_profiles_at_the_best_value(monkeypatch):
-    # the dmin3_mdelta rows r = 3..11 take 33,005 steps without the cut
-    # and 5,429 with it
-    steps = 0
+def _counted_steps(monkeypatch) -> list:
+    """A list that gains one entry per `_m_delta_step` call from here on."""
+    calls = []
     step = bounds._m_delta_step
 
     def counted(*args):
-        nonlocal steps
-        steps += 1
+        calls.append(args)
         return step(*args)
 
     monkeypatch.setattr(bounds, "_m_delta_step", counted)
+    return calls
+
+
+def test_dmin_m_delta_max_cuts_profiles_at_the_best_value(monkeypatch):
+    # the dmin3_mdelta rows r = 3..11 take 33,005 steps without the cut
+    # and 5,429 with it
+    steps = _counted_steps(monkeypatch)
     for r in range(3, 12):
         p = _sweep_params("dmin3_mdelta", r)
         dmin_m_delta_max(p["n"], p["k"], r, p["t"])
-    assert 0 < steps <= 6000
+    assert 0 < len(steps) <= 6000
+
+
+def test_dmin_m_delta_max_cuts_profiles_with_no_shortening_term(monkeypatch):
+    # the best value is the unshortened bound 184, reached on profiles with
+    # no shortening term; without the cap on such profiles the scan takes
+    # 567,673 steps
+    steps = _counted_steps(monkeypatch)
+    result = dmin_m_delta_max(191, 8, 9, 4)
+    assert (result.value_exact, result.diagnostics) == (184, {"argmax_M": 39, "argmax_delta": 1})
+    assert 0 < len(steps) <= 100
 
 
 # -- dimension bounds ---------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import runpy
 import shlex
 import time
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cli_oracle
 import enum_oracles
 from availcodes import FIGURE_IDS, BitMatrix, EnumerationBudgetError
 from availcodes import cli as cli_module
@@ -439,70 +441,75 @@ _TRIANGLES_12 = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,matrices",
-    [
-        ("bounds dmin --n 10 --k 5 --r 0 --t 3", None),
-        ("bounds dmin --n 10 --k 5 --r 0 --t 3 --method m-delta --M 3 --delta 1", None),
-        ("bounds lp --q 2 --n 4 --r -1 --t 3", None),
-        # the LP's block-length limit, checked before any Krawtchouk column,
-        # and its simplex work budget
-        ("bounds lp --q 2 --n 20000 --r 1 --t 1", None),
-        ("bounds lp --q 2 --n 441 --r 2 --t 5", None),
-        ("bounds rate --r 0 --t 0 --method wzl", None),
-        ("bounds dmin --n 10 --k 5 --r 2 --t -1 --method wang", None),
-        ("construct functional --q 2 --t 1 --matrices", 5),
-        ("construct functional --q 2 --t 1 --matrices", [[[None, 1]]]),
-        ("construct functional --q 2 --t 1 --matrices", [[[2, 1]]]),
-        ("construct functional --q 2 --t 0", None),
-        ("construct functional --q 2 --t 1 --matrices", []),
-        ("construct product --r -2 --t 2", None),
-        ("construct product --r 1 --t 0", None),
-        ("construct partition --r 1 --g 2 --t 0", None),
-        ("construct functional --q 2 --t 5 --matrices", [[[1, 0]], [[0, 1]], [[1, 1]]]),
-        # limits checked before the work they bound: q**g, q**t, prime_power and the choice list
-        ("construct partition --r 1 --g 100000000000 --t 1", None),
-        ("construct product --r 1 --t 100000000000", None),
-        ("construct functional --q 2305843009213693951 --t 3", None),
-        ("construct partition --r 2305843009213693950 --g 1 --t 1", None),
-        ("construct partition --r 1 --g 2 --t 1000000000", None),
-        # OverflowError: the float of the exact value
-        ("bounds dmin --n 10**400 --k 2 --r 1 --t 2", None),
-        ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method wang", None),
-        # limits checked before the work they bound: the shortening profile's
-        # length and the product bound's size
-        ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method shortening", None),
-        ("bounds dmin --n 1000000000000 --k 2 --r 1 --t 2 --method shortening", None),
-        ("bounds rate --r 1 --t 10000000", None),
-        # the (M, delta) profile's length and block length, and the size of
-        # the m-delta-max scan, all checked before the recursion
-        ("bounds dmin --n 100 --k 50 --r 2 --t 3 --method m-delta --M 100000000000 --delta 1",
-         None),
-        ("bounds dmin --n 5 --k 3 --r 9 --t 2 --method m-delta --M 2 --delta 1", None),
-        ("bounds dmin --n 5 --k 3 --r 9 --t 2 --method m-delta-max", None),
-        ("bounds dmin --n 100000 --k 10000 --r 2 --t 3 --method m-delta-max", None),
-        # an empty --choice is the empty list, not the default
-        ("construct partition --r 1 --g 2 --t 3 --choice ''", None),
-        # with t < 0 the search would try every subset of column 1's 21 rows
-        ("verify --r 1 --t -1 --in", None),
-        # the general search stops at its step budget
-        ("verify --r 2 --t 13 --in", _TRIANGLES_12),
-        # a dual of dimension 27 and k = 169: both over the enumeration limit
-        ("analyze --dmin --in", "construct product --r 13 --t 2"),
-        ("bounds rate --r 3 --t 5 --n 20 --method greedy-t3", None),
-        ("bounds dmin --n 5 --k 10 --r 2 --t 2 --method wang", None),
-        ("bounds dmin --n -5 --k 1 --r 2 --t 2 --method wang", None),
-        # rows from r_max down: r_max's profile and (M, delta) scan are over
-        # their limits, so neither sweep computes the rows below first
-        ("figure dmin3 --rmin 3 --rmax 2000", None),
-        ("figure dmin3_mdelta --rmin 3 --rmax 40", None),
-        # the partition code's entry count, checked before any partition is built
-        ("construct partition --r 2 --g 7 --t 801", None),
-        ("construct partition --r 1 --g 12 --t 4095", None),
-    ],
-)
+BAD_INPUTS = [
+    ("bounds dmin --n 10 --k 5 --r 0 --t 3", None),
+    ("bounds dmin --n 10 --k 5 --r 0 --t 3 --method m-delta --M 3 --delta 1", None),
+    ("bounds lp --q 2 --n 4 --r -1 --t 3", None),
+    # the LP's block-length limit, checked before any Krawtchouk column,
+    # and its simplex work budget
+    ("bounds lp --q 2 --n 20000 --r 1 --t 1", None),
+    ("bounds lp --q 2 --n 441 --r 2 --t 5", None),
+    ("bounds rate --r 0 --t 0 --method wzl", None),
+    ("bounds dmin --n 10 --k 5 --r 2 --t -1 --method wang", None),
+    ("construct functional --q 2 --t 1 --matrices", 5),
+    ("construct functional --q 2 --t 1 --matrices", [[[None, 1]]]),
+    ("construct functional --q 2 --t 1 --matrices", [[[2, 1]]]),
+    ("construct functional --q 2 --t 0", None),
+    ("construct functional --q 2 --t 1 --matrices", []),
+    ("construct product --r -2 --t 2", None),
+    ("construct product --r 1 --t 0", None),
+    ("construct partition --r 1 --g 2 --t 0", None),
+    ("construct functional --q 2 --t 5 --matrices", [[[1, 0]], [[0, 1]], [[1, 1]]]),
+    # limits checked before the work they bound: q**g, q**t, prime_power and the choice list
+    ("construct partition --r 1 --g 100000000000 --t 1", None),
+    ("construct product --r 1 --t 100000000000", None),
+    ("construct functional --q 2305843009213693951 --t 3", None),
+    ("construct partition --r 2305843009213693950 --g 1 --t 1", None),
+    ("construct partition --r 1 --g 2 --t 1000000000", None),
+    # OverflowError: the float of the exact value
+    ("bounds dmin --n 10**400 --k 2 --r 1 --t 2", None),
+    ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method wang", None),
+    # limits checked before the work they bound: the shortening profile's
+    # length and the product bound's size
+    ("bounds dmin --n 10**400 --k 2 --r 1 --t 2 --method shortening", None),
+    ("bounds dmin --n 1000000000000 --k 2 --r 1 --t 2 --method shortening", None),
+    ("bounds rate --r 1 --t 10000000", None),
+    # the (M, delta) profile's length and block length, and the size of
+    # the m-delta-max scan, all checked before the recursion
+    ("bounds dmin --n 100 --k 50 --r 2 --t 3 --method m-delta --M 100000000000 --delta 1",
+     None),
+    ("bounds dmin --n 5 --k 3 --r 9 --t 2 --method m-delta --M 2 --delta 1", None),
+    ("bounds dmin --n 5 --k 3 --r 9 --t 2 --method m-delta-max", None),
+    ("bounds dmin --n 100000 --k 10000 --r 2 --t 3 --method m-delta-max", None),
+    # an empty --choice is the empty list, not the default
+    ("construct partition --r 1 --g 2 --t 3 --choice ''", None),
+    # with t < 0 the search would try every subset of column 1's 21 rows
+    ("verify --r 1 --t -1 --in", None),
+    # the general search stops at its step budget
+    ("verify --r 2 --t 13 --in", _TRIANGLES_12),
+    # a dual of dimension 27 and k = 169: both over the enumeration limit
+    ("analyze --dmin --in", "construct product --r 13 --t 2"),
+    ("bounds rate --r 3 --t 5 --n 20 --method greedy-t3", None),
+    ("bounds dmin --n 5 --k 10 --r 2 --t 2 --method wang", None),
+    ("bounds dmin --n -5 --k 1 --r 2 --t 2 --method wang", None),
+    # rows from r_max down: r_max's profile and (M, delta) scan are over
+    # their limits, so neither sweep computes the rows below first
+    ("figure dmin3 --rmin 3 --rmax 2000", None),
+    ("figure dmin3_mdelta --rmin 3 --rmax 40", None),
+    # the partition code's entry count, checked before any partition is built
+    ("construct partition --r 2 --g 7 --t 801", None),
+    ("construct partition --r 1 --g 12 --t 4095", None),
+]
+
+
+def _bad_input_argv(text: str) -> list[str]:
+    """A BAD_INPUTS argv as a list, with 10**e written out."""
+    return [str(10 ** int(a[4:])) if a.startswith("10**") else a for a in shlex.split(text)]
+
+
+@pytest.mark.parametrize("argv,matrices", BAD_INPUTS)
 def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
-    argv = [str(10 ** int(a[4:])) if a.startswith("10**") else a for a in shlex.split(argv)]
+    argv = _bad_input_argv(argv)
     if argv[-1] == "--matrices":
         path = tmp_path / "maps.json"
         path.write_text(json.dumps(matrices))
@@ -743,3 +750,65 @@ def test_run_cli_fuzz_figure_exits_cleanly(figure_id, rmin, rmax, budget):
         assert out.getvalue() == ""
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _workload_argvs() -> list[list[str]]:
+    """Every argv of the benchmark's workloads for seeds 1-3, once each."""
+    workloads = runpy.run_path(str(GOLDEN.parent / "workloads.py"))
+    argvs = dict.fromkeys(
+        command.argv
+        for name in workloads["WORKLOADS"]
+        for seed in (1, 2, 3)
+        for command in workloads["commands"](name, seed)
+    )
+    return [list(argv) for argv in argvs]
+
+
+_LEAVES = [
+    "bounds rate", "bounds dmin", "bounds lp",
+    "construct partition", "construct functional", "construct product",
+    "verify", "analyze", "figure",
+]
+PARSER_ARGVS = [
+    *_workload_argvs(),
+    *(shlex.split(f"{cmd} --help") for cmd in ["", "bounds", "construct", *_LEAVES]),
+    ["-h"], ["bounds", "-h", "rate"], ["--help", "bounds", "rate"], ["figure", "rate3", "-h"],
+    # the usage errors above
+    ["bounds", "rate", "--bogus"],
+    ["nonsense"],
+    *(shlex.split(f"construct partition --r 1 --g 2 --t 3 --choice {c}") for c in ("a", "1,,2")),
+    shlex.split("bounds lp --q 2 --n 16 --r 3 --t 3 --strengthen"),
+    # every bad input, with a file name after a trailing --in or --matrices
+    *(_bad_input_argv(argv) + (["h.txt"] if argv.endswith(("--in", "--matrices")) else [])
+      for argv, _ in BAD_INPUTS),
+    # no command, a bad choice, a command at the wrong level, missing flags
+    [], ["figure", "nope"], ["bounds"], ["construct"], ["bounds", "nope"],
+    ["rate", "--r", "3", "--t", "3"], ["bounds", "figure"], ["verify", "rate"],
+    shlex.split("bounds rate --r 3"), shlex.split("verify --r 1 --t 1"),
+    shlex.split("figure rate3 --rmin 3"), shlex.split("construct product --t 2 -o x.txt"),
+    # tokens that start with "-" before the command
+    ["--bogus", "bounds", "rate", "--r", "3", "--t", "3"],
+    ["bounds", "--bogus", "rate", "--r", "3", "--t", "3"],
+    ["-", "bounds"], ["-1", "bounds"], ["--", "bounds", "rate", "--r", "3", "--t", "3"],
+]
+
+
+def _parsed(parser, argv):
+    """(exit code or None, stdout, stderr, the Namespace's dict or None)."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize(
+    "argv", PARSER_ARGVS, ids=[" ".join(argv) or "(empty)" for argv in PARSER_ARGVS]
+)
+def test_parser_branch_matches_the_full_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _parsed(cli_oracle.build_parser(), argv)
+    assert _parsed(cli_module._build_parser(argv), argv) == expected

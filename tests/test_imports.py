@@ -5,10 +5,13 @@ public member that only the tests use.
 of the command it runs.  No command loads `dataclasses`, which would bring
 `inspect`, `ast`, `dis` and `tokenize` with it: every record is a slotted
 class on `availcodes._Record`.  The matrix commands (`construct`, `verify`,
-`analyze`) load no `fractions` or `decimal` either.  Each argv runs in a
-fresh interpreter, so the modules it leaves in `sys.modules` are its own.
+`analyze`) load no `fractions` or `decimal` either.  `--help` and the
+figures load no `json`, and the parser gets the arguments of the selected
+command alone.  Each argv runs in a fresh interpreter, so the modules it
+leaves in `sys.modules` are its own.
 """
 
+import argparse
 import ast
 import contextlib
 import json
@@ -24,12 +27,16 @@ from availcodes.cli import run_cli
 
 SRC = str(Path(availcodes.__file__).resolve().parent.parent)
 
+# json is imported after the modules are listed, so the list shows whether
+# the command loaded it
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from availcodes.cli import run_cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = run_cli(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+modules = sorted(sys.modules)
+import json
+print(json.dumps([code, modules]))
 """
 
 _BOUNDS_LP = {"bounds", "lp", "weights"}
@@ -100,6 +107,36 @@ def test_bound_command_loads_no_dataclasses(workdir, argv):
 @pytest.mark.parametrize("argv", MATRIX_COMMANDS)
 def test_matrix_command_loads_no_dataclasses_or_fractions(workdir, argv):
     assert _loaded_modules(workdir, argv) & (_DATACLASSES | _FRACTIONS) == set()
+
+
+# `--help` and the figures write no JSON, so they do not import `json`
+JSON_FREE_COMMANDS = [
+    argv for argv, _ in FOOTPRINTS if argv.endswith("--help") or argv.startswith("figure ")
+]
+
+
+@pytest.mark.parametrize("argv", JSON_FREE_COMMANDS)
+def test_help_and_figure_load_no_json(workdir, argv):
+    assert "json" not in _loaded_modules(workdir, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    # one -h per parser built (the top level and its five commands), and the
+    # figure's own five arguments
+    [("--help", 6), ("figure rate3 --rmin 3 --rmax 3", 11)],
+)
+def test_parser_builds_only_the_selected_branch(monkeypatch, capsys, argv, calls):
+    count = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting_add_argument(self, *args, **kwargs):
+        count.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add_argument)
+    assert run_cli(argv.split()) == 0
+    assert len(count) == calls
 
 
 def test_exports_are_the_defining_modules_objects():

@@ -141,6 +141,32 @@ def test_rank_and_text_match_reference(h):
     assert parse_matrix(text) == oracle.parse_matrix(text) == h
 
 
+@st.composite
+def reorderings(draw):
+    """A matrix and the same rows in a drawn order."""
+    h = draw(matrices(max_rows=20, max_cols=20))
+    return h, BitMatrix.from_rows(draw(st.permutations(h.bits)), h.cols)
+
+
+def _reversed(h):
+    return h, BitMatrix.from_rows(h.bits[::-1], h.cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reorderings())
+@example(_reversed(product_code(1, 6).H))
+@example(_reversed(product_code(3, 3).H))
+@example(_reversed(partition_code(build_partition_family(3, 3), 3).H))
+@example(_reversed(_high_rank(512, 28)))
+def test_rank_forms_do_not_depend_on_row_order(pair):
+    # the elimination takes the rows in its own order; rank, the reduced
+    # basis and the nullspace are those of the row space
+    h, reordered = pair
+    assert rank(reordered) == oracle.rank(h)
+    assert rank_and_nullspace(reordered) == oracle.rank_and_nullspace(h)
+    assert row_space_basis(reordered) == oracle.row_space_basis(h)
+
+
 _CHARS = "0101010101" + "_ 2x\t\r\x0b\u00a0\u0661\n"
 
 
