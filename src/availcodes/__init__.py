@@ -8,10 +8,10 @@ a weight-distribution linear program with an exact simplex solver.
 
 `import availcodes` is lazy: it loads no layer.  Each exported name is
 read from its defining module when it is accessed (PEP 562), so
-`availcodes.solve_lp` loads only `lp` and the layers `lp` imports.  The
-figure ids and the LP row budget live here, not in `figures`, because the
-CLI's argument parser needs them before it knows which layer a command
-uses.
+`availcodes.lp_dimension_bound` loads only `lp` and the layers `lp`
+imports.  The figure ids and the LP row budget live here, not in
+`figures`, because the CLI's argument parser needs them before it knows
+which layer a command uses.
 """
 
 import importlib
@@ -97,12 +97,9 @@ _EXPORTS = {
         "LPModel",
         "LPSizeError",
         "LPSolution",
-        "PivotLimitError",
         "build_lp",
-        "certificate_violations",
         "lp_dimension_bound",
         "point_violations",
-        "solve_lp",
     ),
     "verification": (
         "AvailabilityCheckReport",
@@ -116,7 +113,6 @@ _EXPORTS = {
     ),
     "weights": (
         "EnumerationBudgetError",
-        "krawtchouk",
         "krawtchouk_column",
         "krawtchouk_row",
         "macwilliams_vector",

@@ -35,6 +35,11 @@ from . import _Record
 PRODUCT_BITS_LIMIT = 1 << 17
 PROFILE_LIMIT = 1 << 18
 M_DELTA_SCAN_LIMIT = 1 << 14
+# CPython writes an int of more than 4300 digits only where its
+# int_max_str_digits allows, and PYTHONINTMAXSTRDIGITS moves that limit.
+# Exact output stops at a fixed size instead, the same on every
+# interpreter: 14,284 bits, the most that 4300 digits hold.
+EXACT_BITS_LIMIT = 14_284
 
 
 class BoundNotApplicableError(ValueError):
@@ -68,6 +73,7 @@ class BoundResult(_Record):
     def to_json(self) -> dict:
         exact = None
         if self.value_exact is not None:
+            _check_exact_size(self.value_exact)
             exact = f"{self.value_exact.numerator}/{self.value_exact.denominator}"
         doc = {
             "name": self.name,
@@ -81,13 +87,27 @@ class BoundResult(_Record):
         return doc
 
 
+def _check_exact_size(value: Fraction | int) -> None:
+    """Refuse to write an exact number whose numerator or denominator is
+    over EXACT_BITS_LIMIT bits."""
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > EXACT_BITS_LIMIT:
+        raise ValueError(
+            f"an exact value of {bits} bits is over the {EXACT_BITS_LIMIT}-bit "
+            "limit of exact output"
+        )
+
+
 def _number_text(value: Fraction | float | None) -> str:
     """A number as the `bounds lp` A-vector and the figure CSV cells print
     it: a float to 12 significant digits, an exact number as `p/q` (`p`
     when whole), None as the empty string."""
     if value is None:
         return ""
-    return format(value, ".12g") if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return format(value, ".12g")
+    _check_exact_size(value)
+    return str(value)
 
 
 def _check_locality(r: int, t: int) -> None:

@@ -11,26 +11,25 @@ parity rows at weights 2r and 2r+2.
 `build_lp` states that model in A-space: maximize M = 1 + sum A_i over
 A_{t+1}..A_n subject to every B_j >= 0 and the three dual-count floors,
 each a `<=` row of exact integers.  It is the model of record for a code's
-A-vector (`point_violations`, `certificate_violations`), and `solve_lp`
-solves it exactly, the test oracle of the B-space solve below; its optimum
-has almost every A_i positive, so its basis holds about n variables.
+A-vector (`point_violations`) and is not solved here: its optimum has
+almost every A_i positive, so its basis holds about n variables.
 
-`lp_dimension_bound` solves the same program in dual-distribution
-(B) space, where the optimum has only a few positive B_j: minimize
-sum_j B_j over y_j = B_j - lb_j >= 0 (lb_0 = 1 fixes B_0), with one row
-sum_j K_i(j) B_j >= 0 per weight i (an equality for i <= t) and the floors
-as the lower bounds lb_j, each clamped at 0; then M = q^n / min sum B and
-A_i = sum_j K_i(j) B_j / sum_j B_j.  The master problem holds a few columns
-and rows and grows by column generation (Gilmore-Gomory 1961) and by
-cutting planes: each round re-solves it, prices every column with its
-duals and checks its point against every row, in integers in exact mode,
-and adds the most negative columns and the most violated rows.  The loop
-ends only when no row is violated and no column prices negative: that
-final check on the full model is the optimality certificate, so no answer
-rests on the restricted master alone.  An infeasible master is priced with
-its phase-1 Farkas ray instead, and the columns that ray prices negative
-enter; when none does, the ray proves the full model infeasible too, as
-its rows include the master's.
+`solve_lp`, the package's one solve, which `lp_dimension_bound` calls,
+takes the same program to dual-distribution (B) space, where the optimum
+has only a few positive B_j: minimize sum_j B_j over y_j = B_j - lb_j >= 0
+(lb_0 = 1 fixes B_0), with one row sum_j K_i(j) B_j >= 0 per weight i (an
+equality for i <= t) and the floors as the lower bounds lb_j, each clamped
+at 0; then M = q^n / min sum B and A_i = sum_j K_i(j) B_j / sum_j B_j.  The
+master problem holds a few columns and rows and grows by column generation
+(Gilmore-Gomory 1961) and by cutting planes: each round re-solves it,
+prices every column with its duals and checks its point against every row,
+in integers in exact mode, and adds the most negative columns and the most
+violated rows.  The loop ends only when no row is violated and no column
+prices negative: that final check on the full model is the optimality
+certificate, so no answer rests on the restricted master alone.  An
+infeasible master is priced with its phase-1 Farkas ray instead, and the
+columns that ray prices negative enter; when none does, the ray proves the
+full model infeasible too, as its rows include the master's.
 
 Sums of three or more parity rows would contribute further valid rows;
 they are deliberately not modeled here.
@@ -44,10 +43,9 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import _Record
-from .bounds import BoundResult, _check_block_length, _check_locality
+from .bounds import BoundResult, _check_block_length, _check_exact_size, _check_locality
 from .weights import krawtchouk_column, krawtchouk_row
 
-DEFAULT_PIVOT_LIMIT = 200_000
 FLOAT_TOL = 1e-9
 # Both limits were measured on a 2-vCPU VM (Python 3.11).  The master's
 # simplex work (see `_simplex_max`) runs at 6 to 16 ns per unit on the
@@ -67,10 +65,6 @@ LP_WORK_BUDGET = 10**8
 FLOAT_ENTRY_WORK = 32
 COLUMN_BATCH = 5  # the most negative columns that enter per round
 ROW_BATCH = 10  # the most violated rows that enter per round
-
-
-class PivotLimitError(RuntimeError):
-    """The simplex exceeded its pivot budget (distinct from infeasibility)."""
 
 
 class InfeasibleRelaxationError(ValueError):
@@ -125,15 +119,12 @@ class LPModel(_Record):
 
 
 class LPSolution(NamedTuple):
-    """`dual` holds one price per model constraint, in the constraints'
-    order, when the status is optimal: y >= 0 with y . coeffs >= objective
-    and y . rhs = value - objective_offset (see `certificate_violations`).
-    The B-space solve of `lp_dimension_bound` leaves it empty."""
+    """The weight LP's status, its optimum M and the A-vector over weights
+    t+1..n."""
 
     status: str  # optimal | infeasible | unbounded
     value: Fraction | float | None
     variables: dict
-    dual: tuple = ()
 
 
 class LPBoundResult(BoundResult):
@@ -230,31 +221,6 @@ def point_violations(model: LPModel, a_by_weight: dict[int, int | Fraction]) -> 
     return bad
 
 
-def certificate_violations(model: LPModel, solution: LPSolution) -> list[str]:
-    """What the solution's dual vector fails to prove, in integers and
-    without the simplex; an empty list proves the LP optimum is at most
-    `solution.value`.
-
-    With D the least common denominator of the prices y and of
-    value - offset, and Y = D*y: `dual_<label>` names a row with Y_i < 0,
-    `cover_<i>` the variable A_i where sum_i Y_i * coeffs_i < D * objective,
-    and `value` is listed unless sum_i Y_i * rhs_i = D * (value - offset).
-    By weak duality every feasible point then has objective at most value.
-    """
-    if solution.status != "optimal" or len(solution.dual) != len(model.constraints):
-        raise ValueError("need an optimal solution with one price per constraint")
-    gap = Fraction(solution.value) - model.objective_offset
-    (*big_y, big_gap), d = _common_scale([Fraction(y) for y in solution.dual] + [gap])
-    rows = model.constraints
-    bad = [f"dual_{c.label or i}" for i, (c, y) in enumerate(zip(rows, big_y)) if y < 0]
-    for k, (i, c_k) in enumerate(zip(model.weight_indices, model.objective)):
-        if sum(y * c.coeffs[k] for y, c in zip(big_y, rows)) < d * c_k:
-            bad.append(f"cover_{i}")
-    if sum(y * c.rhs for y, c in zip(big_y, rows)) != big_gap:
-        bad.append("value")
-    return bad
-
-
 # -- two-phase simplex --------------------------------------------------
 
 
@@ -292,8 +258,7 @@ def _simplex_max(
     rhs: list,
     *,
     exact: bool,
-    pivot_limit: int = DEFAULT_PIVOT_LIMIT,
-    work_limit: float = math.inf,
+    work_limit: float,
 ) -> tuple[str, object, list, list, int]:
     """maximize obj.x  s.t.  rows[i].x <= rhs[i], x >= 0  (rhs of any sign).
     Exact mode takes integer rows as they are; float mode divides each row
@@ -304,8 +269,8 @@ def _simplex_max(
     value.  When the rows admit no point, y is phase 1's Farkas ray: y >= 0,
     y.rows >= 0 and y.rhs < 0.  `work` counts the tableau entries the
     pivots rewrote, each weighed by the bit length of its pivot row's scale
-    in exact mode and by FLOAT_ENTRY_WORK in float mode; past `pivot_limit`
-    pivots or `work_limit` work the solve raises PivotLimitError.
+    in exact mode and by FLOAT_ENTRY_WORK in float mode; past `work_limit`
+    work the solve raises LPSizeError.
 
     Variables are numbered structural 0..nv-1, then one slack per row, then
     one artificial per row whose right side is negative; such a row is
@@ -382,13 +347,10 @@ def _simplex_max(
         new[-2] = p * row[-2]
         return _reduce_content(new)
 
-    pivots_used = work = 0
+    work = 0
 
     def pivot(pr: int, pc: int, obj_row: list) -> None:
-        nonlocal pivots_used, work
-        pivots_used += 1
-        if pivots_used > pivot_limit:
-            raise PivotLimitError(f"exceeded {pivot_limit} pivots")
+        nonlocal work
         prow = tableau[pr]
         prow[pc], prow[-2] = prow[-2], prow[pc]
         if prow[-2] < zero:
@@ -396,7 +358,7 @@ def _simplex_max(
         prow = tableau[pr] = rescale(prow)
         work += len(tableau) * len(prow) * (prow[-2].bit_length() if exact else FLOAT_ENTRY_WORK)
         if work > work_limit:
-            raise PivotLimitError(f"exceeded {work_limit} units of work")
+            raise LPSizeError(f"exceeded {work_limit} units of work")
         basis[pr], nonbasic[pc] = nonbasic[pc], basis[pr]
         for i, row in enumerate(tableau):
             f = row[pc]
@@ -491,24 +453,6 @@ def _simplex_max(
     return "optimal", quotient(obj_row[-1], obj_row[-2]), x, prices(obj_row), work
 
 
-def solve_lp(model: LPModel, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPSolution:
-    """Solve the A-space model exactly, with its dual prices when optimal:
-    the oracle for the B-space solve of `lp_dimension_bound`."""
-    rows = [c.coeffs for c in model.constraints]
-    rhs = [c.rhs for c in model.constraints]
-    status, value, x, y, _ = _simplex_max(
-        model.objective, rows, rhs, exact=True, pivot_limit=pivot_limit
-    )
-    if status != "optimal":
-        return LPSolution(status=status, value=None, variables={})
-    return LPSolution(
-        status="optimal",
-        value=model.objective_offset + value,
-        variables=dict(zip(model.weight_indices, x)),
-        dual=tuple(y),
-    )
-
-
 def _common_scale(values: list) -> tuple[list[int], int]:
     """(D * values, D) for ints and Fractions, D their least common denominator."""
     d = math.lcm(*(v.denominator for v in values))
@@ -524,7 +468,7 @@ def _combine(weights: list, vectors: list[list]) -> list:
     return total
 
 
-def _solve_dual_space(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution:
+def solve_lp(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution:
     """The weight LP's optimum by row and column generation in B-space (see
     the module docstring): value M and the A-vector over weights t+1..n."""
     lb = {0: 1}
@@ -571,7 +515,7 @@ def _solve_dual_space(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution
                 [-1] * len(columns), master, h + [-v for v in h[:t]],
                 exact=exact, work_limit=work_left,
             )
-        except PivotLimitError:
+        except LPSizeError:
             raise LPSizeError(
                 f"the weight LP at (q={q}, n={n}, r={r}, t={t}) needs more than "
                 f"{LP_WORK_BUDGET} units of simplex work"
@@ -633,10 +577,10 @@ def lp_dimension_bound(q: int, n: int, r: int, t: int, mode: str = "exact") -> L
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     try:
-        sol = _solve_dual_space(q, n, r, t, mode == "exact")
+        sol = solve_lp(q, n, r, t, mode == "exact")
     except InfeasibleRelaxationError:
         if mode == "float":  # a float ray proves nothing: ask the exact model
-            _solve_dual_space(q, n, r, t, True)
+            solve_lp(q, n, r, t, True)
             raise RuntimeError(
                 "the float simplex found no point where the exact model has one: "
                 "a float rounding failure; use exact mode"
@@ -651,6 +595,7 @@ def lp_dimension_bound(q: int, n: int, r: int, t: int, mode: str = "exact") -> L
         bound = math.log(m_float, q) if m_float > 0 else 0.0
     diagnostics = {"status": "optimal", "mode": mode}
     if isinstance(m_value, Fraction):
+        _check_exact_size(m_value)
         diagnostics["M"] = f"{m_value.numerator}/{m_value.denominator}"
     else:
         diagnostics["M"] = repr(m_value)

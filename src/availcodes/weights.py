@@ -61,7 +61,9 @@ def krawtchouk_row(q: int, n: int, j: int) -> list[int]:
 
 def krawtchouk(q: int, n: int, j: int, i: int) -> int:
     """K_j(i) = sum_a (-1)^a (q-1)^(j-a) C(i,a) C(n-i,j-a), read from
-    `krawtchouk_column`, which checks q and i."""
+    `krawtchouk_column`, which checks q and i.  No package code calls it
+    and it is not exported; it stays while the benchmark's per-layer
+    metrics `weights.krawtchouk.*` name it (perfbench/README.md)."""
     if not 0 <= j <= n:
         raise ValueError(f"degree j={j} outside 0..{n}")
     return krawtchouk_column(q, n, i)[j]

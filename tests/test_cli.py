@@ -3,8 +3,11 @@ import io
 import itertools
 import json
 import math
+import os
 import runpy
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from availcodes.bitmatrix import MatrixFormatError
 from availcodes.cli import run_cli
 
 GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden"
+SRC = str(Path(cli_module.__file__).resolve().parent.parent)
 GOLDEN_ARGVS = {
     "bounds_lp_q2_n36_r5_t3.json": "bounds lp --q 2 --n 36 --r 5 --t 3",
     "dmin3_mdelta_r3-11.csv": "figure dmin3_mdelta --rmin 3 --rmax 11",
@@ -499,6 +503,13 @@ BAD_INPUTS = [
     # the partition code's entry count, checked before any partition is built
     ("construct partition --r 2 --g 7 --t 801", None),
     ("construct partition --r 1 --g 12 --t 4095", None),
+    # an exact value over EXACT_BITS_LIMIT, refused by each writer of one:
+    # `to_json`, the figure cells and the LP's M
+    ("bounds rate --r 3 --t 7001", None),
+    ("bounds rate --r 7000 --t 4 --method transpose", None),
+    ("bounds rate --r 1000000 --t 4096", None),
+    ("figure rate4 --rmin 7000 --rmax 7000", None),
+    ("bounds lp --q 10**30 --n 150 --r 1 --t 1", None),
 ]
 
 
@@ -528,6 +539,23 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
     assert time.perf_counter() - start < 3
     assert (code, stdout) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exact_output_does_not_depend_on_the_int_digit_limit(capsys):
+    # PYTHONINTMAXSTRDIGITS=0 lifts CPython's limit on writing long ints;
+    # the output, written and refused alike, is the default limit's
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONINTMAXSTRDIGITS": "0"}
+    for t, code in ((6001, 0), (7001, 1)):
+        argv = ["bounds", "rate", "--r", "3", "--t", str(t)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "availcodes.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == _run(capsys, *argv)
+        assert proc.returncode == code
+    assert proc.stderr == (
+        "error: an exact value of 16642 bits is over the 14284-bit limit of exact output\n"
+    )
 
 
 def test_verify_answers_the_apex_matrix_by_counting(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """The package's lazy exports, the layers each CLI command loads, and no
-public member that only the tests use.
+public member or export that only the tests use.
 
 `import availcodes` loads no layer, and `run_cli` imports only the layers
 of the command it runs.  No command loads `dataclasses`, which would bring
@@ -166,9 +166,18 @@ def test_unknown_name_raises_attribute_error_naming_the_package():
         from availcodes import no_such  # noqa: F401
 
 
+# Exported though no package code uses them: the A-space model of record,
+# against which a code's weight distribution and the LP's A-vector are checked
+UNUSED_EXPORTS = {"build_lp", "point_violations"}
+# Public, not exported and unused, but the benchmark's per-layer metrics
+# `weights.krawtchouk.*` name it (perfbench/README.md)
+BENCHMARK_ONLY = {"krawtchouk"}
+
+
 def test_every_public_member_is_exported_or_used_in_the_package():
     # a public function or class that neither `__all__` nor other package
-    # code names is test-only; it belongs in the tests
+    # code names is test-only; it belongs in the tests.  So is an exported
+    # name that no package code uses, apart from UNUSED_EXPORTS
     package = Path(availcodes.__file__).resolve().parent
     trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
     defined = {
@@ -185,4 +194,5 @@ def test_every_public_member_is_exported_or_used_in_the_package():
             named.add(node.attr)
         elif isinstance(node, ast.alias):
             named.add(node.name)
-    assert defined - set(availcodes.__all__) - named == set()
+    assert defined - set(availcodes.__all__) - named == BENCHMARK_ONLY
+    assert set(availcodes.__all__) - named == UNUSED_EXPORTS

@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from availcodes import (
     InfeasibleRelaxationError,
     build_lp,
-    certificate_violations,
     krawtchouk_column,
     lp_dimension_bound,
     point_violations,
     rate_tamo_barg,
-    solve_lp,
     weight_distribution,
 )
 from availcodes import lp as lp_module
-from availcodes.lp import LPConstraint, LPModel, LPSizeError, PivotLimitError
-from test_lp_differential import small_lps
+from availcodes.lp import LPConstraint, LPModel, LPSizeError
+from fraction_simplex import certificate_violations, exact_solve
+from test_lp_differential import exact_solution, small_lps
 
 
 def _model(num_vars, objective, constraints, offset=0):
@@ -40,34 +39,34 @@ def _ge(coeffs, rhs, label=""):
     return LPConstraint(tuple(-v for v in coeffs), -rhs, label)
 
 
-# -- solver ---------------------------------------------------------------
+# -- the integer simplex on toy models --------------------------------------
 
 
 def test_solve_single_variable():
-    sol = solve_lp(_model(1, [1], [_le([1], 5)]))
+    sol = exact_solution(_model(1, [1], [_le([1], 5)]))
     assert sol.status == "optimal" and sol.value == 5
 
 
 def test_solve_two_variables():
-    sol = solve_lp(_model(2, [1, 1], [_le([1, 0], 1), _le([0, 1], 1)]))
+    sol = exact_solution(_model(2, [1, 1], [_le([1, 0], 1), _le([0, 1], 1)]))
     assert sol.value == 2
 
 
 def test_solve_with_phase_one():
-    sol = solve_lp(_model(1, [1], [_ge([1], 2), _le([1], 3)]))
+    sol = exact_solution(_model(1, [1], [_ge([1], 2), _le([1], 3)]))
     assert sol.value == 3
-    sol_min = solve_lp(_model(1, [-1], [_ge([1], 2), _le([1], 3)]))
+    sol_min = exact_solution(_model(1, [-1], [_ge([1], 2), _le([1], 3)]))
     assert sol_min.value == -2
 
 
 def test_solve_infeasible_and_unbounded():
-    assert solve_lp(_model(1, [1], [_ge([1], 4), _le([1], 3)])).status == "infeasible"
-    assert solve_lp(_model(1, [1], [_ge([1], 0)])).status == "unbounded"
+    assert exact_solution(_model(1, [1], [_ge([1], 4), _le([1], 3)])).status == "infeasible"
+    assert exact_solution(_model(1, [1], [_ge([1], 0)])).status == "unbounded"
 
 
 def test_solve_degenerate_duplicate_rows_terminates():
     rows = [_le([1, 1], 1)] * 4 + [_le([1, 0], 1)] * 3 + [_ge([1, 1], 1)] * 2
-    sol = solve_lp(_model(2, [2, 1], rows))
+    sol = exact_solution(_model(2, [2, 1], rows))
     assert sol.status == "optimal" and sol.value == 2
 
 
@@ -78,12 +77,11 @@ def test_model_holds_integers_only():
         _model(1, [True], [_le([1], 1)])
 
 
-def test_pivot_limit_is_distinct():
-    with pytest.raises(PivotLimitError):
-        solve_lp(
-            _model(2, [1, 1], [_le([1, 1], 1), _ge([2, 2], 1)]),
-            pivot_limit=0,
-        )
+def test_work_limit_is_distinct():
+    # a feasible model whose first pivot is over the limit: no status, an error
+    rows = [[1, 1], [-2, -2]]
+    with pytest.raises(LPSizeError, match="exceeded 0 units of work"):
+        lp_module._simplex_max([1, 1], rows, [1, -1], exact=True, work_limit=0)
 
 
 # -- model assembly ---------------------------------------------------------
@@ -169,10 +167,8 @@ def test_lp_dimension_bound_improvement_claim():
         n = (r + 1) ** 2
         bound = lp_dimension_bound(2, n, r, 3)
         assert bound.value <= n * float(rate_tamo_barg(r, 3).value_exact) + 1e-9
-        # the B-space solve against the A-space model of record; the dual
-        # prices belong to the A-space model alone
-        oracle = solve_lp(build_lp(2, n, r, 3))
-        assert bound.solution[:3] == oracle[:3]
+        # the B-space solve against the A-space model of record
+        assert bound.solution == exact_solution(build_lp(2, n, r, 3))
 
 
 # -- dual certificate -------------------------------------------------------
@@ -181,36 +177,50 @@ def test_lp_dimension_bound_improvement_claim():
 @pytest.mark.parametrize("r", range(3, 9))
 def test_lp3_rows_carry_a_dual_certificate(r):
     model = build_lp(2, (r + 1) ** 2, r, 3)
-    sol = solve_lp(model)
-    assert len(sol.dual) == len(model.constraints)
-    assert certificate_violations(model, sol) == []
+    sol, dual = exact_solve(model)
+    assert len(dual) == len(model.constraints)
+    assert certificate_violations(model, sol.value, dual) == []
+
+
+def _farkas_violations(model, ray):
+    """The conditions of an infeasibility proof the ray fails: y >= 0,
+    y . coeffs >= 0 for every variable and y . rhs < 0."""
+    rows = model.constraints
+    bad = ["sign"] if any(y < 0 for y in ray) else []
+    for k in range(model.num_vars):
+        if sum(y * c.coeffs[k] for y, c in zip(ray, rows)) < 0:
+            bad.append(f"cover_{k}")
+    if sum(y * c.rhs for y, c in zip(ray, rows)) >= 0:
+        bad.append("rhs")
+    return bad
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_lps())
 def test_random_optimal_lps_carry_a_dual_certificate(model):
-    sol = solve_lp(model)
+    sol, prices = exact_solve(model)
     if sol.status == "optimal":
-        assert all(isinstance(y, Fraction) for y in sol.dual)
-        assert certificate_violations(model, sol) == []
+        assert all(isinstance(y, Fraction) for y in prices)
+        assert certificate_violations(model, sol.value, prices) == []
+    elif sol.status == "infeasible":  # the Farkas ray the B-space solve prices with
+        assert _farkas_violations(model, prices) == []
     else:
-        assert sol.dual == ()
+        assert prices == []
 
 
 def test_certificate_check_flags_each_broken_condition():
     model = build_lp(2, 16, 3, 3)
-    sol = solve_lp(model)
-    dual = list(sol.dual)
+    sol, dual = exact_solve(model)
     priced = next(i for i, y in enumerate(dual) if y > 0)
-    assert certificate_violations(model, sol._replace(dual=(0,) * len(dual))) == [
+    assert certificate_violations(model, sol.value, [0] * len(dual)) == [
         f"cover_{i}" for i in model.weight_indices
     ] + ["value"]
-    assert certificate_violations(model, sol._replace(value=sol.value + 1)) == ["value"]
+    assert certificate_violations(model, sol.value + 1, dual) == ["value"]
     dual[priced] = -dual[priced]
-    bad = certificate_violations(model, sol._replace(dual=tuple(dual)))
+    bad = certificate_violations(model, sol.value, dual)
     assert bad[0] == f"dual_{model.constraints[priced].label}"
     with pytest.raises(ValueError):
-        certificate_violations(model, sol._replace(dual=()))
+        certificate_violations(model, sol.value, [])
 
 
 def test_lp_degenerate_all_weights_pinned():
@@ -263,13 +273,13 @@ def test_float_infeasibility_needs_the_exact_model(monkeypatch):
     # the exact solve that must confirm them runs out of its work budget
     with pytest.raises(LPSizeError):
         lp_dimension_bound(2, 270, 2, 5, mode="float")
-    solve = lp_module._solve_dual_space
+    solve_lp = lp_module.solve_lp
 
     def float_finds_nothing(q, n, r, t, exact):
         if not exact:
             raise InfeasibleRelaxationError("no point")
-        return solve(q, n, r, t, exact)
+        return solve_lp(q, n, r, t, exact)
 
-    monkeypatch.setattr(lp_module, "_solve_dual_space", float_finds_nothing)
+    monkeypatch.setattr(lp_module, "solve_lp", float_finds_nothing)
     with pytest.raises(RuntimeError, match="float rounding failure"):
         lp_dimension_bound(2, 16, 3, 3, mode="float")

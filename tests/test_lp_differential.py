@@ -1,8 +1,8 @@
-"""The exact simplex against the Fraction-tableau reference in
-`fraction_simplex.py`: same status, same optimum and same optimal vertex,
-and the same PivotLimitError at the same pivot budget.  Then the B-space
-solve of `lp_dimension_bound` against `solve_lp` on the A-space model of
-record: same status and exact M, and an A-vector that model accepts."""
+"""The package's integer simplex against the Fraction-tableau reference in
+`fraction_simplex.py`: same status, same optimum and same optimal vertex.
+Then the B-space solve of `lp_dimension_bound` against that integer simplex
+on the A-space model of record (`fraction_simplex.exact_solve`): same
+status and exact M, and an A-vector that model accepts."""
 
 from fractions import Fraction
 
@@ -15,22 +15,14 @@ from availcodes import (
     build_lp,
     lp_dimension_bound,
     point_violations,
-    solve_lp,
 )
-from availcodes.lp import DEFAULT_PIVOT_LIMIT, LPConstraint, LPModel, PivotLimitError
-from fraction_simplex import reference_solve
+from availcodes.lp import LPConstraint, LPModel
+from fraction_simplex import exact_solve, reference_solve
 
 
-def _outcome(solve, model, pivot_limit):
-    try:
-        sol = solve(model, pivot_limit)
-    except PivotLimitError:
-        return "pivot limit"
-    return sol.status, sol.value, sol.variables
-
-
-def _exact(model, pivot_limit):
-    return solve_lp(model, pivot_limit=pivot_limit)
+def exact_solution(model):
+    """The model's solution by `exact_solve`, without its prices."""
+    return exact_solve(model)[0]
 
 
 @st.composite
@@ -67,27 +59,19 @@ def small_lps(draw):
 @settings(max_examples=400, deadline=None)
 @given(small_lps())
 def test_random_lps_match_fraction_reference(model):
-    got = _outcome(_exact, model, DEFAULT_PIVOT_LIMIT)
-    assert got == _outcome(reference_solve, model, DEFAULT_PIVOT_LIMIT)
-    if got[0] == "optimal":
-        assert isinstance(got[1], Fraction)
-        assert all(isinstance(v, Fraction) for v in got[2].values())
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_lps(), st.integers(0, 6))
-def test_random_lps_hit_the_same_pivot_limit(model, pivot_limit):
-    assert _outcome(_exact, model, pivot_limit) == _outcome(
-        reference_solve, model, pivot_limit
-    )
+    got = exact_solution(model)
+    assert got == reference_solve(model)
+    if got.status == "optimal":
+        assert isinstance(got.value, Fraction)
+        assert all(isinstance(v, Fraction) for v in got.variables.values())
 
 
 @pytest.mark.parametrize("r", (3, 4, 5, 6))
 def test_weight_lp_matches_fraction_reference(r):
     model = build_lp(2, (r + 1) ** 2, r, 3)
-    got = _outcome(_exact, model, DEFAULT_PIVOT_LIMIT)
-    assert got[0] == "optimal"
-    assert got == _outcome(reference_solve, model, DEFAULT_PIVOT_LIMIT)
+    got = exact_solution(model)
+    assert got.status == "optimal"
+    assert got == reference_solve(model)
 
 
 # -- the B-space solve of `lp_dimension_bound` against the A-space model --
@@ -114,7 +98,7 @@ _OFF_FAMILY = [(2, 36, 5, 2), (2, 24, 3, 2), (3, 16, 3, 2), (4, 36, 5, 3), (5, 2
 def test_dual_space_matches_the_a_space_model(q, n_max):
     for point in _weight_lp_points(q, n_max) + [p for p in _OFF_FAMILY if p[0] == q]:
         model = build_lp(*point)
-        oracle = solve_lp(model)
+        oracle = exact_solution(model)
         try:
             got = lp_dimension_bound(*point).solution
         except InfeasibleRelaxationError:
@@ -128,7 +112,7 @@ def test_dual_space_matches_the_a_space_model(q, n_max):
 @pytest.mark.parametrize("r", (3, 4, 5, 6))
 def test_dual_space_gives_the_a_space_optimum_on_lp3_rows(r):
     n = (r + 1) ** 2
-    assert lp_dimension_bound(2, n, r, 3).solution[:3] == solve_lp(build_lp(2, n, r, 3))[:3]
+    assert lp_dimension_bound(2, n, r, 3).solution == exact_solution(build_lp(2, n, r, 3))
 
 
 # every lp3 row within the default --rmax, and a shape off the t=3 family
@@ -158,7 +142,7 @@ _PAST_THE_BUDGET = [(2, 60, 2, 5), (2, 66, 2, 5)]
 @pytest.mark.parametrize("point", _PAST_THE_BUDGET)
 def test_float_answers_past_the_exact_work_budget(point):
     approx = lp_dimension_bound(*point, mode="float").solution
-    oracle = solve_lp(build_lp(*point))
+    oracle = exact_solution(build_lp(*point))
     assert oracle.status == "optimal"
     assert approx.value == pytest.approx(float(oracle.value), rel=1e-6)
     assert all(v >= 0 for v in approx.variables.values())

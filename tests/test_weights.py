@@ -9,13 +9,17 @@ from availcodes import (
     AvailabilityCode,
     BitMatrix,
     EnumerationBudgetError,
-    krawtchouk,
     krawtchouk_column,
     krawtchouk_row,
     macwilliams_vector,
     weight_distribution,
 )
 from conftest import dual_weight_counts
+
+
+def krawtchouk(q, n, j, i):
+    """K_j(i), read from the column K_0(i)..K_n(i)."""
+    return krawtchouk_column(q, n, i)[j]
 
 
 def test_krawtchouk_degree_zero():
@@ -38,11 +42,14 @@ def test_krawtchouk_binary_values():
 
 def test_krawtchouk_rejects_bad_ranges():
     with pytest.raises(ValueError):
-        krawtchouk(2, 4, 5, 0)
+        weights.krawtchouk(2, 4, 5, 0)
     with pytest.raises(ValueError):
-        krawtchouk(2, 4, 0, -1)
+        krawtchouk_column(2, 4, -1)
     with pytest.raises(ValueError):
-        krawtchouk(1, 4, 0, 0)
+        krawtchouk_column(2, 4, 5)
+    with pytest.raises(ValueError):
+        krawtchouk_column(1, 4, 0)
+    assert weights.krawtchouk(3, 7, 2, 4) == krawtchouk(3, 7, 2, 4)
 
 
 def test_krawtchouk_row_is_the_transposed_columns():
