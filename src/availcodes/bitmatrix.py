@@ -168,9 +168,8 @@ def rank_and_nullspace(mat: BitMatrix) -> tuple[int, BitMatrix]:
     column; a full-column-rank input yields a basis with zero rows.
 
     The vector of free column j is bit j plus the pivot of every reduced
-    row with a one in column j.  That is O(free * rank) steps, few because
-    the package asks for a basis only when at most `ENUMERATION_LIMIT` = 21
-    columns are free (see `weights.weight_distribution`).
+    row with a one in column j: O(free * rank) steps.  Every pivot lies
+    below j, so bit j is the vector's highest.
     """
     echelon, pivots = _rref(mat.bits)
     pivot_set = set(pivots)

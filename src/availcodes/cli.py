@@ -42,11 +42,26 @@ def _require(value, flag: str):
     return value
 
 
+# CPython's default limit on the digits int() reads; the interpreter's
+# settings can lift it, so the parser holds integer options to it itself
+MAX_INT_DIGITS = 4300
+
+
+def _int(text: str) -> int:
+    """An integer option of at most MAX_INT_DIGITS digits."""
+    if sum(map(str.isdigit, text)) > MAX_INT_DIGITS:
+        raise argparse.ArgumentTypeError(f"invalid int value: more than {MAX_INT_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _index_list(text: str) -> list[int]:
     """A comma-separated list of integers; "" is the empty list."""
     try:
-        return [int(v) for v in text.split(",")] if text else []
-    except ValueError:
+        return [_int(v) for v in text.split(",")] if text else []
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
@@ -97,66 +112,66 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         command, p, _ = _add_commands(p, "construct_command", _CONSTRUCT_COMMANDS, argv)
 
     if command == "rate":
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--n", type=int, help="block length (greedy-t3 only)")
+        p.add_argument("--r", type=_int, required=True)
+        p.add_argument("--t", type=_int, required=True)
+        p.add_argument("--n", type=_int, help="block length (greedy-t3 only)")
         p.add_argument("--method", choices=sorted(RATE_METHODS), default="tamo-barg")
     elif command == "dmin":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--M", type=int)
-        p.add_argument("--delta", type=int)
+        p.add_argument("--n", type=_int, required=True)
+        p.add_argument("--k", type=_int, required=True)
+        p.add_argument("--r", type=_int, required=True)
+        p.add_argument("--t", type=_int, required=True)
+        p.add_argument("--M", type=_int)
+        p.add_argument("--delta", type=_int)
         p.add_argument("--method", choices=sorted(DMIN_METHODS), default="tamo-barg")
     elif command == "lp":
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--q", type=_int, required=True)
+        p.add_argument("--n", type=_int, required=True)
+        p.add_argument("--r", type=_int, required=True)
+        p.add_argument("--t", type=_int, required=True)
         p.add_argument("--float", action="store_true", dest="float_mode")
     elif command == "partition":
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--g", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--r", type=_int, required=True)
+        p.add_argument("--g", type=_int, required=True)
+        p.add_argument("--t", type=_int, required=True)
         p.add_argument(
             "--choice", type=_index_list, help="comma-separated 1-based partition indices"
         )
         p.add_argument("-o", "--out", type=str)
     elif command == "functional":
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--n1", type=int, default=2)
-        p.add_argument("--m1", type=int, default=1)
-        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--q", type=_int, required=True)
+        p.add_argument("--n1", type=_int, default=2)
+        p.add_argument("--m1", type=_int, default=1)
+        p.add_argument("--t", type=_int, required=True)
         p.add_argument(
             "--matrices", type=str, help="JSON file with t m1 x n1 matrices; defaults to "
             "pairwise-independent directions when n1=2, m1=1"
         )
         p.add_argument("-o", "--out", type=str)
     elif command == "product":
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--r", type=_int, required=True)
+        p.add_argument("--t", type=_int, required=True)
         p.add_argument("-o", "--out", type=str)
     elif command == "verify":
         p.add_argument("--in", dest="infile", type=str, required=True)
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--r", type=_int, required=True)
+        p.add_argument("--t", type=_int, required=True)
         p.add_argument("--strict", action="store_true")
     elif command == "analyze":
         p.add_argument("--in", dest="infile", type=str, required=True)
-        p.add_argument("--r", type=int)
-        p.add_argument("--t", type=int)
+        p.add_argument("--r", type=_int)
+        p.add_argument("--t", type=_int)
         p.add_argument("--dmin", action="store_true")
         p.add_argument("--greedy", action="store_true")
-        p.add_argument("--start", type=int, default=1)
+        p.add_argument("--start", type=_int, default=1)
         p.add_argument("--tiebreak", choices=["lowest", "random"], default="lowest")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--ghw", type=int, metavar="I")
+        p.add_argument("--seed", type=_int)
+        p.add_argument("--ghw", type=_int, metavar="I")
     elif command == "figure":
         p.add_argument("figure_id", choices=FIGURE_IDS)
-        p.add_argument("--rmin", type=int, required=True)
-        p.add_argument("--rmax", type=int, required=True)
-        p.add_argument("--budget", type=int, default=LP_DEFAULT_BUDGET)
+        p.add_argument("--rmin", type=_int, required=True)
+        p.add_argument("--rmax", type=_int, required=True)
+        p.add_argument("--budget", type=_int, default=LP_DEFAULT_BUDGET)
         p.add_argument("-o", "--out", type=str)
     return parser
 

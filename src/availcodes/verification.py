@@ -11,12 +11,12 @@ import itertools
 import math
 import operator
 import random
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import _Record
-from .bitmatrix import BitMatrix, _rows_through, row_space_basis
+from .bitmatrix import BitMatrix, _rows_through, rank_and_nullspace, row_space_basis
 from .codes import AvailabilityCode
-from .weights import EnumerationBudgetError, weight_distribution
+from .weights import ENUMERATION_LIMIT, EnumerationBudgetError, weight_distribution
 
 GHW_MAX_DUAL_DIM = 16
 GHW_MAX_LEVEL = 3
@@ -163,9 +163,133 @@ def _find_orthogonal_subset(
 
 
 def min_distance_bruteforce(code: AvailabilityCode) -> int | float:
-    """Exact minimum weight over nonzero codewords; math.inf for k = 0."""
+    """Exact minimum weight over nonzero codewords; math.inf for k = 0.
+
+    Two exact methods, chosen by predicted work: Zimmermann's search over
+    information sets (`_information_set_search`), and the Gray walk of
+    `weight_distribution` over the 2^min(k, n-k) words of the smaller side.
+    The search runs first unless its first level, k words, already costs
+    more than the walk; it hands over to the walk as soon as its words so
+    far plus its next step would pass the walk's.  Past the walk's limit,
+    both are held to 2^ENUMERATION_LIMIT words, and the search raises
+    `EnumerationBudgetError` before a step that would pass it.
+    """
+    n, k = code.n, code.k
+    if k == 0:
+        return math.inf
+    side = min(k, n - k)
+    walk = 1 << side if side <= ENUMERATION_LIMIT else None
+    if walk is None or k <= walk:
+        d = _information_set_search(code.H, n, k, walk)
+        if d is not None:
+            return d
     counts = weight_distribution(code)
-    return next((w for w in range(1, code.n + 1) if counts[w]), math.inf)
+    return next(w for w in range(1, n + 1) if counts[w])
+
+
+def _information_set_search(h: BitMatrix, n: int, k: int, walk: int | None) -> int | None:
+    """d_min from disjoint information sets (Zimmermann 1996; Grassl 2006),
+    or None once the Gray walk's `walk` words are predicted to cost less.
+
+    Set j is r_j columns on which a basis of the code splits into r_j rows
+    that are the identity there and k - r_j rows that vanish there.  The
+    first set is the free columns of the nullspace basis; each later one
+    is eliminated on the columns no set has used, so r_j never grows and
+    a set is built only once that costs less than the cheapest step.  A
+    word has weight s on set j exactly when it sums s of the identity
+    rows.  Step s of set j visits those words, C(r_j, s) sums each plus
+    every word in the span of the vanishing rows, so after it every word
+    not yet seen has weight at least s + 1 there: the set adds
+    max(0, w + 1 - (k - r_j)) to the lower bound at level w = s + k - r_j.
+    The cheapest next step of any set runs first, and the search ends when
+    the summed bound reaches the lightest word found, or when a set's last
+    step has visited the whole code.
+    """
+    rows = rank_and_nullspace(h)[1].bits
+    unused = (1 << n) - 1
+    for row in rows:  # the free column of a nullspace vector is its highest bit
+        unused ^= 1 << row.bit_length() - 1
+    sets, steps = [(rows, [])], [0]
+    need = max(1, k - ENUMERATION_LIMIT)  # a smaller rank puts the first step over budget
+
+    def cost(j: int) -> int:
+        ident, zero = sets[j]
+        return (math.comb(len(ident), steps[j]) << len(zero)) - (steps[j] == 0)
+
+    bound, best, done = 0, math.inf, 0
+    while bound < best:
+        j = min(range(len(sets)), key=cost)
+        words = cost(j)
+        # the next set's elimination reduces k rows by up to r pivots each
+        if unused.bit_count() >= need and k * len(sets[-1][0]) < words:
+            pivots, zero = _eliminate(sets[-1][0], unused)
+            if len(pivots) < need:
+                unused = 0
+                continue
+            unused ^= sum(pivots)
+            sets.append((list(pivots.values()), sets[-1][1] + zero))
+            steps.append(0)
+            continue
+        if walk is not None and done + words > walk:
+            return None
+        ident, zero = sets[j]
+        s = steps[j]
+        if done + words > 1 << ENUMERATION_LIMIT:
+            raise EnumerationBudgetError(
+                f"d_min of the n={n}, k={k} code: level {s + len(zero)} of the "
+                f"information-set search passes {1 << ENUMERATION_LIMIT} words "
+                f"(d_min is {max(bound, 1)}..{min(best, n - k + 1)})"
+            )
+        if s:
+            best = min(best, min(_level_min(ident, s, z) for z in _span(zero)))
+        else:  # the zero rows' nonzero span: the span of ten of them per C-level pass
+            low = list(_span(zero[:10]))
+            for z in _span(zero[10:]):
+                best = min(best, min(map(int.bit_count, map(z.__xor__, low[not z :])), default=best))
+        done += words
+        steps[j] += 1
+        bound += 1 if s < len(ident) else math.inf
+    return best
+
+
+def _eliminate(rows: Sequence[int], unused: int) -> tuple[dict[int, int], list[int]]:
+    """Rows spanning the same space as `rows`, split into reduced rows keyed
+    by their pivot bit among the columns of `unused`, and rows zero there."""
+    pivots: dict[int, int] = {}
+    zero = []
+    for row in rows:
+        for bit, pivot in pivots.items():
+            if row & bit:
+                row ^= pivot
+        low = row & unused
+        if not low:
+            zero.append(row)
+            continue
+        low &= -low
+        for bit, pivot in pivots.items():
+            if pivot & low:
+                pivots[bit] = pivot ^ row
+        pivots[low] = row
+    return pivots, zero
+
+
+def _span(vecs: Sequence[int]) -> Iterator[int]:
+    """Every word of the span of the independent `vecs`, 0 first, in Gray order."""
+    word = 0
+    yield word
+    for s in range(1, 1 << len(vecs)):
+        word ^= vecs[(s & -s).bit_length() - 1]
+        yield word
+
+
+def _level_min(rows: Sequence[int], v: int, acc: int, start: int = 0) -> int | float:
+    """Least weight of `acc` plus a sum of v of rows[start:]: depth first over
+    the (v-1)-row prefixes, the last row taken in one C-level pass."""
+    if v == 1:
+        return min(map(int.bit_count, map(acc.__xor__, rows[start:])))
+    return min(
+        _level_min(rows, v - 1, acc ^ rows[i], i + 1) for i in range(start, len(rows) - v + 1)
+    )
 
 
 def gaussian_binomial(m: int, i: int) -> int:

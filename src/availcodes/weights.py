@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-# Enumeration is 2^min(k, n-k) words; keep that exponent at or below this.
-# The Gray walk takes 0.2-0.4 us a word at n <= 1024 and 0.5-1.0 us at
-# n = 4096 (2-vCPU VM, Python 3.11), so 2^21 words take 0.4-0.8 s and
-# 1.1-2.1 s; 2^22 words took 0.9-2.0 s and 2.9-4.3 s.
+# The word budget of both exact d_min methods, as a power of two: the Gray
+# walk's 2^min(k, n-k) words, and the words the information-set search in
+# `verification.min_distance_bruteforce` visits.  The Gray walk takes
+# 0.2-0.4 us a word at n <= 1024 and 0.5-1.0 us at n = 4096 (2-vCPU VM,
+# Python 3.11), so 2^21 words take 0.4-0.8 s and 1.1-2.1 s; 2^22 words
+# took 0.9-2.0 s and 2.9-4.3 s.
 ENUMERATION_LIMIT = 21
 
 

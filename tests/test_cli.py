@@ -398,10 +398,11 @@ def test_analyze_computes_rank_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bitmatrix, "_pivot_table", counting_pivot_table)
     for r, extra, shape, count in [
         (2, [], {"n": 9, "m": 6, "rank": 5, "k": 4}, 1),
-        # k, then the nullspace basis the enumeration runs over (k <= n-k)
+        # k, then the nullspace basis the information-set search runs over
         (2, ["--dmin"], {"n": 9, "m": 6, "rank": 5, "k": 4}, 2),
-        # k, then the dual's echelon rows (k > n-k)
-        (4, ["--dmin"], {"n": 25, "m": 10, "rank": 9, "k": 16}, 2),
+        # k, the search's nullspace basis, then the dual's echelon rows: after
+        # 136 words the search's next step would pass the walk's 2^9
+        (4, ["--dmin"], {"n": 25, "m": 10, "rank": 9, "k": 16}, 3),
     ]:
         path = tmp_path / f"g{r}.txt"
         _run(capsys, "construct", "product", "--r", str(r), "--t", "2", "-o", str(path))
@@ -491,8 +492,6 @@ BAD_INPUTS = [
     ("verify --r 1 --t -1 --in", None),
     # the general search stops at its step budget
     ("verify --r 2 --t 13 --in", _TRIANGLES_12),
-    # a dual of dimension 27 and k = 169: both over the enumeration limit
-    ("analyze --dmin --in", "construct product --r 13 --t 2"),
     ("bounds rate --r 3 --t 5 --n 20 --method greedy-t3", None),
     ("bounds dmin --n 5 --k 10 --r 2 --t 2 --method wang", None),
     ("bounds dmin --n -5 --k 1 --r 2 --t 2 --method wang", None),
@@ -510,6 +509,10 @@ BAD_INPUTS = [
     ("bounds rate --r 1000000 --t 4096", None),
     ("figure rate4 --rmin 7000 --rmax 7000", None),
     ("bounds lp --q 10**30 --n 150 --r 1 --t 1", None),
+    # k = 64 and 41, both sides over the Gray walk's limit, and the
+    # information-set search's next step over its 2^21 words
+    ("analyze --dmin --in", "construct product --r 4 --t 3"),
+    ("analyze --r 7 --t 4 --dmin --in", "construct partition --r 7 --g 2 --t 4"),
 ]
 
 
@@ -536,9 +539,43 @@ def test_bad_input_exits_1_with_message(tmp_path, capsys, argv, matrices):
         argv.append(str(path))
     start = time.perf_counter()
     code, stdout, err = _run(capsys, *argv)
-    assert time.perf_counter() - start < 3
+    # a d_min refusal comes within a second
+    assert time.perf_counter() - start < (1 if "--dmin" in argv else 3)
     assert (code, stdout) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "construct,k",
+    [("construct product --r 13 --t 2", 169), ("construct partition --r 3 --g 3 --t 3", 32)],
+)
+def test_analyze_dmin_past_the_enumeration_limit(tmp_path, capsys, construct, k):
+    # min(k, n - k) = 27 and 32: answered by the information-set search
+    path = tmp_path / "h.txt"
+    assert _run(capsys, *shlex.split(construct), "-o", str(path))[0] == 0
+    code, stdout, err = _run(capsys, "analyze", "--in", str(path), "--dmin")
+    assert (code, err) == (0, "")
+    doc = json.loads(stdout)
+    assert (doc["code"]["k"], doc["checks"]["dmin"]) == (k, 4)
+
+
+def test_integer_options_do_not_depend_on_the_int_digit_limit():
+    # int() refuses over 4300 digits unless PYTHONINTMAXSTRDIGITS=0 lifts
+    # that; the parser refuses them itself, with one message under both
+    argv = ["bounds", "rate", "--r", "1" * 4301, "--t", "1"]
+    outcomes = set()
+    for limit in ("4300", "0"):
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONINTMAXSTRDIGITS": limit}
+        proc = subprocess.run(
+            [sys.executable, "-m", "availcodes.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        outcomes.add((proc.returncode, proc.stdout, proc.stderr))
+    [(code, stdout, stderr)] = outcomes
+    assert (code, stdout) == (2, "")
+    assert stderr.endswith(
+        "error: argument --r: invalid int value: more than 4300 digits\n"
+    )
 
 
 def test_exact_output_does_not_depend_on_the_int_digit_limit(capsys):

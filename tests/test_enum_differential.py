@@ -3,7 +3,8 @@
 the unpruned search, the same weight distribution A whichever side
 `weight_distribution` enumerates (checked against a direct span of the
 reference nullspace basis), the same Krawtchouk values and MacWilliams
-transforms, and the same error messages."""
+transforms, and the same error messages.  The information-set search for
+d_min is held to the minimum of the Gray walk's distribution."""
 
 import math
 
@@ -19,9 +20,12 @@ from availcodes import (
     dual_ghw_bruteforce,
     krawtchouk_column,
     macwilliams_vector,
+    min_distance_bruteforce,
+    product_code,
     rank,
     weight_distribution,
 )
+from availcodes import verification
 from availcodes.verification import GHW_MAX_DUAL_DIM, GHW_SUBSPACE_BUDGET, gaussian_binomial
 from conftest import span_weights
 
@@ -135,3 +139,44 @@ def test_catalog_matches_oracles(catalog):
                 assert _outcome(dual_ghw_bruteforce, code, level) == _outcome(
                     oracle.dual_ghw_bruteforce, code, level
                 )
+
+
+def _walk_min(code):
+    """d_min read off the Gray walk's weight distribution."""
+    counts = weight_distribution(code)
+    return next((w for w in range(1, code.n + 1) if counts[w]), math.inf)
+
+
+def _search_min(code):
+    """d_min from the information-set search alone, never handed to the walk."""
+    if code.k == 0:
+        return math.inf
+    return verification._information_set_search(code.H, code.n, code.k, None)
+
+
+def test_catalog_information_sets_match_the_walk(catalog):
+    for code in catalog:
+        assert _search_min(code) == _walk_min(code), code.construction
+
+
+@st.composite
+def square_codes(draw, max_cols):
+    """Up to n rows on n columns, so that min(k, n - k) ranges up to n / 2."""
+    n = draw(st.integers(1, max_cols))
+    m = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        cols = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
+        row = cols.map(lambda cols: sum(1 << c for c in cols))
+    else:
+        row = st.integers(0, (1 << n) - 1)
+    return _rows(draw(st.lists(row, min_size=m, max_size=m)), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_codes(max_cols=40))
+@example(product_code(2, 2))  # information sets of rank 4, 3 and 2
+@example(product_code(3, 2))
+@example(_rows([1 << i for i in range(10)] + [(1 << 10) - 1 << 10], 20))  # ten zero columns, d = 2
+@example(_rows([0b11], 2))  # the repetition code: the search visits every word
+def test_information_sets_match_the_walk(code):
+    assert _search_min(code) == _walk_min(code) == min_distance_bruteforce(code)

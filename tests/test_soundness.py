@@ -3,11 +3,17 @@
 from fractions import Fraction
 
 from availcodes import (
+    FiniteField,
+    build_partition_family,
     dim_huang,
     dual_ghw_bruteforce,
+    functional_code,
     ghw_profile_m_delta,
     ghw_profile_simple,
     min_distance_bruteforce,
+    partition_code,
+    product_code,
+    projective_functionals,
 )
 from conftest import applicable_distance_bounds, applicable_rate_bounds
 
@@ -29,6 +35,23 @@ def test_distance_bounds_dominate_bruteforce(catalog):
         for bound in applicable_distance_bounds(code.n, code.k, code.r, code.t):
             assert int(bound.value_exact) >= d, (
                 code.construction, code.r, code.t, bound.name, d,
+            )
+
+
+def test_distance_bounds_dominate_codes_past_the_enumeration_limit():
+    # min(k, n - k) from 23 to 128: d_min from the information-set search
+    codes = [product_code(r, t) for r, t in ((3, 3), (11, 2), (13, 2))]
+    for r, g, t in ((3, 3, 2), (3, 3, 3), (3, 3, 4), (3, 4, 3), (6, 2, 4), (8, 2, 7)):
+        codes.append(partition_code(build_partition_family(r, g), t))
+    for q, t in ((7, 4), (9, 7), (13, 12)):
+        gf = FiniteField(q)
+        codes.append(functional_code(gf, 2, 1, projective_functionals(gf, t)))
+    for code in codes:
+        assert min(code.k, code.n - code.k) > 21
+        d = min_distance_bruteforce(code)
+        for bound in applicable_distance_bounds(code.n, code.k, code.r, code.t):
+            assert int(bound.value_exact) >= d, (
+                code.construction, code.n, code.k, code.r, code.t, bound.name, d,
             )
 
 

@@ -22,7 +22,7 @@ from availcodes import (
     projective_functionals,
     rank,
 )
-from availcodes import verification
+from availcodes import verification, weights
 from availcodes.verification import gaussian_binomial
 from conftest import flagged, span_weights, stack
 
@@ -165,10 +165,38 @@ def test_min_distance_zero_dimensional():
 
 
 def test_min_distance_guard():
-    # k = n - k = 30: neither the code nor its dual is within the limit
+    # both sides past the walk's limit, and the information-set search's
+    # next step past 2^21 words: refused before that step
+    for code, shape, level in (
+        (product_code(4, 3), "n=125, k=64", 5),
+        (partition_code(build_partition_family(7, 2), 4), "n=64, k=41", 6),
+    ):
+        with pytest.raises(EnumerationBudgetError, match=f"{shape} code: level {level} "):
+            min_distance_bruteforce(code)
+
+
+def test_min_distance_past_the_enumeration_limit():
+    # k = n - k = 30: the first information set's level 1 holds unit words
     wide = AvailabilityCode(H=BitMatrix.from_rows([1 << i for i in range(30)], 60))
-    with pytest.raises(EnumerationBudgetError):
-        min_distance_bruteforce(wide)
+    assert min_distance_bruteforce(wide) == 1
+    # the product of t single-parity-check codes of length r + 1: k = r^t, d = 2^t
+    for r, t in ((3, 3), (13, 2)):
+        code = product_code(r, t)
+        assert (code.k, min_distance_bruteforce(code)) == (r**t, 2**t)
+    for g in (3, 4):
+        code = partition_code(build_partition_family(3, g), 3)
+        assert (code.n, code.k, min_distance_bruteforce(code)) == (4**g, 4**g // 2, 4)
+
+
+def test_min_distance_without_the_walk(monkeypatch):
+    # the fiber code over GF(7), k = 18, from information sets alone
+    def no_walk(vecs, n):
+        raise AssertionError("Gray walk")
+
+    monkeypatch.setattr(weights, "_gray_weight_counts", no_walk)
+    gf = FiniteField(7)
+    code = functional_code(gf, 2, 1, projective_functionals(gf, 5))
+    assert (code.n, code.k, min_distance_bruteforce(code)) == (49, 18, 12)
 
 
 def test_min_distance_from_the_dual_side():
