@@ -178,5 +178,9 @@ def square_codes(draw, max_cols):
 @example(product_code(3, 2))
 @example(_rows([1 << i for i in range(10)] + [(1 << 10) - 1 << 10], 20))  # ten zero columns, d = 2
 @example(_rows([0b11], 2))  # the repetition code: the search visits every word
+# d = 3 from a word that sums fewer rows of a rank-deficient information set
+# than its first contributing level: visiting only that level's sums of all
+# k rows from there on gives 4
+@example(_rows([32214, 38443, 11857, 6844, 4955, 7915, 12123, 42997], 16))
 def test_information_sets_match_the_walk(code):
     assert _search_min(code) == _walk_min(code) == min_distance_bruteforce(code)
