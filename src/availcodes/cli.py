@@ -299,7 +299,7 @@ def _cmd_analyze(args) -> int:
     with open(args.infile) as fh:
         h = parse_matrix(fh.read())
     code = AvailabilityCode(H=h, r=args.r, t=args.t)
-    k = code.k  # the one rank computation
+    k = code.k  # the one elimination of H
     doc: dict = {"code": {"n": code.n, "m": code.m, "rank": code.n - k, "k": k}}
     checks: dict = {}
     if args.dmin:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from . import _Record
-from .bitmatrix import BitMatrix, rank
+from .bitmatrix import BitMatrix, _nullspace, row_space_basis
 
 STRICT = "strict"
 GENERAL = "general"
@@ -17,11 +17,13 @@ class AvailabilityCode(_Record):
     `r` (locality) and `t` (availability) are declared parameters; they may
     be None for matrices under analysis.  `kind` records whether the matrix
     is claimed to satisfy the strict row/column-regularity conditions.
-    The length n is H's column count; the dimension k = n - rank(H) is
-    computed once, on first use.
+    The length n is H's column count.  H is eliminated once, on first use:
+    `dual_basis` is its reduced echelon form, k = n - rank(H) is read off
+    it, and `basis`, the code's own, is read off it when first asked for.
+    Neither cache is compared, copied or pickled.
     """
 
-    __slots__ = ("H", "r", "t", "kind", "construction", "parameters", "_k")
+    __slots__ = ("H", "r", "t", "kind", "construction", "parameters", "_dual_basis", "_basis")
 
     def __init__(
         self,
@@ -40,7 +42,10 @@ class AvailabilityCode(_Record):
         self.kind = kind
         self.construction = construction
         self.parameters = {} if parameters is None else parameters
-        self._k = None
+        self._dual_basis = self._basis = None
+
+    def __reduce__(self):  # copies and pickles leave the caches out
+        return type(self), (self.H, self.r, self.t, self.kind, self.construction, self.parameters)
 
     @property
     def n(self) -> int:
@@ -51,10 +56,20 @@ class AvailabilityCode(_Record):
         return self.H.rows
 
     @property
+    def dual_basis(self) -> BitMatrix:
+        if self._dual_basis is None:
+            self._dual_basis = row_space_basis(self.H)
+        return self._dual_basis
+
+    @property
+    def basis(self) -> BitMatrix:
+        if self._basis is None:
+            self._basis = _nullspace(self.dual_basis)
+        return self._basis
+
+    @property
     def k(self) -> int:
-        if self._k is None:
-            self._k = self.n - rank(self.H)
-        return self._k
+        return self.n - self.dual_basis.rows
 
     def sidecar(self) -> dict:
         """JSON-ready description written next to serialized matrices."""

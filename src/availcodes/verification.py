@@ -14,7 +14,7 @@ import random
 from typing import Iterator, Sequence
 
 from . import _Record
-from .bitmatrix import BitMatrix, _rows_through, rank_and_nullspace, row_space_basis
+from .bitmatrix import BitMatrix, _rows_through, _rref
 from .codes import AvailabilityCode
 from .weights import ENUMERATION_LIMIT, EnumerationBudgetError, weight_distribution
 
@@ -180,21 +180,22 @@ def min_distance_bruteforce(code: AvailabilityCode) -> int | float:
     side = min(k, n - k)
     walk = 1 << side if side <= ENUMERATION_LIMIT else None
     if walk is None or k <= walk:
-        d = _information_set_search(code.H, n, k, walk)
+        d = _information_set_search(code, walk)
         if d is not None:
             return d
     counts = weight_distribution(code)
     return next(w for w in range(1, n + 1) if counts[w])
 
 
-def _information_set_search(h: BitMatrix, n: int, k: int, walk: int | None) -> int | None:
+def _information_set_search(code: AvailabilityCode, walk: int | None) -> int | None:
     """d_min from disjoint information sets (Zimmermann 1996; Grassl 2006),
     or None once the Gray walk's `walk` words are predicted to cost less.
 
     Set j is r_j columns on which a basis of the code splits into r_j rows
     that are the identity there and k - r_j rows that vanish there.  The
-    first set is the free columns of the nullspace basis; each later one
-    is eliminated on the columns no set has used, so r_j never grows and
+    first set is the free columns of the code's `basis`; each later one is
+    `_rref` of the last set's identity rows on the columns no set has used
+    (the vanishing rows join the last set's), so r_j never grows and
     a set is built only once that costs less than the cheapest step.  A
     word has weight s on set j exactly when it sums s of the identity
     rows.  Step s of set j visits those words, C(r_j, s) sums each plus
@@ -205,7 +206,7 @@ def _information_set_search(h: BitMatrix, n: int, k: int, walk: int | None) -> i
     the summed bound reaches the lightest word found, or when a set's last
     step has visited the whole code.
     """
-    rows = rank_and_nullspace(h)[1].bits
+    n, k, rows = code.n, code.k, code.basis.bits
     unused = (1 << n) - 1
     for row in rows:  # the free column of a nullspace vector is its highest bit
         unused ^= 1 << row.bit_length() - 1
@@ -222,12 +223,12 @@ def _information_set_search(h: BitMatrix, n: int, k: int, walk: int | None) -> i
         words = cost(j)
         # the next set's elimination reduces k rows by up to r pivots each
         if unused.bit_count() >= need and k * len(sets[-1][0]) < words:
-            pivots, zero = _eliminate(sets[-1][0], unused)
+            ident, pivots, zero = _rref(sets[-1][0], unused)
             if len(pivots) < need:
                 unused = 0
                 continue
-            unused ^= sum(pivots)
-            sets.append((list(pivots.values()), sets[-1][1] + zero))
+            unused ^= sum(1 << p for p in pivots)
+            sets.append((ident, sets[-1][1] + zero))
             steps.append(0)
             continue
         if walk is not None and done + words > walk:
@@ -250,27 +251,6 @@ def _information_set_search(h: BitMatrix, n: int, k: int, walk: int | None) -> i
         steps[j] += 1
         bound += 1 if s < len(ident) else math.inf
     return best
-
-
-def _eliminate(rows: Sequence[int], unused: int) -> tuple[dict[int, int], list[int]]:
-    """Rows spanning the same space as `rows`, split into reduced rows keyed
-    by their pivot bit among the columns of `unused`, and rows zero there."""
-    pivots: dict[int, int] = {}
-    zero = []
-    for row in rows:
-        for bit, pivot in pivots.items():
-            if row & bit:
-                row ^= pivot
-        low = row & unused
-        if not low:
-            zero.append(row)
-            continue
-        low &= -low
-        for bit, pivot in pivots.items():
-            if pivot & low:
-                pivots[bit] = pivot ^ row
-        pivots[low] = row
-    return pivots, zero
 
 
 def _span(vecs: Sequence[int]) -> Iterator[int]:
@@ -317,7 +297,7 @@ def dual_ghw_bruteforce(code: AvailabilityCode, dimension: int) -> int:
     vector's coset is scanned in one C-level pass.  The budget checks count
     every subspace, pruned or not, and run before any enumeration.
     """
-    basis = row_space_basis(code.H)
+    basis = code.dual_basis
     rho = basis.rows
     if dimension < 1 or dimension > rho:
         raise EnumerationBudgetError(

@@ -87,24 +87,21 @@ def weight_distribution(code) -> tuple[int, ...]:
     """Exact weight distribution A_0..A_n of a binary code given by its
     parity matrix.
 
-    Enumerates the smaller of the code (2^k words, over a nullspace basis)
-    and its dual (2^(n-k) words, over the echelon rows of H); from the dual
-    side, A is recovered by the MacWilliams transform.  Guarded at
-    min(k, n-k) <= ENUMERATION_LIMIT, checked before any basis is built;
-    k is the code's own, computed once.
+    Enumerates the smaller of the code (2^k words, over its `basis`) and
+    its dual (2^(n-k) words, over its `dual_basis`); from the dual side, A
+    is recovered by the MacWilliams transform.  Guarded at
+    min(k, n-k) <= ENUMERATION_LIMIT, checked before the code's basis is
+    read off its echelon form.
     """
-    from .bitmatrix import rank_and_nullspace, row_space_basis
-
-    h = code.H
-    n, k = h.cols, code.k
+    n, k = code.n, code.k
     if min(k, n - k) > ENUMERATION_LIMIT:
         raise EnumerationBudgetError(
             f"dimension {k} and dual dimension {n - k} both exceed "
             f"enumeration limit {ENUMERATION_LIMIT}"
         )
     if n - k < k:
-        return macwilliams_vector(n, 2, _gray_weight_counts(row_space_basis(h).bits, n))
-    return tuple(_gray_weight_counts(rank_and_nullspace(h)[1].bits, n))
+        return macwilliams_vector(n, 2, _gray_weight_counts(code.dual_basis.bits, n))
+    return tuple(_gray_weight_counts(code.basis.bits, n))
 
 
 def macwilliams_vector(n: int, q: int, A: Sequence[int]) -> tuple[int, ...]:

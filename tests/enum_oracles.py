@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from availcodes.bitmatrix import row_space_basis
 from availcodes.verification import (
     GHW_MAX_DUAL_DIM,
     GHW_MAX_LEVEL,
@@ -23,11 +22,13 @@ from availcodes.verification import (
     gaussian_binomial,
 )
 from availcodes.weights import EnumerationBudgetError
+from matrix_oracles import row_space_basis
 
 
 def dual_ghw_bruteforce(code, dimension: int) -> int:
     """Every reduced-echelon coefficient pattern, each basis vector summed
-    from its coefficient bits, with no pruning."""
+    from its coefficient bits, with no pruning, over the reference echelon
+    basis of `matrix_oracles`."""
     basis = row_space_basis(code.H)
     rho = basis.rows
     if dimension < 1 or dimension > rho:

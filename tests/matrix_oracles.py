@@ -1,6 +1,7 @@
 """Reference oracles for the matrix layers: the direct O(n*m) versions of
-the greedy walk, the strict and general checks, the text format, rank and
-the all-partitions family build from the Latin-square grids themselves.
+the greedy walk, the strict and general checks, the text format, rank, the
+masked elimination of the information-set search, and the all-partitions
+family build from the Latin-square grids themselves.
 
 These are the straightforward implementations the package used before its
 matrix pipeline became incidence-based.  `test_matrix_differential.py`
@@ -47,6 +48,28 @@ def _rref(bits):
             if idx != pos and (echelon[idx] >> col) & 1:
                 echelon[idx] ^= row
     return echelon, pivots
+
+
+def _eliminate(rows, unused):
+    """Rows spanning the same space as `rows`, split into reduced rows keyed
+    by their pivot bit among the columns of `unused`, and rows zero there:
+    each new row is reduced by the pivots so far, then cleared from them."""
+    pivots: dict[int, int] = {}
+    zero = []
+    for row in rows:
+        for bit, pivot in pivots.items():
+            if row & bit:
+                row ^= pivot
+        low = row & unused
+        if not low:
+            zero.append(row)
+            continue
+        low &= -low
+        for bit, pivot in pivots.items():
+            if pivot & low:
+                pivots[bit] = pivot ^ row
+        pivots[low] = row
+    return pivots, zero
 
 
 def rank(mat: BitMatrix) -> int:

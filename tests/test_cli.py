@@ -20,7 +20,7 @@ import enum_oracles
 from availcodes import FIGURE_IDS, BitMatrix, EnumerationBudgetError
 from availcodes import cli as cli_module
 from availcodes import lp as lp_module
-from availcodes import parse_matrix, product_code, rank, serialize_matrix
+from availcodes import parse_matrix, product_code, serialize_matrix
 from availcodes.bitmatrix import MatrixFormatError
 from availcodes.cli import run_cli
 
@@ -379,39 +379,33 @@ def test_construct_partition_rejects_repeated_choice(tmp_path, capsys):
 
 
 def test_analyze_computes_rank_once(tmp_path, capsys, monkeypatch):
+    # every flag reads the code's one echelon form of H: k, the search's
+    # basis, the walk's dual rows and the GHW's dual basis
     from availcodes import bitmatrix
-    from availcodes import codes as codes_module
 
-    calls = []
     eliminations = []
-    pivot_table = bitmatrix._pivot_table
+    rref = bitmatrix._rref
 
-    def counting_rank(mat):
-        calls.append(mat)
-        return rank(mat)
+    def counting_rref(bits, *mask):
+        eliminations.append(tuple(bits))
+        return rref(bits, *mask)
 
-    def counting_pivot_table(bits):
-        eliminations.append(bits)
-        return pivot_table(bits)
-
-    monkeypatch.setattr(codes_module, "rank", counting_rank)
-    monkeypatch.setattr(bitmatrix, "_pivot_table", counting_pivot_table)
-    for r, extra, shape, count in [
-        (2, [], {"n": 9, "m": 6, "rank": 5, "k": 4}, 1),
-        # k, then the nullspace basis the information-set search runs over
-        (2, ["--dmin"], {"n": 9, "m": 6, "rank": 5, "k": 4}, 2),
-        # k, the search's nullspace basis, then the dual's echelon rows: after
-        # 136 words the search's next step would pass the walk's 2^9
-        (4, ["--dmin"], {"n": 25, "m": 10, "rank": 9, "k": 16}, 3),
+    monkeypatch.setattr(bitmatrix, "_rref", counting_rref)
+    for r, extra, shape in [
+        (2, [], {"n": 9, "m": 6, "rank": 5, "k": 4}),
+        (2, ["--dmin"], {"n": 9, "m": 6, "rank": 5, "k": 4}),
+        # the search hands over to the Gray walk after 136 words
+        (4, ["--dmin"], {"n": 25, "m": 10, "rank": 9, "k": 16}),
+        (4, ["--dmin", "--ghw", "2"], {"n": 25, "m": 10, "rank": 9, "k": 16}),
     ]:
         path = tmp_path / f"g{r}.txt"
         _run(capsys, "construct", "product", "--r", str(r), "--t", "2", "-o", str(path))
-        calls.clear()
+        h = parse_matrix(path.read_text())
         eliminations.clear()
         code, stdout, _ = _run(capsys, "analyze", "--in", str(path), *extra)
         assert code == 0
         assert json.loads(stdout)["code"] == shape
-        assert (len(calls), len(eliminations)) == (1, count), extra
+        assert eliminations.count(h.bits) == 1, extra
 
 
 def test_partition_pipeline_at_block_length_4096(tmp_path, capsys, monkeypatch):

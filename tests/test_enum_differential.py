@@ -151,7 +151,7 @@ def _search_min(code):
     """d_min from the information-set search alone, never handed to the walk."""
     if code.k == 0:
         return math.inf
-    return verification._information_set_search(code.H, code.n, code.k, None)
+    return verification._information_set_search(code, None)
 
 
 def test_catalog_information_sets_match_the_walk(catalog):

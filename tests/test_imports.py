@@ -167,8 +167,11 @@ def test_unknown_name_raises_attribute_error_naming_the_package():
 
 
 # Exported though no package code uses them: the A-space model of record,
-# against which a code's weight distribution and the LP's A-vector are checked
-UNUSED_EXPORTS = {"build_lp", "point_violations"}
+# against which a code's weight distribution and the LP's A-vector are
+# checked, and the public reads of the GF(2) elimination that the
+# benchmark's per-layer metrics `bitmatrix.{rank,rank_and_nullspace}.*` name
+# (a code reads its echelon through `row_space_basis`)
+UNUSED_EXPORTS = {"build_lp", "point_violations", "rank", "rank_and_nullspace"}
 # Public, not exported and unused, but the benchmark's per-layer metrics
 # `weights.krawtchouk.*` name it (perfbench/README.md)
 BENCHMARK_ONLY = {"krawtchouk"}

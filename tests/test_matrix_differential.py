@@ -1,8 +1,9 @@
 """The matrix layers against the direct reference versions in
 `matrix_oracles.py`: identical strict and general reports, greedy traces
 (both tie-breaks, stalls and restarts), ranks, reduced echelon bases,
-nullspaces, partitions, serialized text and `MatrixFormatError` messages
-and line numbers."""
+nullspaces (a code's own echelon included), the masked elimination,
+partitions, serialized text and `MatrixFormatError` messages and line
+numbers."""
 
 import random
 
@@ -30,6 +31,7 @@ from availcodes import (
     row_space_basis,
     serialize_matrix,
 )
+from availcodes import bitmatrix
 from availcodes.fields import prime_power
 from conftest import family_partitions
 
@@ -136,6 +138,10 @@ def test_rank_and_text_match_reference(h):
     assert rank(h) == oracle.rank(h)
     assert rank_and_nullspace(h) == oracle.rank_and_nullspace(h)
     assert row_space_basis(h) == oracle.row_space_basis(h)
+    code = AvailabilityCode(H=h)
+    assert code.k == h.cols - oracle.rank(h)
+    assert code.dual_basis == oracle.row_space_basis(h)
+    assert code.basis == oracle.rank_and_nullspace(h)[1]
     text = serialize_matrix(h)
     assert text == oracle.serialize_matrix(h)
     assert parse_matrix(text) == oracle.parse_matrix(text) == h
@@ -165,6 +171,27 @@ def test_rank_forms_do_not_depend_on_row_order(pair):
     assert rank(reordered) == oracle.rank(h)
     assert rank_and_nullspace(reordered) == oracle.rank_and_nullspace(h)
     assert row_space_basis(reordered) == oracle.row_space_basis(h)
+
+
+def _span_basis(rows, cols):
+    return oracle.row_space_basis(BitMatrix.from_rows(rows, cols)).bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices(max_rows=20, max_cols=20), st.integers(-1, (1 << 20) - 1))
+@example(product_code(3, 3).H, -1)
+@example(product_code(3, 3).H, int("01" * 32, 2))
+@example(_high_rank(512, 28), (1 << 512) - (1 << 100))
+def test_masked_elimination_matches_reference(h, mask):
+    # the information-set search splits a basis on the columns of `mask`
+    rows, pivots, zero = bitmatrix._rref(h.bits, mask)
+    expected, expected_zero = oracle._eliminate(h.bits, mask)
+    assert pivots == sorted(bit.bit_length() - 1 for bit in expected)
+    assert [row & mask for row in rows] == [expected[1 << p] & mask for p in pivots]
+    assert all(row and not row & mask for row in zero)
+    assert _span_basis(zero, h.cols) == _span_basis(expected_zero, h.cols)
+    # the reduced and vanishing rows together span the rows given
+    assert _span_basis(rows + zero, h.cols) == oracle.row_space_basis(h).bits
 
 
 _CHARS = "0101010101" + "_ 2x\t\r\x0b\u00a0\u0661\n"

@@ -4,7 +4,8 @@ Reports and traces compare by value (the differential tests compare them
 with `==`), print as `Name(field=value, ...)`, and `BitMatrix`, which the
 package exports as an immutable value, hashes by value and refuses any
 assignment.  `AvailabilityCode` compares by value too but is unhashable,
-and its dimension k is computed once, on first use, and is not a field.
+and its echelon form of H, from which k, `dual_basis` and `basis` are
+read, is computed once, on first use, and is not a field.
 """
 
 import copy
@@ -81,9 +82,11 @@ def test_greedy_trace_record():
 
 
 def test_availability_code_record(monkeypatch):
-    ranks = []
-    real_rank = availcodes.codes.rank
-    monkeypatch.setattr(availcodes.codes, "rank", lambda h: ranks.append(h) or real_rank(h))
+    eliminations = []
+    real = availcodes.codes.row_space_basis
+    monkeypatch.setattr(
+        availcodes.codes, "row_space_basis", lambda h: eliminations.append(h) or real(h)
+    )
     family = build_partition_family(1, 2)
     code, same = partition_code(family, 3), partition_code(family, 3)
     assert code == same
@@ -91,10 +94,16 @@ def test_availability_code_record(monkeypatch):
     assert code != AvailabilityCode(H=code.H, r=1, t=3)
     with pytest.raises(TypeError):
         hash(code)
+    fresh = pickle.dumps(code)
     assert (code.k, code.k) == (1, 1)
-    assert len(ranks) == 1
-    assert code == same  # a cached k is not compared
-    assert copy.deepcopy(code) == code == pickle.loads(pickle.dumps(code))
+    assert code.dual_basis.rows == 3 and code.basis == BitMatrix(1, 4, (15,))
+    assert code.dual_basis is code.dual_basis and code.basis is code.basis
+    assert eliminations == [code.H]
+    assert code == same  # the cached echelon is not compared
+    assert pickle.dumps(code) == fresh  # nor pickled
+    for twin in (copy.copy(code), copy.deepcopy(code), pickle.loads(fresh)):
+        assert twin == code
+        assert twin._dual_basis is None is twin._basis  # nor copied
     assert repr(code) == (
         "AvailabilityCode(H=BitMatrix(rows=6, cols=4, bits=(3, 12, 9, 6, 5, 10)), r=1, t=3, "
         "kind='strict', construction='partition', parameters={'g': 2, 'choice': [1, 2, 3]})"
