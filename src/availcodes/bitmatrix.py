@@ -123,9 +123,8 @@ def _rref(bits: Sequence[int], mask: int = -1) -> tuple[list[int], list[int], li
     measured the reversed order was as fast or faster."""
     table: dict[int, int] = {}
     zero = []
-    full = mask == -1  # an AND per step costs 18% on product r = 1, t = 12
     for row in reversed(bits):
-        while low := row if full else row & mask:
+        while low := row & mask:
             col = (low & -low).bit_length() - 1
             pivot = table.get(col)
             if pivot is None:
