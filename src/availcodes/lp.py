@@ -24,12 +24,15 @@ master problem holds a few columns and rows and grows by column generation
 (Gilmore-Gomory 1961) and by cutting planes: each round re-solves it,
 prices every column with its duals and checks its point against every row,
 in integers in exact mode, and adds the most negative columns and the most
-violated rows.  The loop ends only when no row is violated and no column
-prices negative: that final check on the full model is the optimality
-certificate, so no answer rests on the restricted master alone.  An
-infeasible master is priced with its phase-1 Farkas ray instead, and the
-columns that ray prices negative enter; when none does, the ray proves the
-full model infeasible too, as its rows include the master's.
+violated rows.  A round starts from the last round's basis: the columns
+added keep it primal feasible and the rows added keep it dual feasible, so
+a few primal and dual simplex pivots (Lemke 1954) re-optimise it.  The
+loop ends only when no row is violated and no column prices negative: that
+final check on the full model is the optimality certificate, so no answer
+rests on the restricted master alone.  An infeasible master is priced with
+its Farkas ray instead, and the columns that ray prices negative enter;
+when none does, the ray proves the full model infeasible too, as its rows
+include the master's.
 
 Sums of three or more parity rows would contribute further valid rows;
 they are deliberately not modeled here.
@@ -48,18 +51,18 @@ from .weights import krawtchouk_column, krawtchouk_row
 
 FLOAT_TOL = 1e-9
 # Both limits were measured on a 2-vCPU VM (Python 3.11).  The master's
-# simplex work (see `_simplex_max`) runs at 6 to 16 ns per unit on the
-# shapes that need the most, such as (q, r, t) = (2, 2, 5) at any n, so a
-# budget of 10^8 units stops them within 0.5 to 1.1 s; the t=3 family
-# (q=2, n=(r+1)^2) needs 3.5 M units at r=20 and 32 M at r=60.  The
-# Krawtchouk rows and their pricing grow with n and t on their own: the
-# costliest shape probed at each n, t = n or a budget stop, took 0.54 s
-# at n=120, 0.74 s at 400, 1.08 s and 202 MB at 800, and 1.69 s and
-# 312 MB at 960.  `lp_dimension_bound` refuses n over LP_SIZE_LIMIT
-# before any Krawtchouk column is built.  A float entry takes 100 to 300 ns
-# and counts FLOAT_ENTRY_WORK units, so a float solve that stalls stops
-# within about 1 s too; the float solves that finish need at most 1.6 M
-# entries (50 M units), at (2, 100, 4, 5).
+# simplex work (see `_simplex_max`) runs at 3 to 4 ns per unit on the
+# shapes that need the most, such as (q, r, t) = (2, 2, 5) at n = 90 to
+# 798, so a budget of 10^8 units stops them within 0.31 to 0.41 s; the t=3
+# family (q=2, n=(r+1)^2) needs 1.2 M units at r=20.  The Krawtchouk rows
+# and their pricing grow with n and t on their own: t = n stops on the
+# budget after 0.41 s at n=120, 1.2 s at 400, 1.8 s and 329 MB at 800, and
+# 2.2 s and 520 MB at 960.  `lp_dimension_bound` refuses n over
+# LP_SIZE_LIMIT before any Krawtchouk column is built.  A float entry takes
+# 100 to 300 ns and counts FLOAT_ENTRY_WORK units, so a float solve that
+# stalls stops within about 1 s too (0.13 s at (2, 141, 4, 5)); the
+# costliest float solve probed that finishes needs 3.1 M entries (99 M
+# units), at (2, 441, 2, 5).
 LP_SIZE_LIMIT = 800
 LP_WORK_BUDGET = 10**8
 FLOAT_ENTRY_WORK = 32
@@ -259,24 +262,38 @@ def _simplex_max(
     *,
     exact: bool,
     work_limit: float,
-) -> tuple[str, object, list, list, int]:
+    start: Sequence[int] = (),
+) -> tuple[str, object, list, list, int, list[int]]:
     """maximize obj.x  s.t.  rows[i].x <= rhs[i], x >= 0  (rhs of any sign).
     Exact mode takes integer rows as they are; float mode divides each row
     by its largest absolute entry and puts the prices back on the given rows.
 
-    Returns (status, value, x, y, work), y holding one price per row.  At
-    the optimum y is the dual vector: y >= 0, y.rows >= obj and y.rhs =
-    value.  When the rows admit no point, y is phase 1's Farkas ray: y >= 0,
-    y.rows >= 0 and y.rhs < 0.  `work` counts the tableau entries the
-    pivots rewrote, each weighed by the bit length of its pivot row's scale
-    in exact mode and by FLOAT_ENTRY_WORK in float mode; past `work_limit`
-    work the solve raises LPSizeError.
+    Returns (status, value, x, y, work, basis), y holding one price per row
+    and basis the final basic variables.  At the optimum y is the dual
+    vector: y >= 0, y.rows >= obj and y.rhs = value.  When the rows admit
+    no point, y is a Farkas ray, its largest price 1: y >= 0, y.rows >= 0
+    and y.rhs < 0.  `work` counts the tableau entries the pivots rewrote,
+    each weighed by the bit length of its pivot row's scale in exact mode
+    and by FLOAT_ENTRY_WORK in float mode; past `work_limit` work the solve
+    raises LPSizeError.
 
-    Variables are numbered structural 0..nv-1, then one slack per row, then
-    one artificial per row whose right side is negative; such a row is
-    negated, its artificial starts basic and phase 1 drives the artificials
-    to zero.  Bland's rule picks the lowest-numbered entering variable and
-    breaks ratio ties by the lowest-numbered leaving one.
+    Variables are numbered structural 0..nv-1, then one slack per row, nv+i
+    being row i's.  The solve starts from the slack basis, or from `start`:
+    a basis an earlier solve returned, on fewer rows or columns, plus the
+    slacks of the rows added since.  Each structural in `start` is pivoted
+    in on the first row whose basic slack `start` leaves out.  Added
+    columns keep that basis primal feasible, added rows keep it dual
+    feasible (no column prices negative).  While a basic value is negative,
+    dual pivots run: the lowest-numbered negative basic variable leaves,
+    the column with the least ratio of its objective entry to its negated
+    entry in that row enters, ties going to the lowest-numbered variable,
+    and a row with no negative entry is a Farkas ray.  Columns that price
+    negative are held out of those pivots; if a held column is needed, the
+    dual pivots go on with those columns priced at 0 (their costs shifted),
+    and the true prices come back after them.  Primal pivots then reach
+    the optimum under Bland's rule: the lowest-numbered variable that
+    prices negative enters, and ratio ties go to the lowest-numbered
+    leaving one.
 
     The tableau is compact: one column per nonbasic variable, `nonbasic[j]`
     being column j's, and one row per basic variable.  Row i is
@@ -296,8 +313,7 @@ def _simplex_max(
     row[e] read as 0: a positive multiple of its rational row again.
     Exact mode keeps Python ints, divides p and f by their gcd first and
     the result by the gcd of its entries; float mode divides each row by
-    its scale, which keeps every scale at 1.0.  Artificial columns are
-    dropped after phase 1, as no artificial re-enters.
+    its scale, which keeps every scale at 1.0.
     """
     nv = len(obj)
     m = len(rows)
@@ -313,22 +329,10 @@ def _simplex_max(
         scales = [max([abs(v) for v in fr] + [abs(fb), 1.0]) for fr, fb in zip(rows, rhs)]
         rows = [[v / scale for v in fr] for fr, scale in zip(rows, scales)]
         rhs = [fb / scale for fb, scale in zip(rhs, scales)]
-    neg_rows = [i for i in range(m) if rhs[i] < -tol]
-    n_art = len(neg_rows)
-    # a negated row's slack starts nonbasic, with coefficient -1
-    nonbasic = list(range(nv)) + [nv + i for i in neg_rows]
-    art = {row_i: a for a, row_i in enumerate(neg_rows)}
-    tableau: list[list] = []
-    basis: list[int] = []
-    for i in range(m):
-        if i in art:
-            row = [-c for c in rows[i]] + [zero] * n_art + [one, -rhs[i]]
-            row[nv + art[i]] = -one
-            basis.append(nv + m + art[i])
-        else:
-            row = list(rows[i]) + [zero] * n_art + [one, rhs[i]]
-            basis.append(nv + i)
-        tableau.append(row)
+    cost = list(obj) + [zero] * m
+    tableau = [list(row) + [one, b] for row, b in zip(rows, rhs)]
+    basis = list(range(nv, nv + m))
+    nonbasic = list(range(nv))
 
     def eliminate(row: list, f, prow: list) -> list:
         """p*row - f*prow with p = prow's scale, and p times row's scale as
@@ -371,7 +375,8 @@ def _simplex_max(
             obj_row[:] = eliminate(obj_row, f, prow)
 
     def lowest(candidates) -> int | None:
-        """The column of the lowest-numbered variable among (variable, column) pairs."""
+        """The index paired with the lowest-numbered variable among
+        (variable, index) pairs."""
         best = min(candidates, default=None)
         return None if best is None else best[1]
 
@@ -397,7 +402,28 @@ def _simplex_max(
                 return "unbounded"
             pivot(leave, enter, obj_row)
 
-    def make_obj_row(cost: list) -> list:
+    def run_dual(obj_row: list, hold) -> int | None:
+        """Dual pivots until no basic value is negative, the variables in
+        `hold` staying nonbasic; the row left with no entering column, if
+        one is."""
+        while True:
+            leave = lowest((basis[i], i) for i, row in enumerate(tableau) if row[-1] < -feas_tol)
+            if leave is None:
+                return None
+            # minimum ratio obj_row[j] / -row[j], by cross-multiplication
+            enter = None
+            for j, a in enumerate(tableau[leave][:-2]):
+                if a < -tol and nonbasic[j] not in hold and (
+                    enter is None
+                    or (cmp := best_d * a - obj_row[j] * best_a) < 0
+                    or (cmp == 0 and nonbasic[j] < nonbasic[enter])
+                ):
+                    enter, best_d, best_a = j, obj_row[j], a
+            if enter is None:
+                return leave
+            pivot(leave, enter, obj_row)
+
+    def make_obj_row() -> list:
         """z - cost.x = 0 with the basic variables substituted out; a basic
         variable not yet substituted has coefficient -cost * scale."""
         row = [-cost[v] for v in nonbasic] + [one, zero]
@@ -406,51 +432,43 @@ def _simplex_max(
                 row = eliminate(row, -cost[b] * row[-2], prow)
         return row
 
-    def prices(obj_row: list) -> list:
-        """Each row's price: its slack's entry in the objective row over
-        the scales of both rows, 0 for a basic slack."""
+    def prices(row: list, extra=()) -> list:
+        """Each row's price: its slack's entry in `row`, or in the (entry,
+        variable) pairs `extra`, over the scales of both rows; 0 for a
+        basic slack."""
         y = [quotient(zero, one)] * m
-        for d, v in zip(obj_row, nonbasic):
-            if nv <= v < nv + m:
-                y[v - nv] = quotient(d, obj_row[-2] * scales[v - nv])
+        for d, v in (*zip(row, nonbasic), *extra):
+            if v >= nv:
+                y[v - nv] = quotient(d, row[-2] * scales[v - nv])
         return y
 
-    if n_art:
-        obj_row = make_obj_row([zero] * (nv + m) + [-one] * n_art)
-        status = run(obj_row)
-        if status == "unbounded":  # only rounding can do that, in float mode
-            why = "" if exact else ": a float rounding failure; use exact mode"
-            raise RuntimeError(
-                "phase 1 reported unbounded, but its objective -sum(artificials)"
-                f" is bounded above by 0{why}"
+    obj_row = make_obj_row()
+    chosen = set(start)
+    for v in start:
+        if v < nv:
+            pc = nonbasic.index(v)
+            pr = next(
+                (i for i, row in enumerate(tableau) if basis[i] not in chosen and abs(row[pc]) > tol),
+                None,
             )
-        # the objective row's scale is positive (exact) or 1 (float)
-        if obj_row[-1] < -feas_tol:
-            return "infeasible", None, [], prices(obj_row), work
-        # drive leftover artificial basics out, dropping redundant rows
-        for i, row in enumerate(tableau):
-            if basis[i] >= nv + m:
-                enter = lowest(
-                    (v, j)
-                    for j, v in enumerate(nonbasic)
-                    if v < nv + m and abs(row[j]) > tol
-                )
-                if enter is not None:
-                    pivot(i, enter, obj_row)
-                else:
-                    tableau[i] = [zero] * len(row)
-        keep = [j for j, v in enumerate(nonbasic) if v < nv + m]
-        nonbasic = [nonbasic[j] for j in keep]
-        keep += [-2, -1]
-        tableau[:] = [[row[j] for j in keep] for row in tableau]
-    obj_row = make_obj_row(list(obj) + [zero] * (m + n_art))
+            if pr is not None:
+                pivot(pr, pc, obj_row)
+    hold = {v for d, v in zip(obj_row, nonbasic) if d < -tol}
+    ray = run_dual(obj_row, hold)
+    if ray is not None and hold:
+        ray = run_dual([max(d, zero) for d in obj_row[:-2]] + obj_row[-2:], ())
+        obj_row = make_obj_row()
+    if ray is not None:
+        row = tableau[ray]
+        y = prices(row, [(row[-2], basis[ray])])
+        return "infeasible", None, [], [v / max(y) for v in y], work, basis
     if run(obj_row) == "unbounded":
-        return "unbounded", None, [], [], work
+        return "unbounded", None, [], [], work, basis
     x = [quotient(zero, one)] * nv  # Fraction(0) or 0.0
     for row, b in zip(tableau, basis):
         if b < nv:
             x[b] = quotient(row[-1], row[-2])
-    return "optimal", quotient(obj_row[-1], obj_row[-2]), x, prices(obj_row), work
+    return "optimal", quotient(obj_row[-1], obj_row[-2]), x, prices(obj_row), work, basis
 
 
 def _common_scale(values: list) -> tuple[list[int], int]:
@@ -502,18 +520,25 @@ def solve_lp(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution:
     columns = sorted(j for j in start if 1 <= j <= n)
     cuts = sorted(i for i in start if t < i <= n)
     work_left = LP_WORK_BUDGET
+    # whether each variable of the last master was basic, by label: ("B", j)
+    # for B_j, ("row", i) for row i's slack.  Each master starts from the
+    # last one's basis, with the slacks of its new rows
+    last: dict[tuple, bool] = {}
     while True:
         # a row sum_j K_i(j) (lb_j + y_j) >= 0 reads -sum_j K_i(j) y_j <= h_i;
-        # rows 1..t are equalities, stated once more as `>=`
+        # rows 1..t are equalities, stated once more as `>=`, row -i
         degrees = [*range(1, t + 1), *cuts]
         krows = [row(i) for i in degrees]
         h = [sum(k[j] * v for j, v in lb.items()) for k in krows]
         master = [[-k[j] for j in columns] for k in krows]
         master += [[-v for v in coeffs] for coeffs in master[:t]]
+        labels = [("B", j) for j in columns] + [("row", i) for i in degrees]
+        labels += [("row", -i) for i in degrees[:t]]
         try:
-            status, _, x, y, work = _simplex_max(
+            status, _, x, y, work, basis = _simplex_max(
                 [-1] * len(columns), master, h + [-v for v in h[:t]],
                 exact=exact, work_limit=work_left,
+                start=[k for k, v in enumerate(labels) if last.get(v, v[0] == "row")],
             )
         except LPSizeError:
             raise LPSizeError(
@@ -521,8 +546,10 @@ def solve_lp(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution:
                 f"{LP_WORK_BUDGET} units of simplex work"
             ) from None
         work_left -= work
-        if status not in ("optimal", "infeasible"):  # sum B >= 0 bounds the master
-            raise RuntimeError(f"unexpected LP status {status}")
+        last = {v: k in basis for k, v in enumerate(labels)}
+        if status == "unbounded":  # sum B >= 0 bounds the master
+            why = "" if exact else ": a float rounding failure; use exact mode"
+            raise RuntimeError(f"the master problem reported unbounded{why}")
         prices = y[: len(degrees)]
         for k in range(t):  # an equality's price is free
             prices[k] -= y[len(degrees) + k]

@@ -1,10 +1,14 @@
 """Reference oracles for the exact LP on an `LPModel`.
 
-`reference_solve` is a two-phase Bland simplex on a tableau of `Fraction`s,
-each row normalized so its basic entry is 1: the straightforward rational
-tableau that `availcodes.lp` solved with before its rows became
-content-reduced integers.  The pivot rules are the same, so on every model
-the two must reach the same vertex and report the same status.
+`reference_solve` is the straightforward rational tableau, one `Fraction`
+row per basic variable normalized so its basic entry is 1, under the pivot
+rules of `availcodes.lp._simplex_max` from the slack basis: dual pivots to
+a point (the lowest-numbered negative basic variable leaves, the least
+ratio of objective entry to negated row entry enters, ties to the lowest
+index), holding out the columns that price negative unless one of them is
+needed, when they go on with those columns priced at 0; then Bland's
+primal pivots.  The rules are the same, so on every model the two must reach the
+same vertex and report the same status.
 
 `exact_solve` is the package's integer simplex on the A-space model with no
 work limit, the oracle of the B-space `lp_dimension_bound`; it is several
@@ -27,28 +31,13 @@ def _simplex_max(obj, rows, rhs):
     zero, one = Fraction(0), Fraction(1)
     nv = len(obj)
     m = len(rows)
-    neg_rows = [i for i in range(m) if rhs[i] < 0]
-    n_art = len(neg_rows)
-    total = nv + m + n_art
+    total = nv + m
     tableau: list[list] = []
-    basis: list[int] = []
-    art_pos = {row_i: nv + m + a for a, row_i in enumerate(neg_rows)}
     for i in range(m):
-        coeffs = [Fraction(c) for c in rows[i]]
-        b = Fraction(rhs[i])
-        slack = one
-        if i in art_pos:
-            coeffs = [-c for c in coeffs]
-            b = -b
-            slack = -one
-        row = coeffs + [zero] * (m + n_art) + [b]
-        row[nv + i] = slack
-        if i in art_pos:
-            row[art_pos[i]] = one
-            basis.append(art_pos[i])
-        else:
-            basis.append(nv + i)
+        row = [Fraction(c) for c in rows[i]] + [zero] * m + [Fraction(rhs[i])]
+        row[nv + i] = one
         tableau.append(row)
+    basis = list(range(nv, total))
 
     def pivot(pr, pc, obj_row):
         inv = one / tableau[pr][pc]
@@ -63,9 +52,9 @@ def _simplex_max(obj, rows, rhs):
             obj_row[:] = [v - f * w for v, w in zip(obj_row, tableau[pr])]
         basis[pr] = pc
 
-    def run(obj_row, active):
+    def run(obj_row):
         while True:
-            enter = next((j for j in range(active) if obj_row[j] < 0), None)
+            enter = next((j for j in range(total) if obj_row[j] < 0), None)
             if enter is None:
                 return "optimal"
             leave = None
@@ -85,6 +74,18 @@ def _simplex_max(obj, rows, rhs):
                 return "unbounded"
             pivot(leave, enter, obj_row)
 
+    def run_dual(obj_row, hold):
+        while True:
+            negative = [(basis[i], i) for i in range(m) if tableau[i][-1] < 0]
+            if not negative:
+                return None
+            leave = min(negative)[1]
+            row = tableau[leave]
+            candidates = [j for j in range(total) if row[j] < 0 and j not in hold]
+            if not candidates:
+                return leave
+            pivot(leave, min(candidates, key=lambda j: (obj_row[j] / -row[j], j)), obj_row)
+
     def make_obj_row(cost):
         row = [-c for c in cost] + [zero]
         for i, b in enumerate(basis):
@@ -93,21 +94,16 @@ def _simplex_max(obj, rows, rhs):
                 row = [v + cb * w for v, w in zip(row, tableau[i])]
         return row
 
-    if n_art:
-        obj_row = make_obj_row([zero] * (nv + m) + [-one] * n_art)
-        if run(obj_row, total) == "unbounded":
-            raise RuntimeError("phase 1 reported unbounded")
-        if obj_row[-1] < 0:
-            return "infeasible", None, []
-        for i in range(m):
-            if basis[i] >= nv + m:
-                enter = next((j for j in range(nv + m) if tableau[i][j] != 0), None)
-                if enter is not None:
-                    pivot(i, enter, obj_row)
-                else:
-                    tableau[i] = [zero] * (total + 1)
-    obj_row = make_obj_row([Fraction(c) for c in obj] + [zero] * (m + n_art))
-    if run(obj_row, nv + m) == "unbounded":
+    cost = [Fraction(c) for c in obj] + [zero] * m
+    obj_row = make_obj_row(cost)
+    hold = {j for j in range(total) if obj_row[j] < 0}
+    ray = run_dual(obj_row, hold)
+    if ray is not None and hold:
+        ray = run_dual([max(v, zero) for v in obj_row[:-1]] + obj_row[-1:], set())
+        obj_row = make_obj_row(cost)
+    if ray is not None:
+        return "infeasible", None, []
+    if run(obj_row) == "unbounded":
         return "unbounded", None, []
     x = [zero] * nv
     for i, b in enumerate(basis):
@@ -131,11 +127,11 @@ def reference_solve(model: LPModel) -> LPSolution:
 
 def exact_solve(model: LPModel) -> tuple[LPSolution, list]:
     """The model solved by `lp._simplex_max` in exact mode, and its prices:
-    one per constraint, the dual vector at the optimum and phase 1's Farkas
-    ray when the model is infeasible ([] when unbounded)."""
+    one per constraint, the dual vector at the optimum and a Farkas ray when
+    the model is infeasible ([] when unbounded)."""
     rows = [c.coeffs for c in model.constraints]
     rhs = [c.rhs for c in model.constraints]
-    status, value, x, y, _ = lp._simplex_max(
+    status, value, x, y, _, _ = lp._simplex_max(
         model.objective, rows, rhs, exact=True, work_limit=math.inf
     )
     return _solution(model, status, value, x), y
@@ -162,4 +158,17 @@ def certificate_violations(model: LPModel, value, dual: list) -> list[str]:
             bad.append(f"cover_{i}")
     if sum(y * c.rhs for y, c in zip(big_y, rows)) != big_gap:
         bad.append("value")
+    return bad
+
+
+def farkas_violations(model: LPModel, ray: list) -> list[str]:
+    """The conditions of an infeasibility proof the ray fails: y >= 0,
+    y . coeffs >= 0 for every variable and y . rhs < 0."""
+    rows = model.constraints
+    bad = ["sign"] if any(y < 0 for y in ray) else []
+    for k in range(model.num_vars):
+        if sum(y * c.coeffs[k] for y, c in zip(ray, rows)) < 0:
+            bad.append(f"cover_{k}")
+    if sum(y * c.rhs for y, c in zip(ray, rows)) >= 0:
+        bad.append("rhs")
     return bad

@@ -16,7 +16,7 @@ from availcodes import (
 )
 from availcodes import lp as lp_module
 from availcodes.lp import LPConstraint, LPModel, LPSizeError
-from fraction_simplex import certificate_violations, exact_solve
+from fraction_simplex import certificate_violations, exact_solve, farkas_violations
 from test_lp_differential import exact_solution, small_lps
 
 
@@ -182,19 +182,6 @@ def test_lp3_rows_carry_a_dual_certificate(r):
     assert certificate_violations(model, sol.value, dual) == []
 
 
-def _farkas_violations(model, ray):
-    """The conditions of an infeasibility proof the ray fails: y >= 0,
-    y . coeffs >= 0 for every variable and y . rhs < 0."""
-    rows = model.constraints
-    bad = ["sign"] if any(y < 0 for y in ray) else []
-    for k in range(model.num_vars):
-        if sum(y * c.coeffs[k] for y, c in zip(ray, rows)) < 0:
-            bad.append(f"cover_{k}")
-    if sum(y * c.rhs for y, c in zip(ray, rows)) >= 0:
-        bad.append("rhs")
-    return bad
-
-
 @settings(max_examples=300, deadline=None)
 @given(small_lps())
 def test_random_optimal_lps_carry_a_dual_certificate(model):
@@ -203,7 +190,7 @@ def test_random_optimal_lps_carry_a_dual_certificate(model):
         assert all(isinstance(y, Fraction) for y in prices)
         assert certificate_violations(model, sol.value, prices) == []
     elif sol.status == "infeasible":  # the Farkas ray the B-space solve prices with
-        assert _farkas_violations(model, prices) == []
+        assert farkas_violations(model, prices) == []
     else:
         assert prices == []
 
@@ -244,12 +231,37 @@ def test_lp_size_limit_is_checked_before_any_krawtchouk_column(monkeypatch):
 
 
 def test_lp_work_budget_stops_the_master():
-    # (q, r, t) = (2, 2, 5) needs about 3 * 10^8 units of simplex work at n = 60;
-    # at (2, 74, 36, 3) the float master stalls until the budget stops it
+    # (q, n, r, t) = (2, 441, 2, 5) needs 1.6 * 10^9 units of simplex work in
+    # exact mode; at (2, 141, 4, 5) the float master stalls until the budget
+    # stops it
     with pytest.raises(LPSizeError, match="units of simplex work"):
-        lp_dimension_bound(2, 60, 2, 5)
+        lp_dimension_bound(2, 441, 2, 5)
     with pytest.raises(LPSizeError, match="units of simplex work"):
-        lp_dimension_bound(2, 74, 36, 3, mode="float")
+        lp_dimension_bound(2, 141, 4, 5, mode="float")
+
+
+def test_warm_master_halves_the_later_rounds_work(monkeypatch):
+    # the lp3 rows r = 3..6 re-solved every master after the first from the
+    # slack basis: 139,758 + 325,088 + 279,802 + 2,615,622 units of simplex
+    # work in 15+20+16, 24+19, 19+19 and 43+38 pivots.  From the last basis
+    # they take 109,496 + 151,866 + 45,254 + 172,216 units in 33, 21, 9 and
+    # 15 pivots, of which 17, 9, 7 and 8 put the last basis back in
+    cold = 139_758 + 325_088 + 279_802 + 2_615_622
+    works = []
+    simplex_max = lp_module._simplex_max
+
+    def counted(*args, **kwargs):
+        out = simplex_max(*args, **kwargs)
+        works.append(out[4])
+        return out
+
+    monkeypatch.setattr(lp_module, "_simplex_max", counted)
+    later = 0
+    for r in range(3, 7):
+        works.clear()
+        lp_dimension_bound(2, (r + 1) ** 2, r, 3)
+        later += sum(works[1:])
+    assert later <= cold // 2
 
 
 def test_lp3_row_at_r20_is_within_both_limits():
@@ -269,10 +281,6 @@ def test_lp_infeasible_relaxation_reported():
 
 
 def test_float_infeasibility_needs_the_exact_model(monkeypatch):
-    # at (2, 270, 2, 5) the float rays find no entering column at once, and
-    # the exact solve that must confirm them runs out of its work budget
-    with pytest.raises(LPSizeError):
-        lp_dimension_bound(2, 270, 2, 5, mode="float")
     solve_lp = lp_module.solve_lp
 
     def float_finds_nothing(q, n, r, t, exact):
@@ -281,5 +289,8 @@ def test_float_infeasibility_needs_the_exact_model(monkeypatch):
         return solve_lp(q, n, r, t, exact)
 
     monkeypatch.setattr(lp_module, "solve_lp", float_finds_nothing)
+    # the exact solve that must confirm a float ray may run out of its budget
+    with pytest.raises(LPSizeError):
+        lp_dimension_bound(2, 441, 2, 5, mode="float")
     with pytest.raises(RuntimeError, match="float rounding failure"):
         lp_dimension_bound(2, 16, 3, 3, mode="float")

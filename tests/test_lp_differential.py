@@ -1,9 +1,11 @@
 """The package's integer simplex against the Fraction-tableau reference in
-`fraction_simplex.py`: same status, same optimum and same optimal vertex.
-Then the B-space solve of `lp_dimension_bound` against that integer simplex
-on the A-space model of record (`fraction_simplex.exact_solve`): same
-status and exact M, and an A-vector that model accepts."""
+`fraction_simplex.py`: same status, same optimum and same optimal vertex,
+also when it starts from the basis of a smaller LP.  Then the B-space
+solve of `lp_dimension_bound` against that integer simplex on the A-space
+model of record (`fraction_simplex.exact_solve`): same status and exact M,
+and an A-vector that model accepts."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,14 @@ from availcodes import (
     lp_dimension_bound,
     point_violations,
 )
+from availcodes import lp as lp_module
 from availcodes.lp import LPConstraint, LPModel
-from fraction_simplex import exact_solve, reference_solve
+from fraction_simplex import (
+    certificate_violations,
+    exact_solve,
+    farkas_violations,
+    reference_solve,
+)
 
 
 def exact_solution(model):
@@ -64,6 +72,87 @@ def test_random_lps_match_fraction_reference(model):
     if got.status == "optimal":
         assert isinstance(got.value, Fraction)
         assert all(isinstance(v, Fraction) for v in got.variables.values())
+
+
+def _model(objective, rows, offset=0):
+    """The LP max offset + objective.x over the `<=` rows (coeffs, rhs)."""
+    return LPModel(
+        num_vars=len(objective),
+        objective_offset=offset,
+        objective=tuple(objective),
+        constraints=tuple(LPConstraint(tuple(c), b) for c, b in rows),
+        meta={"q": 2, "n": len(objective), "t": 0},
+    )
+
+
+@st.composite
+def grown_lps(draw):
+    """A drawn LP and the same LP with a drawn row, a drawn column or both
+    added, the new ones last."""
+    model = draw(small_lps())
+    add_row, add_column = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    entries = st.integers(-6, 6)
+    rows = [(list(c.coeffs), c.rhs) for c in model.constraints]
+    objective = list(model.objective)
+    if add_column:
+        for coeffs, _ in rows:
+            coeffs.append(draw(entries))
+        objective.append(draw(st.integers(-3, 3)))
+    if add_row:
+        coeffs = draw(st.lists(entries, min_size=len(objective), max_size=len(objective)))
+        rows.append((coeffs, draw(st.one_of(st.just(0), st.integers(-12, 12)))))
+    return model, _model(objective, rows, model.objective_offset)
+
+
+def _solve(model, start=()):
+    """`lp._simplex_max` on the model in exact mode, from `start`."""
+    return lp_module._simplex_max(
+        model.objective,
+        [c.coeffs for c in model.constraints],
+        [c.rhs for c in model.constraints],
+        exact=True,
+        work_limit=math.inf,
+        start=start,
+    )
+
+
+def _warm_start(model, grown):
+    """The basis `model`'s solve returns, as a start for `grown`: a slack
+    moves up by the columns added, and each added row's slack is basic."""
+    nv, added = model.num_vars, grown.num_vars - model.num_vars
+    start = [v if v < nv else v + added for v in _solve(model)[-1]]
+    return start + [grown.num_vars + i for i in range(len(model.constraints), len(grown.constraints))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(grown_lps())
+def test_warm_start_matches_the_reference_on_the_grown_lp(pair):
+    model, grown = pair
+    status, value, x, y, _, _ = _solve(grown, _warm_start(model, grown))
+    expect = reference_solve(grown)
+    assert status == expect.status
+    if status == "optimal":  # the vertex may differ where the optimum is not unique
+        assert grown.objective_offset + value == expect.value
+        assert point_violations(grown, dict(zip(grown.weight_indices, x))) == []
+        assert certificate_violations(grown, expect.value, y) == []
+    elif status == "infeasible":
+        assert farkas_violations(grown, y) == []
+    else:
+        assert y == []
+
+
+def test_a_cut_that_empties_the_master_gives_a_warm_farkas_ray():
+    # max x + y on x + y <= 4, x <= 3 ends on a basis with x and y; the cut
+    # x + y >= 5 keeps it dual feasible, and one dual ratio test finds the ray
+    model = _model([1, 1], [([1, 1], 4), ([1, 0], 3)])
+    grown = _model([1, 1], [([1, 1], 4), ([1, 0], 3), ([-1, -1], -5)])
+    assert _solve(model)[:2] == ("optimal", 4)
+    start = _warm_start(model, grown)
+    status, value, x, ray, _, basis = _solve(grown, start)
+    assert (status, value, x) == ("infeasible", None, [])
+    assert farkas_violations(grown, ray) == [] and max(ray) == 1
+    assert sorted(basis) == sorted(start)  # no pivot after the crash
+    assert reference_solve(grown).status == "infeasible"
 
 
 @pytest.mark.parametrize("r", (3, 4, 5, 6))
@@ -133,17 +222,21 @@ def test_float_dual_space_agrees_with_exact(point):
     assert all(v >= 0 for v in approx.solution.variables.values())
 
 
-# the exact B-space master stops at LP_WORK_BUDGET on these; the A-space
-# model still answers exactly, in about 0.5 s each.  Float A_42 at
-# (2, 60, 2, 5) met its row only within the tolerance, at -49294.15
-_PAST_THE_BUDGET = [(2, 60, 2, 5), (2, 66, 2, 5)]
+# (q, r, t) = (2, 2, 5), where the A-space model answers exactly in about
+# 0.5 s each and the exact B-space master in 0.15 s (3.9 and 4.7 * 10^7
+# units of simplex work).  Float A_42 at (2, 60, 2, 5) met its row only
+# within the tolerance, at -49294.15
+_DENSE = [(2, 60, 2, 5), (2, 66, 2, 5)]
 
 
-@pytest.mark.parametrize("point", _PAST_THE_BUDGET)
-def test_float_answers_past_the_exact_work_budget(point):
-    approx = lp_dimension_bound(*point, mode="float").solution
-    oracle = exact_solution(build_lp(*point))
+@pytest.mark.parametrize("point", _DENSE)
+def test_dense_shapes_match_the_a_space_model(point):
+    model = build_lp(*point)
+    oracle = exact_solution(model)
     assert oracle.status == "optimal"
+    exact = lp_dimension_bound(*point).solution
+    assert exact.value == oracle.value
+    assert point_violations(model, exact.variables) == []
+    approx = lp_dimension_bound(*point, mode="float").solution
     assert approx.value == pytest.approx(float(oracle.value), rel=1e-6)
     assert all(v >= 0 for v in approx.variables.values())
-
