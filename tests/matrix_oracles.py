@@ -1,13 +1,15 @@
 """Reference oracles for the matrix layers: the direct O(n*m) versions of
 the greedy walk, the strict and general checks, the text format, rank, the
-masked elimination of the information-set search, and the all-partitions
-family build from the Latin-square grids themselves.
+masked elimination of the information-set search, the all-partitions
+family build from the Latin-square grids themselves, and the fiber
+construction by one field matrix-vector product per point and map.
 
 These are the straightforward implementations the package used before its
 matrix pipeline became incidence-based.  `test_matrix_differential.py`
 requires the package to agree with them exactly on random inputs: the same
 reports, the same traces (random tie-breaks included), the same partitions
-and the same `MatrixFormatError` messages and line numbers.
+the same fiber codes and the same `MatrixFormatError` and construction
+error messages (line numbers included).
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import itertools
 import random
 
 from availcodes.bitmatrix import BitMatrix, MatrixFormatError
+from availcodes.codes import STRICT, AvailabilityCode
 from availcodes.constructions import SIZE_LIMIT
-from availcodes.fields import FiniteField, prime_power
+from availcodes.fields import FiniteField, matrix_rank, prime_power
 from availcodes.verification import (
     AvailabilityCheckReport,
     GreedyTrace,
@@ -197,12 +200,7 @@ def greedy_cover(code, start=1, tiebreak="lowest", seed=None) -> GreedyTrace:
 
     take(start - 1)
     while p_count < m:
-        d = [0] * n
-        for i, row in enumerate(h.bits):
-            if in_p[i]:
-                for j in range(n):
-                    if (row >> j) & 1:
-                        d[j] += 1
+        d = [sum(in_p[i] for i in rows_through[j]) for j in range(n)]
         candidates = [j for j in range(n) if not in_s[j]]
         scores = {
             j: d[j] if d[j] <= 2 and d[j] < len(rows_through[j]) else 0
@@ -288,3 +286,53 @@ def all_partitions(r: int, g: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return out
 
     return tuple(build(g))
+
+
+def matvec(gf: FiniteField, mat, vec) -> tuple[int, ...]:
+    """A x over GF(q), one add and one mul per entry."""
+    out = []
+    for row in mat:
+        acc = 0
+        for a, x in zip(row, vec):
+            acc = gf.add(acc, gf.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def functional_code(gf: FiniteField, n1: int, m1: int, maps) -> AvailabilityCode:
+    """The fiber construction point by point: column col is the col-th
+    point of GF(q)^n1 in `itertools.product` order, and its fiber under
+    map i is found by one `matvec` and a lookup of A_i x among the points
+    of GF(q)^m1 in the same order."""
+    q = gf.q
+    if n1 >= SIZE_LIMIT.bit_length() or q**n1 > SIZE_LIMIT:
+        raise ValueError(f"block length {q}^{n1} exceeds limit {SIZE_LIMIT}")
+    if not (2 * m1 >= n1 and m1 < n1):
+        raise ValueError(f"need 2*m1 >= n1 and m1 < n1, got m1={m1}, n1={n1}")
+    t = len(maps)
+    if t < 1:
+        raise ValueError("need at least one map")
+    for i, a in enumerate(maps, start=1):
+        if len(a) != m1 or any(len(row) != n1 for row in a):
+            raise ValueError(f"map {i} is not {m1}x{n1}")
+        if any(not 0 <= v < q for row in a for v in row):
+            raise ValueError(f"map {i} has entries outside GF({q})")
+        if matrix_rank(gf, a) != m1:
+            raise ValueError(f"map {i} does not have full rank {m1}")
+    for i, j in itertools.combinations(range(1, t + 1), 2):
+        if matrix_rank(gf, list(maps[i - 1]) + list(maps[j - 1])) != n1:
+            raise ValueError(f"stacked maps ({i}, {j}) do not reach rank {n1}")
+    l = q**m1
+    fiber_index = {y: j for j, y in enumerate(itertools.product(range(q), repeat=m1))}
+    rows = [0] * (t * l)
+    for col, x in enumerate(itertools.product(range(q), repeat=n1)):
+        for i in range(t):
+            rows[i * l + fiber_index[matvec(gf, maps[i], x)]] |= 1 << col
+    return AvailabilityCode(
+        H=BitMatrix.from_rows(rows, q**n1),
+        r=q ** (n1 - m1) - 1,
+        t=t,
+        kind=STRICT,
+        construction="functional",
+        parameters={"q": q, "n1": n1, "m1": m1, "maps": [list(map(list, a)) for a in maps]},
+    )

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import runpy
 import shlex
 import subprocess
@@ -364,6 +365,30 @@ def test_construct_functional_general_needs_matrices(capsys):
     )
     assert code == 1
     assert "--matrices" in err
+
+
+def test_construct_functional_refuses_oversized_maps_before_any_rank(
+    tmp_path, capsys, monkeypatch
+):
+    # dense (n1, m1) = (240, 120) maps over GF(2), each of full rank: their
+    # rank checks took 0.6-0.9 s, growing as n1^3, before the block length
+    # 2^240 was looked at
+    from availcodes import constructions
+
+    def no_rank(*args):
+        raise AssertionError("matrix_rank called before the block-length check")
+
+    monkeypatch.setattr(constructions, "matrix_rank", no_rank)
+    rng = random.Random(1)
+    rows = [[rng.randrange(2) for _ in range(240)] for _ in range(120)]
+    mats = tmp_path / "maps.json"
+    mats.write_text(json.dumps([rows, rows[::-1]]))
+    code, stdout, err = _run(
+        capsys, "construct", "functional", "--q", "2", "--n1", "240", "--m1", "120",
+        "--t", "2", "--matrices", str(mats),
+    )
+    assert (code, stdout) == (1, "")
+    assert err == "error: block length 2^240 exceeds limit 4096\n"
 
 
 def test_construct_partition_rejects_repeated_choice(tmp_path, capsys):

@@ -72,11 +72,6 @@ def test_sub_neg():
         assert gf.add(a, gf.neg(a)) == 0
 
 
-def test_matvec():
-    gf = FiniteField(3)
-    assert gf.matvec([[1, 2], [0, 1]], (2, 2)) == ((2 + 4) % 3, 2)
-
-
 def test_matrix_rank():
     gf = FiniteField(5)
     assert matrix_rank(gf, [[1, 2], [2, 4]]) == 1

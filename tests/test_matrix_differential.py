@@ -2,8 +2,9 @@
 `matrix_oracles.py`: identical strict and general reports, greedy traces
 (both tie-breaks, stalls and restarts), ranks, reduced echelon bases,
 nullspaces (a code's own echelon included), the masked elimination,
-partitions, serialized text and `MatrixFormatError` messages and line
-numbers."""
+partitions, fiber codes and their sidecars, serialized text, and the
+error messages of the fiber construction and of `MatrixFormatError`
+(line numbers included)."""
 
 import random
 
@@ -32,6 +33,7 @@ from availcodes import (
     serialize_matrix,
 )
 from availcodes import bitmatrix
+from availcodes.constructions import SIZE_LIMIT
 from availcodes.fields import prime_power
 from conftest import family_partitions
 
@@ -77,8 +79,23 @@ def _code(supports, n):
     return AvailabilityCode(H=BitMatrix.from_supports(supports, n))
 
 
+def _fiber(q, t):
+    gf = FiniteField(q)
+    return functional_code(gf, 2, 1, projective_functionals(gf, t)).H
+
+
+# the two codes of the benchmark's matrix pipeline: rows of 64 ones in 4096
+# columns (read off their numerals) and of 4 ones in 1024 (peeled)
+FIBER_64 = _fiber(64, 3)
+PARTITION_1024 = partition_code(build_partition_family(3, 5), 3, [5, 100, 300]).H
+
+
 @settings(max_examples=400, deadline=None)
 @given(matrices(min_rows=0), st.integers(0, 5), st.integers(0, 5))
+@example(FIBER_64, 63, 3)
+@example(FIBER_64, 63, 2)
+@example(PARTITION_1024, 3, 3)
+@example(BitMatrix.from_rows(FIBER_64.bits[:64] + FIBER_64.bits[:3], 4096), 63, 1)
 def test_strict_check_matches_reference(h, r, t):
     assert check_strict_availability(h, r, t) == oracle.check_strict_availability(h, r, t)
 
@@ -101,15 +118,14 @@ def test_availability_check_matches_reference(h, r, t):
 @example(_code(K5_EDGES, 5).H, 3, "random", 5)
 @example(_code(K4_EDGES + [(a + 4, b + 4) for a, b in K4_EDGES], 8).H, 1, "lowest", 0)
 @example(_code(K4_EDGES + [(a + 4, b + 4) for a, b in K4_EDGES], 8).H, 6, "random", 1)
+@example(FIBER_64, 3519, "lowest", 0)
+@example(FIBER_64, 1, "random", 3)
+@example(PARTITION_1024, 517, "lowest", 0)
+@example(PARTITION_1024, 1, "random", 3)
 def test_greedy_matches_reference(h, start, tiebreak, seed):
     code = AvailabilityCode(H=h)
     args = dict(start=start, tiebreak=tiebreak, seed=seed)
     assert _outcome(greedy_cover, code, **args) == _outcome(oracle.greedy_cover, code, **args)
-
-
-def _fiber(q, t):
-    gf = FiniteField(q)
-    return functional_code(gf, 2, 1, projective_functionals(gf, t)).H
 
 
 def _high_rank(n, k):
@@ -230,6 +246,15 @@ def matrix_texts(draw):
 @example("1 3\n1 0")
 @example("2 2\n01\n21")
 @example("1 4\n0\u0661_1")
+# rows int(row, 2) would take but the format refuses, then line breaks
+# other than a lone '\n' beside clean rows and bad ones
+@example("1 3\n0b1")
+@example("1 2\n+1")
+@example("1 3\n01 ")
+@example("1 2\r\n01")
+@example("1 2\r01\n")
+@example("1 2\n\u2028\n01")
+@example("2 2\r\n01\r\n1_")
 def test_parse_matches_reference(text):
     got = _outcome(parse_matrix, text)
     assert got == _outcome(oracle.parse_matrix, text)
@@ -257,3 +282,83 @@ def test_partitions_match_reference(r, g):
     for index in (-1, len(family)):
         with pytest.raises(IndexError):
             family.partition(index)
+
+
+def test_reference_matvec():
+    gf = FiniteField(3)
+    assert oracle.matvec(gf, [[1, 2], [0, 1]], (2, 2)) == ((2 + 4) % 3, 2)
+
+
+_SMALL_FIELDS = [q for q in range(2, 17) if prime_power(q)]
+
+
+def _axis_maps(n1, t):
+    """t maps GF(2)^n1 -> GF(2)^(n1-1), map j dropping coordinate j: the
+    kernels are distinct lines, so every pair stacks to rank n1."""
+    return [
+        tuple(tuple(int(c == k) for c in range(n1)) for k in range(n1) if k != j)
+        for j in range(t)
+    ]
+
+
+@st.composite
+def fiber_families(draw):
+    """A prime power q <= 16, a shape m1 < n1 <= 2*m1 with q^n1 within
+    SIZE_LIMIT and 1 <= t <= 4 maps, m1 x n1, in one of two ways.
+
+    Half the time the family is valid by construction: P is an invertible
+    n1 x n1 matrix (upper triangular with a nonzero diagonal, its columns
+    permuted), and map j is P without the rows of block j of n1 - m1 rows,
+    its rows shuffled; two maps together keep every row of P.  Otherwise
+    the entries are random, and sometimes a map list is empty, a shape
+    breaks the rules, an entry lies outside GF(q) or a row has the wrong
+    length, for the error messages."""
+    q = draw(st.sampled_from(_SMALL_FIELDS))
+    shapes = [
+        (n1, m1)
+        for n1 in range(2, SIZE_LIMIT.bit_length())
+        for m1 in range((n1 + 1) // 2, n1)
+        if q**n1 <= SIZE_LIMIT
+    ]
+    if draw(st.booleans()):
+        n1, m1 = draw(st.sampled_from(shapes))
+        d, cols = n1 - m1, draw(st.permutations(range(n1)))
+        upper = [
+            [0] * i + [draw(st.integers(1, q - 1))]
+            + [draw(st.integers(0, q - 1)) for _ in range(n1 - i - 1)]
+            for i in range(n1)
+        ]
+        p = [tuple(row[c] for c in cols) for row in upper]
+        blocks = draw(st.lists(st.integers(0, n1 // d - 1), min_size=1, max_size=4, unique=True))
+        maps = [
+            tuple(draw(st.permutations([row for k, row in enumerate(p) if k // d != j])))
+            for j in blocks
+        ]
+        return FiniteField(q), n1, m1, maps
+    if draw(st.integers(0, 4)):
+        n1, m1 = draw(st.sampled_from(shapes))
+    else:
+        n1, m1 = draw(st.integers(-1, 14)), draw(st.integers(-1, 14))
+    entry = st.integers(0, q - 1) if draw(st.integers(0, 4)) else st.integers(-1, q)
+    width = st.just(max(n1, 0)) if draw(st.integers(0, 4)) else st.integers(0, 4)
+    row = width.flatmap(lambda w: st.tuples(*[entry] * w))
+    one_map = st.lists(row, min_size=max(m1, 0), max_size=max(m1, 0)).map(tuple)
+    maps = draw(st.lists(one_map, min_size=int(draw(st.integers(0, 4)) > 0), max_size=4))
+    return FiniteField(q), n1, m1, maps
+
+
+@settings(max_examples=150, deadline=None)
+@given(fiber_families())
+@example((FiniteField(2), 12, 11, _axis_maps(12, 3)))
+@example((FiniteField(64), 2, 1, projective_functionals(FiniteField(64), 3)))
+@example((FiniteField(16), 3, 2, [((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1))]))
+@example((FiniteField(9), 4, 2, [((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1))]))
+@example((FiniteField(2), 240, 120, [((1,) * 240,) * 120] * 2))
+def test_fiber_construction_matches_reference(family):
+    gf, n1, m1, maps = family
+    got = _outcome(functional_code, gf, n1, m1, maps)
+    expected = _outcome(oracle.functional_code, gf, n1, m1, maps)
+    assert got == expected
+    if isinstance(got, AvailabilityCode):
+        assert got.H.bits == expected.H.bits
+        assert got.sidecar() == expected.sidecar()
