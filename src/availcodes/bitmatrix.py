@@ -184,7 +184,7 @@ def _nullspace(echelon: BitMatrix) -> BitMatrix:
 
 
 def rank(mat: BitMatrix) -> int:
-    """GF(2) rank: the number of pivot rows of the echelon form."""
+    """GF(2) rank by `_rref`; kept as public API, though no package code calls it."""
     return len(_rref(mat.bits)[1])
 
 
@@ -194,7 +194,7 @@ def row_space_basis(mat: BitMatrix) -> BitMatrix:
 
 
 def rank_and_nullspace(mat: BitMatrix) -> tuple[int, BitMatrix]:
-    """Rank of `mat` and a basis of its right nullspace (`_nullspace`)."""
+    """Rank and a right `_nullspace` basis; public API, though no package code calls it."""
     echelon = row_space_basis(mat)
     return echelon.rows, _nullspace(echelon)
 
@@ -207,8 +207,9 @@ _NOT_BINARY = str.maketrans("", "", "01")  # deletes the valid characters
 
 def parse_matrix(text: str) -> BitMatrix:
     """Parse the shared text format: `m n` header then m rows of 0/1 chars."""
-    lines = text.splitlines()
-    if not lines:
+    # unlike str.splitlines, which also breaks at a form feed, only CR LF, CR and LF end a line
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    if not text:
         raise MatrixFormatError("empty input", line=1)
     header = lines[0].split()
     if len(header) != 2:

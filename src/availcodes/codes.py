@@ -17,10 +17,9 @@ class AvailabilityCode(_Record):
     `r` (locality) and `t` (availability) are declared parameters; they may
     be None for matrices under analysis.  `kind` records whether the matrix
     is claimed to satisfy the strict row/column-regularity conditions.
-    The length n is H's column count.  H is eliminated once, on first use:
-    `dual_basis` is its reduced echelon form, k = n - rank(H) is read off
-    it, and `basis`, the code's own, is read off it when first asked for.
-    Neither cache is compared, copied or pickled.
+    The length n is H's column count.  H is eliminated once, on first use,
+    into `dual_basis`, its reduced echelon form; k = n - rank(H) and, when
+    asked for, the code's own `basis` are read off it.  No cache is compared.
     """
 
     __slots__ = ("H", "r", "t", "kind", "construction", "parameters", "_dual_basis", "_basis")
@@ -43,9 +42,6 @@ class AvailabilityCode(_Record):
         self.construction = construction
         self.parameters = {} if parameters is None else parameters
         self._dual_basis = self._basis = None
-
-    def __reduce__(self):  # copies and pickles leave the caches out
-        return type(self), (self.H, self.r, self.t, self.kind, self.construction, self.parameters)
 
     @property
     def n(self) -> int:

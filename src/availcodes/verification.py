@@ -16,9 +16,8 @@ from typing import Iterator, Sequence
 from . import _Record
 from .bitmatrix import BitMatrix, _incidence, _rref
 from .codes import AvailabilityCode
-from .weights import ENUMERATION_LIMIT, EnumerationBudgetError, weight_distribution
+from .weights import ENUMERATION_LIMIT, EnumerationBudgetError, _span, weight_distribution
 
-GHW_MAX_DUAL_DIM = 16
 GHW_MAX_LEVEL = 3
 GHW_SUBSPACE_BUDGET = 2_000_000
 # about 1 s of the general search at the 1.7-2.5 M steps/s of its slowest
@@ -177,38 +176,41 @@ def min_distance_bruteforce(code: AvailabilityCode) -> int | float:
     if k == 0:
         return math.inf
     side = min(k, n - k)
-    walk = 1 << side if side <= ENUMERATION_LIMIT else None
-    if walk is None or k <= walk:
-        d = _information_set_search(code, walk)
+    if side > ENUMERATION_LIMIT or k <= 1 << side:
+        rows = code.basis.bits  # the free column of a nullspace vector is its highest bit
+        free = sum(1 << row.bit_length() - 1 for row in rows)
+        d = _information_set_search(rows, free, n, side, "d_min", f"d_min of the n={n}, k={k} code")
         if d is not None:
             return d
     counts = weight_distribution(code)
     return next(w for w in range(1, n + 1) if counts[w])
 
 
-def _information_set_search(code: AvailabilityCode, walk: int | None) -> int | None:
-    """d_min from disjoint information sets (Zimmermann 1996; Grassl 2006),
-    or None once the Gray walk's `walk` words are predicted to cost less.
+def _information_set_search(
+    rows: Sequence[int], identity: int, n: int, side: int, name: str, subject: str
+) -> int | None:
+    """Least nonzero weight in the span of `rows`, the identity on the
+    columns of `identity`, by disjoint information sets (Zimmermann 1996;
+    Grassl 2006), or None once a walk of 2^`side` words (none past
+    ENUMERATION_LIMIT) is predicted to cost less.
 
-    Set j is r_j columns on which a basis of the code splits into r_j rows
-    that are the identity there and k - r_j rows that vanish there.  The
-    first set is the free columns of the code's `basis`; each later one is
-    `_rref` of the last set's identity rows on the columns no set has used
-    (the vanishing rows join the last set's), so r_j never grows and
-    a set is built only once that costs less than the cheapest step.  A
-    word has weight s on set j exactly when it sums s of the identity
-    rows.  Step s of set j visits those words, C(r_j, s) sums each plus
-    every word in the span of the vanishing rows, so after it every word
-    not yet seen has weight at least s + 1 there: the set adds
-    max(0, w + 1 - (k - r_j)) to the lower bound at level w = s + k - r_j.
-    The cheapest next step of any set runs first, and the search ends when
-    the summed bound reaches the lightest word found, or when a set's last
-    step has visited the whole code.
+    Set j is r_j columns on which the basis splits into r_j rows that are
+    the identity there and k - r_j rows that vanish there.  The first set
+    is `identity`; each later one is `_rref` of the last set's identity rows
+    on the columns no set has used (the vanishing rows join the last
+    set's), so r_j never grows and a set is built only once that costs less
+    than the cheapest step.  A word has weight s on set j exactly when it
+    sums s of the identity rows.  Step s of set j visits those words,
+    C(r_j, s) sums each plus every word in the span of the vanishing rows,
+    so after it every word not yet seen has weight at least s + 1 there:
+    the set adds max(0, w + 1 - (k - r_j)) to the lower bound at level
+    w = s + k - r_j.  The cheapest next step of any set runs first, and the
+    search ends when the summed bound reaches the lightest word found, or
+    when a set's last step has visited the whole span.
     """
-    n, k, rows = code.n, code.k, code.basis.bits
-    unused = (1 << n) - 1
-    for row in rows:  # the free column of a nullspace vector is its highest bit
-        unused ^= 1 << row.bit_length() - 1
+    k = len(rows)
+    unused = ((1 << n) - 1) ^ identity
+    walk = 1 << side if side <= ENUMERATION_LIMIT else None
     sets, steps = [(rows, [])], [0]
     need = max(1, k - ENUMERATION_LIMIT)  # a smaller rank puts the first step over budget
 
@@ -236,29 +238,24 @@ def _information_set_search(code: AvailabilityCode, walk: int | None) -> int | N
         s = steps[j]
         if done + words > 1 << ENUMERATION_LIMIT:
             raise EnumerationBudgetError(
-                f"d_min of the n={n}, k={k} code: level {s + len(zero)} of the "
-                f"information-set search passes {1 << ENUMERATION_LIMIT} words "
-                f"(d_min is {max(bound, 1)}..{min(best, n - k + 1)})"
+                f"{subject}: level {s + len(zero)} of the information-set search "
+                f"passes {1 << ENUMERATION_LIMIT} words "
+                f"({name} is {max(bound, 1)}..{min(best, n - k + 1)})"
             )
         if s:
-            best = min(best, min(_level_min(ident, s, z) for z in _span(zero)))
-        else:  # the zero rows' nonzero span: the span of ten of them per C-level pass
-            low = list(_span(zero[:10]))
-            for z in _span(zero[10:]):
-                best = min(best, min(map(int.bit_count, map(z.__xor__, low[not z :])), default=best))
+            best = min(best, min(_level_min(ident, s, z) for words in _span(zero) for z in words))
+        else:
+            best = min(best, _least_weight(zero))
         done += words
         steps[j] += 1
         bound += 1 if s < len(ident) else math.inf
     return best
 
 
-def _span(vecs: Sequence[int]) -> Iterator[int]:
-    """Every word of the span of the independent `vecs`, 0 first, in Gray order."""
-    word = 0
-    yield word
-    for s in range(1, 1 << len(vecs)):
-        word ^= vecs[(s & -s).bit_length() - 1]
-        yield word
+def _least_weight(vecs: Sequence[int]) -> int | float:
+    """Least nonzero weight in the span of the independent `vecs`, or math.inf."""
+    words = itertools.chain.from_iterable(_span(vecs))
+    return min(map(int.bit_count, filter(None, words)), default=math.inf)
 
 
 def _level_min(rows: Sequence[int], v: int, acc: int, start: int = 0) -> int | float:
@@ -286,42 +283,41 @@ def dual_ghw_bruteforce(code: AvailabilityCode, dimension: int) -> int:
     """Exact generalized Hamming weight of the dual at the given dimension:
     the least support size of a `dimension`-dimensional dual subspace.
 
-    Covers the i-dimensional subspaces of the row space of H once each, via
-    reduced-echelon coefficient patterns over an echelon dual basis: for a
-    pattern of pivots, basis vector u ranges over the coset of pivot u's
-    row plus the span of its free rows, listed once by doubling.  A
-    subspace's support is the union of its basis vectors' supports and can
-    only grow as vectors are added (Wei 1991), so a partial union that
-    already has at least the best support found is pruned; the last
-    vector's coset is scanned in one C-level pass.  The budget checks count
-    every subspace, pruned or not, and run before any enumeration.
+    Level 1, the dual's minimum distance, is `_information_set_search` over
+    the echelon dual basis, the identity on each row's lowest bit, or a
+    walk of its span.
+    Levels 2 and 3 cover the i-dimensional subspaces of the row space of H
+    once each, via reduced-echelon coefficient patterns over that basis:
+    for a pattern of pivots, basis vector u ranges over the coset of pivot
+    u's row plus the span of its free rows.  A subspace's support is the
+    union of its basis vectors' supports and can only grow as vectors are
+    added (Wei 1991), so a partial union that already has at least the
+    best support found is pruned; the last vector's coset is scanned in
+    one C-level pass.  The budget checks count every subspace, pruned or
+    not, and run before any enumeration.
     """
     basis = code.dual_basis
-    rho = basis.rows
+    rho, vecs = basis.rows, basis.bits
     if dimension < 1 or dimension > rho:
         raise EnumerationBudgetError(
             f"no {dimension}-dimensional subspace of a {rho}-dimensional dual"
         )
-    if rho > GHW_MAX_DUAL_DIM or dimension > GHW_MAX_LEVEL:
-        raise EnumerationBudgetError(
-            f"dual dimension {rho} / level {dimension} outside the enumeration budget"
-        )
+    if dimension > GHW_MAX_LEVEL:
+        raise EnumerationBudgetError(f"level {dimension} is over the level cap {GHW_MAX_LEVEL}")
+    if dimension == 1:
+        pivots = sum(row & -row for row in vecs)
+        subject = f"d_1 of the dual of the n={code.n}, k={code.k} code"
+        d = _information_set_search(vecs, pivots, code.n, rho, "d_1", subject)
+        return _least_weight(vecs) if d is None else d
     count = gaussian_binomial(rho, dimension)
     if count > GHW_SUBSPACE_BUDGET:
-        raise EnumerationBudgetError(
-            f"{count} subspaces exceed budget {GHW_SUBSPACE_BUDGET}"
-        )
-    vecs = basis.bits
+        raise EnumerationBudgetError(f"{count} subspaces exceed budget {GHW_SUBSPACE_BUDGET}")
     best = code.n + 1
     for pivots in itertools.combinations(range(rho), dimension):
         cosets = []
         for p in pivots:
-            coset = [vecs[p]]
-            for c in range(p + 1, rho):
-                if c not in pivots:
-                    g = vecs[c]
-                    coset += [v ^ g for v in coset]
-            cosets.append(coset)
+            free = [vecs[c] for c in range(p + 1, rho) if c not in pivots]
+            cosets.append(list(map(vecs[p].__xor__, itertools.chain.from_iterable(_span(free)))))
         best = _min_union_support(cosets, 0, best)
     return best
 

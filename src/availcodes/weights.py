@@ -1,6 +1,6 @@
-"""Exact combinatorics: Krawtchouk polynomials, weight distributions and
-their transform to the dual distribution.  A distribution is the tuple
-A_0..A_n of its weight counts.
+"""Exact combinatorics: Krawtchouk polynomials, the span walk, weight
+distributions and their transform to the dual distribution.  A
+distribution is the tuple A_0..A_n of its weight counts.
 
 Everything here is arbitrary-precision integer arithmetic; no floats.
 """
@@ -8,14 +8,14 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections import Counter
+from itertools import chain
+from typing import Iterator, Sequence
 
-# The word budget of both exact d_min methods, as a power of two: the Gray
-# walk's 2^min(k, n-k) words, and the words the information-set search in
-# `verification.min_distance_bruteforce` visits.  The Gray walk takes
-# 0.2-0.4 us a word at n <= 1024 and 0.5-1.0 us at n = 4096 (2-vCPU VM,
-# Python 3.11), so 2^21 words take 0.4-0.8 s and 1.1-2.1 s; 2^22 words
-# took 0.9-2.0 s and 2.9-4.3 s.
+# Word budget, a power of two, of the Gray walk's 2^min(k, n-k) words and of
+# the information-set search (d_min, the dual's d_1).  A word walked took
+# 0.13-0.31 us at n <= 1024 and 0.44-0.55 us at n = 4096 (2-vCPU VM, Python
+# 3.11): 2^21 words 0.3-0.5 s and 0.9-1.8 s; 2^22, 0.5-1.3 s and 2.0-3.2 s.
 ENUMERATION_LIMIT = 21
 
 
@@ -71,16 +71,23 @@ def krawtchouk(q: int, n: int, j: int, i: int) -> int:
     return krawtchouk_column(q, n, i)[j]
 
 
+def _span(vecs: Sequence[int]) -> Iterator[list[int]]:
+    """The span of the independent `vecs`, 0 first, in lists of at most
+    1024 words: the first ten by doubling, the rest in Gray order."""
+    words = [0]
+    for vec in vecs[:10]:
+        words += list(map(vec.__xor__, words))
+    yield words
+    rest = vecs[10:]
+    for s in range(1, 1 << len(rest)):
+        words = list(map(rest[(s & -s).bit_length() - 1].__xor__, words))
+        yield words
+
+
 def _gray_weight_counts(vecs: Sequence[int], n: int) -> list[int]:
-    """Weight counts of the span of the independent vectors `vecs`, by
-    Gray-code enumeration."""
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    cw = 0
-    for s in range(1, 1 << len(vecs)):
-        cw ^= vecs[(s & -s).bit_length() - 1]
-        counts[cw.bit_count()] += 1
-    return counts
+    """Weight counts of the span of the independent `vecs`, by `_span`."""
+    counts = Counter(map(int.bit_count, chain.from_iterable(_span(vecs))))
+    return [counts[w] for w in range(n + 1)]
 
 
 def weight_distribution(code) -> tuple[int, ...]:

@@ -15,35 +15,37 @@ from __future__ import annotations
 import itertools
 import math
 
-from availcodes.verification import (
-    GHW_MAX_DUAL_DIM,
-    GHW_MAX_LEVEL,
-    GHW_SUBSPACE_BUDGET,
-    gaussian_binomial,
-)
+from availcodes.verification import GHW_MAX_LEVEL, GHW_SUBSPACE_BUDGET, gaussian_binomial
 from availcodes.weights import EnumerationBudgetError
 from matrix_oracles import row_space_basis
+
+# The unpruned search's own limit on the dual dimension: at level 1 it
+# spans 2^MAX_DUAL_DIM words one coefficient bit at a time.  The package
+# has no such cap; where this one refuses, the tests check level 1
+# against the dual's weight counts instead.
+MAX_DUAL_DIM = 16
 
 
 def dual_ghw_bruteforce(code, dimension: int) -> int:
     """Every reduced-echelon coefficient pattern, each basis vector summed
     from its coefficient bits, with no pruning, over the reference echelon
-    basis of `matrix_oracles`."""
+    basis of `matrix_oracles`.  The package's checks come first, then
+    `MAX_DUAL_DIM`."""
     basis = row_space_basis(code.H)
     rho = basis.rows
     if dimension < 1 or dimension > rho:
         raise EnumerationBudgetError(
             f"no {dimension}-dimensional subspace of a {rho}-dimensional dual"
         )
-    if rho > GHW_MAX_DUAL_DIM or dimension > GHW_MAX_LEVEL:
-        raise EnumerationBudgetError(
-            f"dual dimension {rho} / level {dimension} outside the enumeration budget"
-        )
+    if dimension > GHW_MAX_LEVEL:
+        raise EnumerationBudgetError(f"level {dimension} is over the level cap {GHW_MAX_LEVEL}")
     count = gaussian_binomial(rho, dimension)
     if count > GHW_SUBSPACE_BUDGET:
         raise EnumerationBudgetError(
             f"{count} subspaces exceed budget {GHW_SUBSPACE_BUDGET}"
         )
+    if rho > MAX_DUAL_DIM:
+        raise EnumerationBudgetError(f"dual dimension {rho} over the oracle's cap {MAX_DUAL_DIM}")
     vecs = basis.bits
     best = code.n + 1
     for pivots in itertools.combinations(range(rho), dimension):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from availcodes.bitmatrix import BitMatrix, MatrixFormatError
 from availcodes.codes import STRICT, AvailabilityCode
@@ -99,7 +100,10 @@ def rank_and_nullspace(mat: BitMatrix) -> tuple[int, BitMatrix]:
 
 
 def parse_matrix(text: str) -> BitMatrix:
-    lines = text.splitlines()
+    # lines end at "\r\n", "\r" and "\n", and a final break ends the last line
+    lines = re.split("\r\n|\r|\n", text)
+    if lines[-1] == "":
+        del lines[-1]
     if not lines:
         raise MatrixFormatError("empty input", line=1)
     header = lines[0].split()

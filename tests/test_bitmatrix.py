@@ -133,3 +133,15 @@ def test_parse_bad_header():
     with pytest.raises(MatrixFormatError) as exc:
         parse_matrix("banana\n1")
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_rows_end_only_at_cr_and_lf(brk):
+    # str.splitlines would read two rows here
+    with pytest.raises(MatrixFormatError, match="only 1 present") as exc:
+        parse_matrix(f"2 2\n01{brk}10")
+    assert exc.value.line == 2
+    with pytest.raises(MatrixFormatError, match="invalid character") as exc:
+        parse_matrix(f"2 3\n0{brk}1\n010\n")
+    assert exc.value.line == 2
+    assert parse_matrix("2 2\r\n01\r10\n") == BitMatrix(2, 2, (2, 1))

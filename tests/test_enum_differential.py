@@ -4,7 +4,8 @@ the unpruned search, the same weight distribution A whichever side
 `weight_distribution` enumerates (checked against a direct span of the
 reference nullspace basis), the same Krawtchouk values and MacWilliams
 transforms, and the same error messages.  The information-set search for
-d_min is held to the minimum of the Gray walk's distribution."""
+d_min and the dual's d_1 are held to the minimum of the Gray walk's
+distribution and of its MacWilliams transform."""
 
 import math
 
@@ -26,7 +27,8 @@ from availcodes import (
     weight_distribution,
 )
 from availcodes import verification
-from availcodes.verification import GHW_MAX_DUAL_DIM, GHW_SUBSPACE_BUDGET, gaussian_binomial
+from availcodes.verification import GHW_SUBSPACE_BUDGET, gaussian_binomial
+from availcodes.weights import ENUMERATION_LIMIT
 from conftest import span_weights
 
 ORACLE_SUBSPACES = 100_000  # the unpruned search takes about 0.2 s here
@@ -42,6 +44,12 @@ def _outcome(fn, *args):
 def _nullspace_weights(code):
     """A by a direct span of the reference nullspace basis."""
     return tuple(span_weights(list(matrix_oracles.rank_and_nullspace(code.H)[1].bits), code.n))
+
+
+def _dual_min(code):
+    """The dual's d_1 read off the reference transform of `_nullspace_weights`."""
+    B = oracle.macwilliams_vector(code.n, 2, _nullspace_weights(code))
+    return next(w for w in range(1, code.n + 1) if B[w])
 
 
 @st.composite
@@ -130,33 +138,45 @@ def test_catalog_matches_oracles(catalog):
     for code in catalog:
         assert weight_distribution(code) == _nullspace_weights(code)
         dual_dim = rank(code.H)
+        if dual_dim > oracle.MAX_DUAL_DIM:  # the unpruned search refuses level 1
+            assert dual_ghw_bruteforce(code, 1) == _dual_min(code), code.construction
         for level in (1, 2, 3):
             count = gaussian_binomial(dual_dim, level)
-            # over the budget both fail fast; between the cap and the budget
+            # over the budget both fail fast; under it but over ORACLE_SUBSPACES
             # (level 3 at dual dimension 9) the unpruned search takes seconds
-            over = count > GHW_SUBSPACE_BUDGET or dual_dim > GHW_MAX_DUAL_DIM
+            over = count > GHW_SUBSPACE_BUDGET
+            if level == 1 and dual_dim > oracle.MAX_DUAL_DIM:
+                continue
             if count <= ORACLE_SUBSPACES or over:
                 assert _outcome(dual_ghw_bruteforce, code, level) == _outcome(
                     oracle.dual_ghw_bruteforce, code, level
                 )
 
 
-def _walk_min(code):
-    """d_min read off the Gray walk's weight distribution."""
+def _walk_min(code, dual=False):
+    """d_min, or the dual's d_1, read off the Gray walk's weight distribution."""
     counts = weight_distribution(code)
+    if dual:
+        counts = macwilliams_vector(code.n, 2, counts)
     return next((w for w in range(1, code.n + 1) if counts[w]), math.inf)
 
 
-def _search_min(code):
-    """d_min from the information-set search alone, never handed to the walk."""
-    if code.k == 0:
+def _search_min(code, dual=False):
+    """d_min, or the dual's d_1, from the information-set search alone, never
+    handed to the walk: over `basis`, the identity on each row's highest
+    bit, or over `dual_basis`, the identity on each row's lowest."""
+    rows = (code.dual_basis if dual else code.basis).bits
+    if not rows:
         return math.inf
-    return verification._information_set_search(code, None)
+    ident = sum(row & -row if dual else 1 << row.bit_length() - 1 for row in rows)
+    no_walk = ENUMERATION_LIMIT + 1
+    return verification._information_set_search(rows, ident, code.n, no_walk, "d", "the span")
 
 
 def test_catalog_information_sets_match_the_walk(catalog):
     for code in catalog:
-        assert _search_min(code) == _walk_min(code), code.construction
+        for dual in (False, True):
+            assert _search_min(code, dual) == _walk_min(code, dual), code.construction
 
 
 @st.composite
@@ -182,5 +202,12 @@ def square_codes(draw, max_cols):
 # than its first contributing level: visiting only that level's sums of all
 # k rows from there on gives 4
 @example(_rows([32214, 38443, 11857, 6844, 4955, 7915, 12123, 42997], 16))
+# the dual's d_1 = 3 from its pivots as the first set; its rows' highest
+# bits, which are not the identity there, give 4
+@example(_rows([303602, 156962, 418773, 46549, 19015, 522319, 402348, 295508, 268081, 277351], 19))
 def test_information_sets_match_the_walk(code):
     assert _search_min(code) == _walk_min(code) == min_distance_bruteforce(code)
+    dual_min = _walk_min(code, dual=True)
+    assert _search_min(code, dual=True) == dual_min
+    if dual_min != math.inf:
+        assert dual_ghw_bruteforce(code, 1) == dual_min

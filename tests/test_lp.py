@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from availcodes import (
+    LP_DEFAULT_BUDGET,
     InfeasibleRelaxationError,
     build_lp,
     krawtchouk_column,
@@ -18,6 +19,12 @@ from availcodes import lp as lp_module
 from availcodes.lp import LPConstraint, LPModel, LPSizeError
 from fraction_simplex import certificate_violations, exact_solve, farkas_violations
 from test_lp_differential import exact_solution, small_lps
+
+
+def test_default_budget_is_the_largest_lp3_row_under_the_size_limit():
+    # the package root derives 27 by hand from the limit of 800: lp3 row r
+    # has n = (r + 1)^2, so changing either one alone fails here
+    assert LP_DEFAULT_BUDGET == math.isqrt(lp_module.LP_SIZE_LIMIT) - 1
 
 
 def _model(num_vars, objective, constraints, offset=0):

@@ -255,6 +255,7 @@ def matrix_texts(draw):
 @example("1 2\r01\n")
 @example("1 2\n\u2028\n01")
 @example("2 2\r\n01\r\n1_")
+@example("2 2\n01\x0c10")  # a form feed ends no row
 def test_parse_matches_reference(text):
     got = _outcome(parse_matrix, text)
     assert got == _outcome(oracle.parse_matrix, text)

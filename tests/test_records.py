@@ -100,10 +100,8 @@ def test_availability_code_record(monkeypatch):
     assert code.dual_basis is code.dual_basis and code.basis is code.basis
     assert eliminations == [code.H]
     assert code == same  # the cached echelon is not compared
-    assert pickle.dumps(code) == fresh  # nor pickled
-    for twin in (copy.copy(code), copy.deepcopy(code), pickle.loads(fresh)):
+    for twin in (copy.copy(code), copy.deepcopy(code), pickle.loads(fresh), pickle.loads(pickle.dumps(code))):
         assert twin == code
-        assert twin._dual_basis is None is twin._basis  # nor copied
     assert repr(code) == (
         "AvailabilityCode(H=BitMatrix(rows=6, cols=4, bits=(3, 12, 9, 6, 5, 10)), r=1, t=3, "
         "kind='strict', construction='partition', parameters={'g': 2, 'choice': [1, 2, 3]})"

@@ -24,7 +24,7 @@ from availcodes import (
 )
 from availcodes import verification, weights
 from availcodes.verification import gaussian_binomial
-from conftest import flagged, span_weights, stack
+from conftest import dual_weight_counts, flagged, span_weights, stack
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 K5_EDGES = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
@@ -234,6 +234,15 @@ def test_dual_ghw_level_one_is_dual_min_distance(catalog):
         assert dual_ghw_bruteforce(code, 1) == direct
 
 
+def test_dual_ghw_level_one_past_sixteen_dual_dimensions():
+    # the dual of the fiber code over GF(8) has dimension 19 and 2^19 words
+    gf = FiniteField(8)
+    code = functional_code(gf, 2, 1, projective_functionals(gf, 3))
+    counts = dual_weight_counts(code.H)
+    assert (code.n - code.k, dual_ghw_bruteforce(code, 1)) == (19, 8)
+    assert next(w for w in range(1, code.n + 1) if counts[w]) == 8
+
+
 def test_dual_ghw_grid_code():
     assert dual_ghw_bruteforce(product_code(1, 2), 1) == 2
 
@@ -250,6 +259,10 @@ def test_dual_ghw_budget():
         dual_ghw_bruteforce(code, 2)
     with pytest.raises(EnumerationBudgetError):
         dual_ghw_bruteforce(product_code(1, 2), 9)
+    # level 1 is the dual's minimum distance: held to the search's word budget
+    code = partition_code(build_partition_family(3, 5), 3)
+    with pytest.raises(EnumerationBudgetError, match=r"^d_1 of the dual of the n=1024, k=512 code: .*\(d_1 is 3\.\.4\)$"):
+        dual_ghw_bruteforce(code, 1)
 
 
 # -- greedy cover ----------------------------------------------------------

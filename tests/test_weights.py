@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from availcodes import codes, weights
 from availcodes import (
@@ -14,7 +16,7 @@ from availcodes import (
     macwilliams_vector,
     weight_distribution,
 )
-from conftest import dual_weight_counts
+from conftest import dual_weight_counts, span_weights
 
 
 def krawtchouk(q, n, j, i):
@@ -161,3 +163,26 @@ def test_macwilliams_matches_direct_dual_enumeration():
         h = BitMatrix.from_rows([rng.getrandbits(n) for _ in range(m)], n)
         B = macwilliams_vector(n, 2, weight_distribution(AvailabilityCode(H=h)))
         assert list(B) == dual_weight_counts(h)
+
+
+@st.composite
+def independent_vectors(draw):
+    """0-14 independent vectors of up to 20 bits: distinct leading bits."""
+    n = draw(st.integers(14, 20))
+    leads = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=14))
+    return n, [(1 << c) | draw(st.integers(0, (1 << c) - 1)) for c in leads]
+
+
+@settings(max_examples=60, deadline=None)
+@given(independent_vectors())
+def test_span_lists_every_word_once(drawn):
+    n, vecs = drawn
+    lists = list(weights._span(vecs))
+    words = [w for part in lists for w in part]
+    assert words[0] == 0
+    assert all(1 <= len(part) <= 1024 for part in lists)
+    assert len(set(words)) == len(words) == 1 << len(vecs)
+    counts = [0] * (n + 1)
+    for w in words:
+        counts[w.bit_count()] += 1
+    assert counts == span_weights(vecs, n) == weights._gray_weight_counts(vecs, n)
