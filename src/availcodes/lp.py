@@ -224,7 +224,7 @@ def point_violations(model: LPModel, a_by_weight: dict[int, int | Fraction]) -> 
     return bad
 
 
-# -- two-phase simplex --------------------------------------------------
+# -- warm-started simplex ----------------------------------------------
 
 
 def _floats(values) -> list[float]:
@@ -599,20 +599,20 @@ def lp_dimension_bound(q: int, n: int, r: int, t: int, mode: str = "exact") -> L
     """k <= log_q(M) where M is the LP optimum; M rides along in the
     diagnostics as a string and in the result's `solution`, whose
     variables are the optimal A-vector.  Raises InfeasibleRelaxationError
-    when even the relaxation is empty, which float mode confirms with an
-    exact solve, and LPSizeError past LP_SIZE_LIMIT or LP_WORK_BUDGET."""
+    when even the relaxation is empty, and LPSizeError past LP_SIZE_LIMIT or
+    LP_WORK_BUDGET.  Float mode answers a float Farkas ray with an exact
+    solve: its M and A-vector in floats, or the exact error."""
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     try:
         sol = solve_lp(q, n, r, t, mode == "exact")
     except InfeasibleRelaxationError:
-        if mode == "float":  # a float ray proves nothing: ask the exact model
-            solve_lp(q, n, r, t, True)
-            raise RuntimeError(
-                "the float simplex found no point where the exact model has one: "
-                "a float rounding failure; use exact mode"
-            ) from None
-        raise
+        if mode == "exact":
+            raise
+        # a float ray proves nothing: the exact model answers, in floats
+        sol = solve_lp(q, n, r, t, True)
+        a = sol.variables
+        sol = LPSolution("optimal", _floats([sol.value])[0], dict(zip(a, _floats(a.values()))))
     m_value = sol.value
     try:
         m_float = float(m_value)

@@ -24,6 +24,7 @@ from availcodes import (
     dmin_tamo_barg,
     dmin_wang,
     functional_code,
+    greedy_cover,
     partition_code,
     product_code,
     projective_functionals,
@@ -127,13 +128,16 @@ def permutation_equivalent(a: BitMatrix, b: BitMatrix) -> bool:
 # -- the bounds the soundness sweeps hold against every code --------------
 
 
-def applicable_rate_bounds(n: int, r: int, t: int) -> list[BoundResult]:
-    """Every rate bound defined at (n, r, t)."""
+def applicable_rate_bounds(code: AvailabilityCode) -> list[BoundResult]:
+    """Every rate bound that holds for the code's (n, r, t).  The greedy
+    t = 3 bound holds only for a connected Tanner graph, so it is left out
+    when the greedy walk restarts on a new component."""
+    n, r, t = code.n, code.r, code.t
     out = [rate_tamo_barg(r, t)]
     if t >= 2:
         out.append(rate_best_known(r, t))
         out.append(rate_transpose(r, t))
-    if t == 3 and (3 * n) % (r + 1) == 0:
+    if t == 3 and (3 * n) % (r + 1) == 0 and not flagged(greedy_cover(code), "disconnected"):
         out.append(rate_greedy_t3(n, r))
     return out
 

@@ -204,7 +204,7 @@ def test_criterion_11_soundness_sweep(catalog):
     with criterion(11, 120.0, "no bound undercuts any constructed code (k<=20 catalog)"):
         for code in catalog:
             measured = Fraction(code.k, code.n)
-            for bound in applicable_rate_bounds(code.n, code.r, code.t):
+            for bound in applicable_rate_bounds(code):
                 assert bound.value_exact >= measured, (code.construction, bound.name)
             if not 1 <= code.k <= 20:
                 continue

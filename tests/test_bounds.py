@@ -24,7 +24,7 @@ from availcodes import (
 )
 from availcodes import bounds
 from availcodes.bounds import M_DELTA_SCAN_LIMIT, PROFILE_LIMIT
-from availcodes.figures import _sweep_params
+from availcodes.figures import _t3_code
 
 
 # -- rate bounds ---------------------------------------------------------
@@ -282,8 +282,7 @@ def test_dmin_m_delta_max_cuts_profiles_at_the_best_value(monkeypatch):
     # and 5,429 with it
     steps = _counted_steps(monkeypatch)
     for r in range(3, 12):
-        p = _sweep_params("dmin3_mdelta", r)
-        dmin_m_delta_max(p["n"], p["k"], r, p["t"])
+        dmin_m_delta_max(*_t3_code(r), r, 3)
     assert 0 < len(steps) <= 6000
 
 

@@ -18,7 +18,7 @@ from availcodes import (
     ghw_profile_m_delta,
     k_opt_griesmer,
 )
-from availcodes.figures import _sweep_params
+from availcodes.figures import _t3_code
 
 
 def _max_outcome(fn, n, k, r, t):
@@ -49,8 +49,7 @@ def test_m_delta_max_matches_grid(point):
 
 @pytest.mark.parametrize("r", range(3, 12))  # the rows the bounds-sweep benchmark runs
 def test_m_delta_max_matches_grid_on_figure_rows(r):
-    p = _sweep_params("dmin3_mdelta", r)
-    point = (p["n"], p["k"], r, p["t"])
+    point = (*_t3_code(r), r, 3)
     assert _max_outcome(dmin_m_delta_max, *point) == _max_outcome(oracle.dmin_m_delta_max, *point)
 
 
@@ -166,7 +165,7 @@ def test_dim_huang_raises_as_the_search_does(point):
 
 @pytest.mark.parametrize("r", range(1, 28))
 def test_dim_huang_matches_the_search_on_lp3_rows(r):
-    n = _sweep_params("lp3", r)["n"]
+    n = (r + 1) ** 2
     assert dim_huang(n, 4, r, 3).value_exact == oracle.dim_huang(n, 4, r, 3)
 
 

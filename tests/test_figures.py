@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from availcodes import (
+    FIGURE_IDS,
     dmin_m_delta,
     dmin_tamo_barg,
     emit_figure_data,
@@ -13,12 +14,17 @@ from availcodes import (
     rate_transpose,
 )
 from availcodes.cli import run_cli
+from availcodes.figures import _FIGURES
 
 
 def _rows(csv_text):
     lines = csv_text.strip().split("\n")
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_every_figure_id_has_one_table_in_order():
+    assert tuple(_FIGURES) == FIGURE_IDS
 
 
 def test_spec_validation():
@@ -114,3 +120,34 @@ def test_widest_dmin3_mdelta_figure_is_pinned(capsys):
     assert run_cli(["figure", "dmin3_mdelta", "--rmin", "3", "--rmax", "21"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "ff92455829c40781b91ca86949c45c796db2c4e02819ce393c4c2b19bf82e451"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["rate3", "--rmin", "1", "--rmax", "60"],
+         "63bd922f7c8083b7b8aeb4aab7f22438e403bfd9e198caab3c711e292e447322"),
+        (["rate4", "--rmin", "1", "--rmax", "60"],
+         "bfbc3f094824c7ca143ec0f19980104768a5e2c128da09db03b99386572678c3"),
+        (["dmin3", "--rmin", "1", "--rmax", "60"],
+         "d00ae84b3022fd65dba311b4fd0a84bdb2b93955362c1fcde6226333778a3eca"),
+        # rows 21..30 are over the budget and flagged `budget`
+        (["lp3", "--rmin", "1", "--rmax", "30", "--budget", "20"],
+         "81fd9cdecb57524b5a714173dae71fb18bf2931876c40d41d29570bd2958e14e"),
+    ],
+)
+def test_figure_is_pinned(argv, digest, capsys):
+    assert run_cli(["figure", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dmin3_mdelta_row_over_the_scan_limit_fails_first(capsys):
+    # the row r = 22 runs first, so the range fails before any row is written
+    assert run_cli(["figure", "dmin3_mdelta", "--rmin", "1", "--rmax", "22"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the (M, delta) scan over M = 196..276 builds profiles of total "
+        "length 19116, over limit 16384\n"
+    )

@@ -296,8 +296,43 @@ def test_float_infeasibility_needs_the_exact_model(monkeypatch):
         return solve_lp(q, n, r, t, exact)
 
     monkeypatch.setattr(lp_module, "solve_lp", float_finds_nothing)
-    # the exact solve that must confirm a float ray may run out of its budget
+    # the exact solve that must answer a float ray may run out of its budget
     with pytest.raises(LPSizeError):
         lp_dimension_bound(2, 441, 2, 5, mode="float")
-    with pytest.raises(RuntimeError, match="float rounding failure"):
-        lp_dimension_bound(2, 16, 3, 3, mode="float")
+    # or it answers, and its M and A-vector come back in floats
+    exact = solve_lp(2, 16, 3, 3, True)
+    result = lp_dimension_bound(2, 16, 3, 3, mode="float")
+    assert result.diagnostics == {"status": "optimal", "mode": "float", "M": repr(float(exact.value))}
+    assert result.solution.value == float(exact.value)
+    assert result.solution.variables == {i: float(v) for i, v in exact.variables.items()}
+    assert math.isclose(result.value, math.log2(float(exact.value)), rel_tol=1e-15)
+
+
+def test_float_ray_answered_by_the_exact_model_keeps_its_errors(monkeypatch):
+    def answer(exact_outcome):
+        def solve(q, n, r, t, exact):
+            if not exact:
+                raise InfeasibleRelaxationError("no point")
+            if isinstance(exact_outcome, Exception):
+                raise exact_outcome
+            return exact_outcome
+
+        monkeypatch.setattr(lp_module, "solve_lp", solve)
+        return lp_dimension_bound(2, 16, 3, 3, mode="float")
+
+    with pytest.raises(InfeasibleRelaxationError, match="exact"):
+        answer(InfeasibleRelaxationError("exact"))
+    # an exact M past the double range has no float form
+    with pytest.raises(ValueError, match="exceeds the double range"):
+        answer(lp_module.LPSolution("optimal", Fraction(2**1100, 3), {4: Fraction(1)}))
+
+
+def test_float_ray_at_a_regressed_shape_is_answered_exactly():
+    # the float master's Farkas ray at (2, 26, 12, 4) claims no point; the
+    # exact model has one
+    with pytest.raises(InfeasibleRelaxationError):
+        lp_module.solve_lp(2, 26, 12, 4, False)
+    exact = lp_dimension_bound(2, 26, 12, 4)
+    result = lp_dimension_bound(2, 26, 12, 4, mode="float")
+    assert math.isclose(result.value, 3.15025253943293, abs_tol=1e-12)
+    assert math.isclose(result.value, exact.value, rel_tol=1e-12)

@@ -10,18 +10,24 @@ from availcodes import (
     functional_code,
     ghw_profile_m_delta,
     ghw_profile_simple,
+    greedy_cover,
     min_distance_bruteforce,
     partition_code,
     product_code,
     projective_functionals,
 )
-from conftest import applicable_distance_bounds, applicable_rate_bounds
+from conftest import applicable_distance_bounds, applicable_rate_bounds, flagged
 
 
 def test_rate_bounds_dominate_measured_rates(catalog):
-    for code in catalog:
+    # partition (1, g, 3) for g >= 4 has n/4 components and rate 1/4, over
+    # the connected-graph greedy bound's 3/16 at g = 4
+    disconnected = [partition_code(build_partition_family(1, g), 3) for g in (4, 5)]
+    for code in disconnected:
+        assert flagged(greedy_cover(code), "disconnected")
+    for code in [*catalog, *disconnected]:
         measured = Fraction(code.k, code.n)
-        for bound in applicable_rate_bounds(code.n, code.r, code.t):
+        for bound in applicable_rate_bounds(code):
             assert bound.value_exact >= measured, (
                 code.construction, code.r, code.t, bound.name,
             )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from availcodes import (
     rank,
 )
 from availcodes import verification, weights
+from availcodes.constructions import SIZE_LIMIT
 from availcodes.verification import gaussian_binomial
 from conftest import dual_weight_counts, flagged, span_weights, stack
 
@@ -186,6 +188,32 @@ def test_min_distance_past_the_enumeration_limit():
     for g in (3, 4):
         code = partition_code(build_partition_family(3, g), 3)
         assert (code.n, code.k, min_distance_bruteforce(code)) == (4**g, 4**g // 2, 4)
+
+
+def test_product_codes_have_min_distance_two_to_the_t():
+    # the tensor product of t single-parity codes has d_min = 2^t.  Of the
+    # 99 product codes with t >= 2 within SIZE_LIMIT the search answers the
+    # 29 with r below `first_refused[t]`; the first refusal of each t
+    # reports an interval that holds 2^t
+    first_refused = {2: 16, 3: 4, 4: 3, 5: 3, 6: 2, 7: 2}
+    shapes = [
+        (r, t)
+        for t in range(2, SIZE_LIMIT.bit_length())
+        for r in range(1, SIZE_LIMIT)
+        if (r + 1) ** t <= SIZE_LIMIT
+    ]
+    answered = [(r, t) for r, t in shapes if r < first_refused.get(t, SIZE_LIMIT)]
+    assert (len(shapes), len(answered)) == (99, 29)
+    for r, t in answered:
+        assert min_distance_bruteforce(product_code(r, t)) == 2**t, (r, t)
+    intervals = {}
+    for t, r in first_refused.items():
+        with pytest.raises(EnumerationBudgetError) as refused:
+            min_distance_bruteforce(product_code(r, t))
+        found = re.search(r"\(d_min is (\d+)\.\.(\d+)\)$", str(refused.value))
+        intervals[r, t] = tuple(map(int, found.groups()))
+        assert intervals[r, t][0] <= 2**t <= intervals[r, t][1], (r, t)
+    assert intervals[4, 3] == (5, 8)  # n = 125, k = 64, d_min = 8
 
 
 def test_min_distance_without_the_walk(monkeypatch):
