@@ -23,16 +23,17 @@ at 0; then M = q^n / min sum B and A_i = sum_j K_i(j) B_j / sum_j B_j.  The
 master problem holds a few columns and rows and grows by column generation
 (Gilmore-Gomory 1961) and by cutting planes: each round re-solves it,
 prices every column with its duals and checks its point against every row,
-in integers in exact mode, and adds the most negative columns and the most
-violated rows.  A round starts from the last round's basis: the columns
-added keep it primal feasible and the rows added keep it dual feasible, so
-a few primal and dual simplex pivots (Lemke 1954) re-optimise it.  The
-loop ends only when no row is violated and no column prices negative: that
-final check on the full model is the optimality certificate, so no answer
-rests on the restricted master alone.  An infeasible master is priced with
-its Farkas ray instead, and the columns that ray prices negative enter;
-when none does, the ray proves the full model infeasible too, as its rows
-include the master's.
+in integers, and adds the most negative columns and the most violated
+rows.  A round starts from the last round's basis: the columns added keep
+it primal feasible and the rows added keep it dual feasible, so a few
+primal and dual simplex pivots (Lemke 1954) re-optimise it.  The loop ends
+only when no row is violated and no column prices negative: that final
+check on the full model is the optimality certificate, so no answer rests
+on the restricted master alone.  An infeasible master is priced with its
+Farkas ray instead, and the columns that ray prices negative enter; when
+none does, the ray proves the full model infeasible too, as its rows
+include the master's.  Float mode is that certified optimum with M and
+each A_i rounded once to a double.
 
 Sums of three or more parity rows would contribute further valid rows;
 they are deliberately not modeled here.
@@ -41,7 +42,6 @@ they are deliberately not modeled here.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -49,7 +49,6 @@ from . import _Record
 from .bounds import BoundResult, _check_block_length, _check_exact_size, _check_locality
 from .weights import krawtchouk_column, krawtchouk_row
 
-FLOAT_TOL = 1e-9
 # Both limits were measured on a 2-vCPU VM (Python 3.11).  The master's
 # simplex work (see `_simplex_max`) runs at 3 to 4 ns per unit on the
 # shapes that need the most, such as (q, r, t) = (2, 2, 5) at n = 90 to
@@ -58,14 +57,9 @@ FLOAT_TOL = 1e-9
 # and their pricing grow with n and t on their own: t = n stops on the
 # budget after 0.41 s at n=120, 1.2 s at 400, 1.8 s and 329 MB at 800, and
 # 2.2 s and 520 MB at 960.  `lp_dimension_bound` refuses n over
-# LP_SIZE_LIMIT before any Krawtchouk column is built.  A float entry takes
-# 100 to 300 ns and counts FLOAT_ENTRY_WORK units, so a float solve that
-# stalls stops within about 1 s too (0.13 s at (2, 141, 4, 5)); the
-# costliest float solve probed that finishes needs 3.1 M entries (99 M
-# units), at (2, 441, 2, 5).
+# LP_SIZE_LIMIT before any Krawtchouk column is built.
 LP_SIZE_LIMIT = 800
 LP_WORK_BUDGET = 10**8
-FLOAT_ENTRY_WORK = 32
 COLUMN_BATCH = 5  # the most negative columns that enter per round
 ROW_BATCH = 10  # the most violated rows that enter per round
 
@@ -227,54 +221,29 @@ def point_violations(model: LPModel, a_by_weight: dict[int, int | Fraction]) -> 
 # -- warm-started simplex ----------------------------------------------
 
 
-def _floats(values) -> list[float]:
-    """The values as doubles; ValueError when one is beyond the double range."""
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise ValueError(
-            "float mode cannot hold this model: an entry exceeds the double "
-            "range; use exact mode"
-        ) from None
-
-
 def _reduce_content(row: list[int]) -> list[int]:
-    """Exact-mode rescale: divide out the gcd of the row's entries."""
+    """Divide out the gcd of the row's entries."""
     g = math.gcd(*row)
     return row if g == 1 else [v // g for v in row]
 
 
-def _unit_scale(row: list[float]) -> list[float]:
-    """Float-mode rescale: divide by the row's scale, which becomes exactly 1."""
-    p = row[-2]
-    if p == 1.0:
-        return row
-    inv = 1.0 / p
-    row = [v * inv for v in row]
-    row[-2] = 1.0
-    return row
-
-
 def _simplex_max(
-    obj: Sequence,
-    rows: list[Sequence],
-    rhs: list,
+    obj: Sequence[int],
+    rows: list[Sequence[int]],
+    rhs: list[int],
     *,
-    exact: bool,
     work_limit: float,
     start: Sequence[int] = (),
-) -> tuple[str, object, list, list, int, list[int]]:
-    """maximize obj.x  s.t.  rows[i].x <= rhs[i], x >= 0  (rhs of any sign).
-    Exact mode takes integer rows as they are; float mode divides each row
-    by its largest absolute entry and puts the prices back on the given rows.
+) -> tuple[str, Fraction | None, list[Fraction], list[Fraction], int, list[int]]:
+    """maximize obj.x  s.t.  rows[i].x <= rhs[i], x >= 0  (rhs of any sign),
+    over integer rows.
 
     Returns (status, value, x, y, work, basis), y holding one price per row
     and basis the final basic variables.  At the optimum y is the dual
     vector: y >= 0, y.rows >= obj and y.rhs = value.  When the rows admit
-    no point, y is a Farkas ray, its largest price 1: y >= 0, y.rows >= 0
-    and y.rhs < 0.  `work` counts the tableau entries the pivots rewrote,
-    each weighed by the bit length of its pivot row's scale in exact mode
-    and by FLOAT_ENTRY_WORK in float mode; past `work_limit` work the solve
+    no point, y is a Farkas ray: y >= 0, y.rows >= 0 and y.rhs < 0.  `work`
+    counts the tableau entries the pivots rewrote, each weighed by the bit
+    length of its pivot row's scale; past `work_limit` work the solve
     raises LPSizeError.
 
     Variables are numbered structural 0..nv-1, then one slack per row, nv+i
@@ -310,27 +279,14 @@ def _simplex_max(
     entry at e becomes its old scale and its scale the pivot element
     (negated throughout if negative).  Every other row with f = row[e] != 0
     becomes p*row - f*pivot_row, with p the pivot row's new scale and
-    row[e] read as 0: a positive multiple of its rational row again.
-    Exact mode keeps Python ints, divides p and f by their gcd first and
-    the result by the gcd of its entries; float mode divides each row by
-    its scale, which keeps every scale at 1.0.
+    row[e] read as 0: a positive multiple of its rational row again.  The
+    entries stay Python ints: p and f are divided by their gcd first and
+    the result by the gcd of its entries.
     """
     nv = len(obj)
     m = len(rows)
-    if exact:
-        zero, one, tol, feas_tol = 0, 1, 0, 0
-        rescale, quotient = _reduce_content, Fraction
-        scales = [1] * m
-    else:
-        zero, one, tol, feas_tol = 0.0, 1.0, FLOAT_TOL, 1e-7
-        rescale, quotient = _unit_scale, operator.truediv
-        obj, rhs = _floats(obj), _floats(rhs)
-        rows = [_floats(row) for row in rows]
-        scales = [max([abs(v) for v in fr] + [abs(fb), 1.0]) for fr, fb in zip(rows, rhs)]
-        rows = [[v / scale for v in fr] for fr, scale in zip(rows, scales)]
-        rhs = [fb / scale for fb, scale in zip(rhs, scales)]
-    cost = list(obj) + [zero] * m
-    tableau = [list(row) + [one, b] for row, b in zip(rows, rhs)]
+    cost = list(obj) + [0] * m
+    tableau = [list(row) + [1, b] for row, b in zip(rows, rhs)]
     basis = list(range(nv, nv + m))
     nonbasic = list(range(nv))
 
@@ -338,10 +294,6 @@ def _simplex_max(
         """p*row - f*prow with p = prow's scale, and p times row's scale as
         the scale: `row` with the variable whose coefficient is f
         substituted through the pivot row `prow`."""
-        if not exact:  # every scale is 1.0
-            new = [v - f * w for v, w in zip(row, prow)]
-            new[-2] = one
-            return new
         p = prow[-2]
         g = math.gcd(p, f)
         if g != 1:
@@ -357,21 +309,21 @@ def _simplex_max(
         nonlocal work
         prow = tableau[pr]
         prow[pc], prow[-2] = prow[-2], prow[pc]
-        if prow[-2] < zero:
+        if prow[-2] < 0:
             prow = [-v for v in prow]
-        prow = tableau[pr] = rescale(prow)
-        work += len(tableau) * len(prow) * (prow[-2].bit_length() if exact else FLOAT_ENTRY_WORK)
+        prow = tableau[pr] = _reduce_content(prow)
+        work += len(tableau) * len(prow) * prow[-2].bit_length()
         if work > work_limit:
             raise LPSizeError(f"exceeded {work_limit} units of work")
         basis[pr], nonbasic[pc] = nonbasic[pc], basis[pr]
         for i, row in enumerate(tableau):
             f = row[pc]
-            if f != zero and i != pr:
-                row[pc] = zero
+            if f and i != pr:
+                row[pc] = 0
                 tableau[i] = eliminate(row, f, prow)
         f = obj_row[pc]
-        if f != zero:
-            obj_row[pc] = zero
+        if f:
+            obj_row[pc] = 0
             obj_row[:] = eliminate(obj_row, f, prow)
 
     def lowest(candidates) -> int | None:
@@ -382,9 +334,7 @@ def _simplex_max(
 
     def run(obj_row: list) -> str:
         while True:
-            enter = lowest(
-                (v, j) for j, v in enumerate(nonbasic) if obj_row[j] < -tol
-            )
+            enter = lowest((v, j) for j, v in enumerate(nonbasic) if obj_row[j] < 0)
             if enter is None:
                 return "optimal"
             # minimum ratio row[-1] / row[enter]; a row's scale cancels, so
@@ -392,7 +342,7 @@ def _simplex_max(
             leave = None
             for i, row in enumerate(tableau):
                 a = row[enter]
-                if a > tol and (
+                if a > 0 and (
                     leave is None
                     or (cmp := row[-1] * best_a - best_b * a) < 0
                     or (cmp == 0 and basis[i] < basis[leave])
@@ -407,13 +357,13 @@ def _simplex_max(
         `hold` staying nonbasic; the row left with no entering column, if
         one is."""
         while True:
-            leave = lowest((basis[i], i) for i, row in enumerate(tableau) if row[-1] < -feas_tol)
+            leave = lowest((basis[i], i) for i, row in enumerate(tableau) if row[-1] < 0)
             if leave is None:
                 return None
             # minimum ratio obj_row[j] / -row[j], by cross-multiplication
             enter = None
             for j, a in enumerate(tableau[leave][:-2]):
-                if a < -tol and nonbasic[j] not in hold and (
+                if a < 0 and nonbasic[j] not in hold and (
                     enter is None
                     or (cmp := best_d * a - obj_row[j] * best_a) < 0
                     or (cmp == 0 and nonbasic[j] < nonbasic[enter])
@@ -426,20 +376,19 @@ def _simplex_max(
     def make_obj_row() -> list:
         """z - cost.x = 0 with the basic variables substituted out; a basic
         variable not yet substituted has coefficient -cost * scale."""
-        row = [-cost[v] for v in nonbasic] + [one, zero]
+        row = [-cost[v] for v in nonbasic] + [1, 0]
         for prow, b in zip(tableau, basis):
-            if cost[b] != zero:
+            if cost[b]:
                 row = eliminate(row, -cost[b] * row[-2], prow)
         return row
 
     def prices(row: list, extra=()) -> list:
         """Each row's price: its slack's entry in `row`, or in the (entry,
-        variable) pairs `extra`, over the scales of both rows; 0 for a
-        basic slack."""
-        y = [quotient(zero, one)] * m
+        variable) pairs `extra`, over `row`'s scale; 0 for a basic slack."""
+        y = [Fraction(0)] * m
         for d, v in (*zip(row, nonbasic), *extra):
             if v >= nv:
-                y[v - nv] = quotient(d, row[-2] * scales[v - nv])
+                y[v - nv] = Fraction(d, row[-2])
         return y
 
     obj_row = make_obj_row()
@@ -448,27 +397,26 @@ def _simplex_max(
         if v < nv:
             pc = nonbasic.index(v)
             pr = next(
-                (i for i, row in enumerate(tableau) if basis[i] not in chosen and abs(row[pc]) > tol),
+                (i for i, row in enumerate(tableau) if basis[i] not in chosen and row[pc]),
                 None,
             )
             if pr is not None:
                 pivot(pr, pc, obj_row)
-    hold = {v for d, v in zip(obj_row, nonbasic) if d < -tol}
+    hold = {v for d, v in zip(obj_row, nonbasic) if d < 0}
     ray = run_dual(obj_row, hold)
     if ray is not None and hold:
-        ray = run_dual([max(d, zero) for d in obj_row[:-2]] + obj_row[-2:], ())
+        ray = run_dual([max(d, 0) for d in obj_row[:-2]] + obj_row[-2:], ())
         obj_row = make_obj_row()
     if ray is not None:
         row = tableau[ray]
-        y = prices(row, [(row[-2], basis[ray])])
-        return "infeasible", None, [], [v / max(y) for v in y], work, basis
+        return "infeasible", None, [], prices(row, [(row[-2], basis[ray])]), work, basis
     if run(obj_row) == "unbounded":
         return "unbounded", None, [], [], work, basis
-    x = [quotient(zero, one)] * nv  # Fraction(0) or 0.0
+    x = [Fraction(0)] * nv
     for row, b in zip(tableau, basis):
         if b < nv:
-            x[b] = quotient(row[-1], row[-2])
-    return "optimal", quotient(obj_row[-1], obj_row[-2]), x, prices(obj_row), work, basis
+            x[b] = Fraction(row[-1], row[-2])
+    return "optimal", Fraction(obj_row[-1], obj_row[-2]), x, prices(obj_row), work, basis
 
 
 def _common_scale(values: list) -> tuple[list[int], int]:
@@ -486,30 +434,26 @@ def _combine(weights: list, vectors: list[list]) -> list:
     return total
 
 
-def solve_lp(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution:
+def solve_lp(q: int, n: int, r: int, t: int) -> LPSolution:
     """The weight LP's optimum by row and column generation in B-space (see
-    the module docstring): value M and the A-vector over weights t+1..n."""
+    the module docstring): the exact M and A-vector over weights t+1..n."""
     lb = {0: 1}
     for w, count, _ in _dual_floors(q, n, r, t):
         if count > 0:  # a floor at or below 0 adds nothing to B_w >= 0
             lb[w] = count
     if n > LP_SIZE_LIMIT:
         raise LPSizeError(f"block length n={n} is over the LP's limit {LP_SIZE_LIMIT}")
-    if exact:
-        as_number, scaled, ratio, tol = list, _common_scale, Fraction, 0
-    else:
-        as_number, scaled, ratio, tol = _floats, lambda v: (v, 1.0), operator.truediv, FLOAT_TOL
     rows_k: dict[int, list] = {}  # weight i -> K_i(0..n): row i's coefficients
     cols_k: dict[int, list] = {}  # weight j -> K_0(j)..K_n(j): B_j's column
 
     def row(i: int) -> list:
         if i not in rows_k:
-            rows_k[i] = as_number(krawtchouk_row(q, n, i))
+            rows_k[i] = krawtchouk_row(q, n, i)
         return rows_k[i]
 
     def col(j: int) -> list:
         if j not in cols_k:
-            cols_k[j] = as_number(krawtchouk_column(q, n, j))
+            cols_k[j] = krawtchouk_column(q, n, j)
         return cols_k[j]
 
     # the master starts at the pinned weights, the floors' weights, the
@@ -537,7 +481,7 @@ def solve_lp(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution:
         try:
             status, _, x, y, work, basis = _simplex_max(
                 [-1] * len(columns), master, h + [-v for v in h[:t]],
-                exact=exact, work_limit=work_left,
+                work_limit=work_left,
                 start=[k for k, v in enumerate(labels) if last.get(v, v[0] == "row")],
             )
         except LPSizeError:
@@ -548,19 +492,16 @@ def solve_lp(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution:
         work_left -= work
         last = {v: k in basis for k, v in enumerate(labels)}
         if status == "unbounded":  # sum B >= 0 bounds the master
-            why = "" if exact else ": a float rounding failure; use exact mode"
-            raise RuntimeError(f"the master problem reported unbounded{why}")
+            raise RuntimeError("the master problem reported unbounded")
         prices = y[: len(degrees)]
         for k in range(t):  # an equality's price is free
             prices[k] -= y[len(degrees) + k]
         # column j's reduced cost is c_j - sum_i price_i K_i(j), times the
         # prices' denominator: c_j = 1 at the optimum and 0 on a Farkas ray
-        prices, unit = scaled(prices)
+        prices, unit = _common_scale(prices)
         cost = unit if status == "optimal" else 0
         weighed = _combine(prices, krows)
-        negative = sorted(
-            (cost - weighed[j], j) for j in range(1, n + 1) if cost - weighed[j] < -tol
-        )
+        negative = sorted((cost - weighed[j], j) for j in range(1, n + 1) if cost < weighed[j])
         new_columns = [j for _, j in negative if j not in columns][:COLUMN_BATCH]
         if status == "infeasible":
             if not new_columns:  # the ray proves the full model infeasible too
@@ -573,26 +514,33 @@ def solve_lp(q: int, n: int, r: int, t: int, exact: bool) -> LPSolution:
         for j, v in zip(columns, x):
             if v:
                 b[j] = b.get(j, 0) + v
-        numerators, scale = scaled(list(b.values()))
+        numerators, scale = _common_scale(list(b.values()))
         # A_i times sum B, times the common denominator, over weights 0..n
         slack = _combine(numerators, [col(j) for j in b])
         total, volumes = slack[0], col(0)
         violated = sorted(
-            (ratio(slack[i], volumes[i]), i)
-            for i in range(t + 1, n + 1)
-            if slack[i] < -tol * volumes[i] * total
+            (Fraction(slack[i], volumes[i]), i) for i in range(t + 1, n + 1) if slack[i] < 0
         )
         new_cuts = [i for _, i in violated if i not in cuts][:ROW_BATCH]
         if not new_cuts and not new_columns:
             break
         cuts = sorted(cuts + new_cuts)
         columns = sorted(columns + new_columns)
-    if exact and (violated or negative or any(slack[1 : t + 1])):
+    if violated or negative or any(slack[1 : t + 1]):
         raise RuntimeError("the master's optimum fails its certificate on the full model")
-    top = q**n if exact else _floats([q**n])[0]
-    # a float A_i that met its row only within the tolerance reads 0
-    a = [ratio(max(v, 0), total) for v in slack[t + 1 :]]
-    return LPSolution("optimal", ratio(top * scale, total), dict(zip(range(t + 1, n + 1), a)))
+    a = [Fraction(v, total) for v in slack[t + 1 :]]
+    return LPSolution("optimal", Fraction(q**n * scale, total), dict(zip(range(t + 1, n + 1), a)))
+
+
+def _floats(values) -> list[float]:
+    """The values as doubles; ValueError when one is beyond the double range."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(
+            "float mode cannot hold this model: an entry exceeds the double "
+            "range; use exact mode"
+        ) from None
 
 
 def lp_dimension_bound(q: int, n: int, r: int, t: int, mode: str = "exact") -> LPBoundResult:
@@ -600,17 +548,13 @@ def lp_dimension_bound(q: int, n: int, r: int, t: int, mode: str = "exact") -> L
     diagnostics as a string and in the result's `solution`, whose
     variables are the optimal A-vector.  Raises InfeasibleRelaxationError
     when even the relaxation is empty, and LPSizeError past LP_SIZE_LIMIT or
-    LP_WORK_BUDGET.  Float mode answers a float Farkas ray with an exact
-    solve: its M and A-vector in floats, or the exact error."""
+    LP_WORK_BUDGET.  Both modes solve exactly; float mode rounds the
+    certified M and A-vector once to doubles, and raises ValueError when M
+    or an A_i is beyond the double range."""
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    try:
-        sol = solve_lp(q, n, r, t, mode == "exact")
-    except InfeasibleRelaxationError:
-        if mode == "exact":
-            raise
-        # a float ray proves nothing: the exact model answers, in floats
-        sol = solve_lp(q, n, r, t, True)
+    sol = solve_lp(q, n, r, t)
+    if mode == "float":
         a = sol.variables
         sol = LPSolution("optimal", _floats([sol.value])[0], dict(zip(a, _floats(a.values()))))
     m_value = sol.value

@@ -126,14 +126,12 @@ def reference_solve(model: LPModel) -> LPSolution:
 
 
 def exact_solve(model: LPModel) -> tuple[LPSolution, list]:
-    """The model solved by `lp._simplex_max` in exact mode, and its prices:
+    """The model solved by `lp._simplex_max`, and its prices:
     one per constraint, the dual vector at the optimum and a Farkas ray when
     the model is infeasible ([] when unbounded)."""
     rows = [c.coeffs for c in model.constraints]
     rhs = [c.rhs for c in model.constraints]
-    status, value, x, y, _, _ = lp._simplex_max(
-        model.objective, rows, rhs, exact=True, work_limit=math.inf
-    )
+    status, value, x, y, _, _ = lp._simplex_max(model.objective, rows, rhs, work_limit=math.inf)
     return _solution(model, status, value, x), y
 
 

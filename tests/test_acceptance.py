@@ -197,7 +197,7 @@ def test_criterion_10_lp_bound():
             exact = lp_dimension_bound(2, n, r, 3, mode="exact")
             assert exact.value <= n * float(rate_tamo_barg(r, 3).value_exact) + 1e-9
             approx = lp_dimension_bound(2, n, r, 3, mode="float")
-            assert abs(exact.value - approx.value) <= 1e-6 * abs(exact.value)
+            assert approx.value == exact.value
 
 
 def test_criterion_11_soundness_sweep(catalog):

@@ -88,7 +88,7 @@ def test_work_limit_is_distinct():
     # a feasible model whose first pivot is over the limit: no status, an error
     rows = [[1, 1], [-2, -2]]
     with pytest.raises(LPSizeError, match="exceeded 0 units of work"):
-        lp_module._simplex_max([1, 1], rows, [1, -1], exact=True, work_limit=0)
+        lp_module._simplex_max([1, 1], rows, [1, -1], work_limit=0)
 
 
 # -- model assembly ---------------------------------------------------------
@@ -238,9 +238,9 @@ def test_lp_size_limit_is_checked_before_any_krawtchouk_column(monkeypatch):
 
 
 def test_lp_work_budget_stops_the_master():
-    # (q, n, r, t) = (2, 441, 2, 5) needs 1.6 * 10^9 units of simplex work in
-    # exact mode; at (2, 141, 4, 5) the float master stalls until the budget
-    # stops it
+    # (q, n, r, t) = (2, 441, 2, 5) needs 1.6 * 10^9 units of simplex work;
+    # float mode runs the same exact master, which the budget stops at
+    # (2, 141, 4, 5) after 0.7 s
     with pytest.raises(LPSizeError, match="units of simplex work"):
         lp_dimension_bound(2, 441, 2, 5)
     with pytest.raises(LPSizeError, match="units of simplex work"):
@@ -275,7 +275,8 @@ def test_lp3_row_at_r20_is_within_both_limits():
     bound = lp_dimension_bound(2, 441, 20, 3)
     assert 1 + sum(bound.solution.variables.values()) == bound.solution.value
     approx = lp_dimension_bound(2, 441, 20, 3, mode="float")
-    assert approx.value == pytest.approx(bound.value, rel=1e-6)
+    assert approx.value == bound.value
+    assert approx.solution.value == float(bound.solution.value)
 
 
 def test_lp_infeasible_relaxation_reported():
@@ -287,32 +288,18 @@ def test_lp_infeasible_relaxation_reported():
         lp_dimension_bound(2, 4, 1, 4, mode="float")
 
 
-def test_float_infeasibility_needs_the_exact_model(monkeypatch):
-    solve_lp = lp_module.solve_lp
-
-    def float_finds_nothing(q, n, r, t, exact):
-        if not exact:
-            raise InfeasibleRelaxationError("no point")
-        return solve_lp(q, n, r, t, exact)
-
-    monkeypatch.setattr(lp_module, "solve_lp", float_finds_nothing)
-    # the exact solve that must answer a float ray may run out of its budget
-    with pytest.raises(LPSizeError):
-        lp_dimension_bound(2, 441, 2, 5, mode="float")
-    # or it answers, and its M and A-vector come back in floats
-    exact = solve_lp(2, 16, 3, 3, True)
+def test_float_mode_is_the_exact_solve_in_floats():
+    exact = lp_module.solve_lp(2, 16, 3, 3)
     result = lp_dimension_bound(2, 16, 3, 3, mode="float")
     assert result.diagnostics == {"status": "optimal", "mode": "float", "M": repr(float(exact.value))}
     assert result.solution.value == float(exact.value)
     assert result.solution.variables == {i: float(v) for i, v in exact.variables.items()}
-    assert math.isclose(result.value, math.log2(float(exact.value)), rel_tol=1e-15)
+    assert result.value == lp_dimension_bound(2, 16, 3, 3).value
 
 
-def test_float_ray_answered_by_the_exact_model_keeps_its_errors(monkeypatch):
+def test_float_mode_keeps_the_exact_solves_errors(monkeypatch):
     def answer(exact_outcome):
-        def solve(q, n, r, t, exact):
-            if not exact:
-                raise InfeasibleRelaxationError("no point")
+        def solve(q, n, r, t):
             if isinstance(exact_outcome, Exception):
                 raise exact_outcome
             return exact_outcome
@@ -322,17 +309,23 @@ def test_float_ray_answered_by_the_exact_model_keeps_its_errors(monkeypatch):
 
     with pytest.raises(InfeasibleRelaxationError, match="exact"):
         answer(InfeasibleRelaxationError("exact"))
+    with pytest.raises(LPSizeError, match="exact"):
+        answer(LPSizeError("exact"))
     # an exact M past the double range has no float form
     with pytest.raises(ValueError, match="exceeds the double range"):
         answer(lp_module.LPSolution("optimal", Fraction(2**1100, 3), {4: Fraction(1)}))
 
 
-def test_float_ray_at_a_regressed_shape_is_answered_exactly():
-    # the float master's Farkas ray at (2, 26, 12, 4) claims no point; the
+def test_float_mode_answers_where_a_float_master_found_no_point():
+    # a float master's Farkas ray at (2, 26, 12, 4) claimed no point; the
     # exact model has one
-    with pytest.raises(InfeasibleRelaxationError):
-        lp_module.solve_lp(2, 26, 12, 4, False)
     exact = lp_dimension_bound(2, 26, 12, 4)
     result = lp_dimension_bound(2, 26, 12, 4, mode="float")
-    assert math.isclose(result.value, 3.15025253943293, abs_tol=1e-12)
-    assert math.isclose(result.value, exact.value, rel_tol=1e-12)
+    assert result.value == exact.value == 3.15025253943293
+
+
+def test_float_mode_answers_where_float_rows_overflowed():
+    # a master of doubles held an entry beyond the double range at
+    # (4, 513, 18, 6); the exact M, 1.63e296, is within it
+    result = lp_dimension_bound(4, 513, 18, 6, mode="float")
+    assert result.value == 491.99702899662003

@@ -105,12 +105,11 @@ def grown_lps(draw):
 
 
 def _solve(model, start=()):
-    """`lp._simplex_max` on the model in exact mode, from `start`."""
+    """`lp._simplex_max` on the model, from `start`."""
     return lp_module._simplex_max(
         model.objective,
         [c.coeffs for c in model.constraints],
         [c.rhs for c in model.constraints],
-        exact=True,
         work_limit=math.inf,
         start=start,
     )
@@ -210,22 +209,18 @@ _FLOAT_POINTS = [(2, (r + 1) ** 2, r, 3) for r in range(3, 28)] + [(4, 36, 5, 3)
 
 @pytest.mark.parametrize("point", _FLOAT_POINTS)
 def test_float_dual_space_agrees_with_exact(point):
-    # at q = 2 the bound is log2 M; the benchmark accepts a float M within
-    # 1e-3 bits of the exact one.  An A_i that meets its row only within the
-    # float tolerance, such as A_71 = -3.2e-7 at r = 8, reads 0
+    # float mode is the certified exact optimum, each number rounded once
     exact = lp_dimension_bound(*point)
     approx = lp_dimension_bound(*point, mode="float")
     assert approx.diagnostics["mode"] == "float"
-    assert approx.value == pytest.approx(exact.value, rel=1e-6)
-    assert abs(approx.value - exact.value) <= 1e-3
-    assert float(approx.solution.value) == pytest.approx(float(exact.solution.value), rel=1e-6)
-    assert all(v >= 0 for v in approx.solution.variables.values())
+    assert approx.value == exact.value
+    assert approx.solution.value == float(exact.solution.value)
+    assert approx.solution.variables == {i: float(v) for i, v in exact.solution.variables.items()}
 
 
 # (q, r, t) = (2, 2, 5), where the A-space model answers exactly in about
 # 0.5 s each and the exact B-space master in 0.15 s (3.9 and 4.7 * 10^7
-# units of simplex work).  Float A_42 at (2, 60, 2, 5) met its row only
-# within the tolerance, at -49294.15
+# units of simplex work)
 _DENSE = [(2, 60, 2, 5), (2, 66, 2, 5)]
 
 
@@ -238,5 +233,5 @@ def test_dense_shapes_match_the_a_space_model(point):
     assert exact.value == oracle.value
     assert point_violations(model, exact.variables) == []
     approx = lp_dimension_bound(*point, mode="float").solution
-    assert approx.value == pytest.approx(float(oracle.value), rel=1e-6)
-    assert all(v >= 0 for v in approx.variables.values())
+    assert approx.value == float(oracle.value)
+    assert approx.variables == {i: float(v) for i, v in exact.variables.items()}
