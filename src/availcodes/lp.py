@@ -24,16 +24,18 @@ master problem holds a few columns and rows and grows by column generation
 (Gilmore-Gomory 1961) and by cutting planes: each round re-solves it,
 prices every column with its duals and checks its point against every row,
 in integers, and adds the most negative columns and the most violated
-rows.  A round starts from the last round's basis: the columns added keep
-it primal feasible and the rows added keep it dual feasible, so a few
-primal and dual simplex pivots (Lemke 1954) re-optimise it.  The loop ends
-only when no row is violated and no column prices negative: that final
-check on the full model is the optimality certificate, so no answer rests
-on the restricted master alone.  An infeasible master is priced with its
-Farkas ray instead, and the columns that ray prices negative enter; when
-none does, the ray proves the full model infeasible too, as its rows
-include the master's.  Float mode is that certified optimum with M and
-each A_i rounded once to a double.
+rows.  The master is one tableau kept across the rounds (`_Master`): a
+new column's entries are read through the slack columns and a new row is
+reduced by the basic rows, so the basis stays as the last round left it.
+The columns added keep it primal feasible and the rows added keep it dual
+feasible, so a few primal and dual simplex pivots (Lemke 1954) re-optimise
+it.  The loop ends only when no row is violated and no column prices
+negative: that final check on the full model is the optimality
+certificate, so no answer rests on the restricted master alone.  An
+infeasible master is priced with its Farkas ray instead, and the columns
+that ray prices negative enter; when none does, the ray proves the full
+model infeasible too, as its rows include the master's.  Float mode is
+that certified optimum with M and each A_i rounded once to a double.
 
 Sums of three or more parity rows would contribute further valid rows;
 they are deliberately not modeled here.
@@ -43,17 +45,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import _Record
 from .bounds import BoundResult, _check_block_length, _check_exact_size, _check_locality
 from .weights import krawtchouk_column, krawtchouk_row
 
 # Both limits were measured on a 2-vCPU VM (Python 3.11).  The master's
-# simplex work (see `_simplex_max`) runs at 3 to 4 ns per unit on the
-# shapes that need the most, such as (q, r, t) = (2, 2, 5) at n = 90 to
-# 798, so a budget of 10^8 units stops them within 0.31 to 0.41 s; the t=3
-# family (q=2, n=(r+1)^2) needs 1.2 M units at r=20.  The Krawtchouk rows
+# simplex work (see `_Master`) runs at 3 to 4 ns per unit on the shapes
+# that need the most, such as (q, r, t) = (2, 2, 5) at n = 90 to 798, so a
+# budget of 10^8 units stops them within 0.31 to 0.41 s; the t=3 family
+# (q=2, n=(r+1)^2) needs 0.70 M units at r=20.  The Krawtchouk rows
 # and their pricing grow with n and t on their own: t = n stops on the
 # budget after 0.41 s at n=120, 1.2 s at 400, 1.8 s and 329 MB at 800, and
 # 2.2 s and 520 MB at 960.  `lp_dimension_bound` refuses n over
@@ -218,7 +220,7 @@ def point_violations(model: LPModel, a_by_weight: dict[int, int | Fraction]) -> 
     return bad
 
 
-# -- warm-started simplex ----------------------------------------------
+# -- the master tableau ---------------------------------------------------
 
 
 def _reduce_content(row: list[int]) -> list[int]:
@@ -227,42 +229,43 @@ def _reduce_content(row: list[int]) -> list[int]:
     return row if g == 1 else [v // g for v in row]
 
 
-def _simplex_max(
-    obj: Sequence[int],
-    rows: list[Sequence[int]],
-    rhs: list[int],
-    *,
-    work_limit: float,
-    start: Sequence[int] = (),
-) -> tuple[str, Fraction | None, list[Fraction], list[Fraction], int, list[int]]:
-    """maximize obj.x  s.t.  rows[i].x <= rhs[i], x >= 0  (rhs of any sign),
-    over integer rows.
+def _eliminate(row: list, f, prow: list) -> list:
+    """p*row - f*prow with p = prow's scale, and p times row's scale as the
+    scale: `row` with the variable whose coefficient is f substituted
+    through the pivot row `prow`."""
+    p = prow[-2]
+    g = math.gcd(p, f)
+    if g != 1:
+        p //= g
+        f //= g
+    new = [p * v - f * w for v, w in zip(row, prow)]
+    new[-2] = p * row[-2]
+    return _reduce_content(new)
 
-    Returns (status, value, x, y, work, basis), y holding one price per row
-    and basis the final basic variables.  At the optimum y is the dual
-    vector: y >= 0, y.rows >= obj and y.rhs = value.  When the rows admit
-    no point, y is a Farkas ray: y >= 0, y.rows >= 0 and y.rhs < 0.  `work`
-    counts the tableau entries the pivots rewrote, each weighed by the bit
-    length of its pivot row's scale; past `work_limit` work the solve
-    raises LPSizeError.
 
-    Variables are numbered structural 0..nv-1, then one slack per row, nv+i
-    being row i's.  The solve starts from the slack basis, or from `start`:
-    a basis an earlier solve returned, on fewer rows or columns, plus the
-    slacks of the rows added since.  Each structural in `start` is pivoted
-    in on the first row whose basic slack `start` leaves out.  Added
-    columns keep that basis primal feasible, added rows keep it dual
-    feasible (no column prices negative).  While a basic value is negative,
-    dual pivots run: the lowest-numbered negative basic variable leaves,
-    the column with the least ratio of its objective entry to its negated
-    entry in that row enters, ties going to the lowest-numbered variable,
-    and a row with no negative entry is a Farkas ray.  Columns that price
+class _Master:
+    """maximize cost.x  s.t.  rows.x <= rhs, x >= 0  (rhs of any sign), over
+    integer rows, as one simplex tableau that grows by columns and rows and
+    is re-optimised from its current basis.
+
+    Variables are named by keys, which decide every tie: a structural
+    variable's key is given to `add_column`, a row's slack's to `add_row`.
+    An empty master is the slack basis of whatever it grows into.  A column
+    joins nonbasic and a row joins with its slack basic, so added columns
+    keep the basis primal feasible and added rows keep it dual feasible (no
+    column prices negative).  `solve` then pivots.  While a basic value is
+    negative, dual pivots run: the lowest-keyed negative basic variable
+    leaves, the column with the least ratio of its objective entry to its
+    negated entry in that row enters, ties going to the lowest key, and a
+    row with no negative entry is a Farkas ray.  Columns that price
     negative are held out of those pivots; if a held column is needed, the
     dual pivots go on with those columns priced at 0 (their costs shifted),
     and the true prices come back after them.  Primal pivots then reach
-    the optimum under Bland's rule: the lowest-numbered variable that
-    prices negative enters, and ratio ties go to the lowest-numbered
-    leaving one.
+    the optimum under Bland's rule: the lowest-keyed variable that prices
+    negative enters, and ratio ties go to the lowest-keyed leaving one.
+    `work` counts the tableau entries the pivots rewrote, each weighed by
+    the bit length of its pivot row's scale; past `work_limit` work a pivot
+    raises LPSizeError.
 
     The tableau is compact: one column per nonbasic variable, `nonbasic[j]`
     being column j's, and one row per basic variable.  Row i is
@@ -271,9 +274,9 @@ def _simplex_max(
         s_i * x[basis[i]] + sum_j a_ij * x[nonbasic[j]] = b_i,
 
     with the scale s_i > 0, so a basic value is b_i / s_i and a sign test
-    needs no division.  The objective row has the same layout with z in
-    place of the basic variable; at the optimum its entry at a slack's
-    column over its scale is that row's dual price (0 for a basic slack).
+    needs no division.  The objective row `obj` has the same layout with z
+    in place of the basic variable; its entry at a slack's column over its
+    scale is that row's price (0 for a basic slack).
 
     A pivot on row r and column e swaps their variables: the pivot row's
     entry at e becomes its old scale and its scale the pivot element
@@ -283,64 +286,77 @@ def _simplex_max(
     entries stay Python ints: p and f are divided by their gcd first and
     the result by the gcd of its entries.
     """
-    nv = len(obj)
-    m = len(rows)
-    cost = list(obj) + [0] * m
-    tableau = [list(row) + [1, b] for row, b in zip(rows, rhs)]
-    basis = list(range(nv, nv + m))
-    nonbasic = list(range(nv))
 
-    def eliminate(row: list, f, prow: list) -> list:
-        """p*row - f*prow with p = prow's scale, and p times row's scale as
-        the scale: `row` with the variable whose coefficient is f
-        substituted through the pivot row `prow`."""
-        p = prow[-2]
-        g = math.gcd(p, f)
-        if g != 1:
-            p //= g
-            f //= g
-        new = [p * v - f * w for v, w in zip(row, prow)]
-        new[-2] = p * row[-2]
-        return _reduce_content(new)
+    def __init__(self, work_limit: float):
+        self.work_limit = work_limit
+        self.work = 0
+        self.cost: dict = {}  # structural key -> objective coefficient
+        self.tableau: list[list[int]] = []
+        self.basis: list = []
+        self.nonbasic: list = []
+        self.obj = [1, 0]  # z = 0
 
-    work = 0
+    def add_column(self, key, cost: int, coeffs: dict) -> None:
+        """The variable x[key] >= 0 with objective coefficient `cost` and
+        coefficient coeffs[k] in the row whose slack is k, nonbasic.  Its
+        entries are read through the slack columns, which hold the basis's
+        inverse times each row's scale (a basic slack's column being its
+        row's scale in its own row and 0 elsewhere)."""
+        at = {v: j for j, v in enumerate(self.nonbasic)}
+        through = [(at[k], a) for k, a in coeffs.items() if k in at]
+        for row, b in zip(self.tableau, self.basis):
+            row.insert(-2, sum(a * row[j] for j, a in through) + coeffs.get(b, 0) * row[-2])
+        self.obj.insert(-2, sum(a * self.obj[j] for j, a in through) - cost * self.obj[-2])
+        self.nonbasic.append(key)
+        self.cost[key] = cost
 
-    def pivot(pr: int, pc: int, obj_row: list) -> None:
-        nonlocal work
+    def add_row(self, key, coeffs: dict, rhs: int) -> None:
+        """The row sum_v coeffs[v] * x[v] <= rhs over structural variables,
+        with its slack x[key] basic."""
+        self.tableau.append(self._substituted(coeffs, rhs))
+        self.basis.append(key)
+
+    def _substituted(self, coeffs: dict, rhs: int) -> list:
+        """The row s * u + coeffs.x = rhs of a new basic u, with the basic
+        variables substituted out; one not yet substituted has coefficient
+        coeffs[v] * s, s being the row's scale so far."""
+        row = [coeffs.get(v, 0) for v in self.nonbasic] + [1, rhs]
+        for prow, b in zip(self.tableau, self.basis):
+            if coeffs.get(b):
+                row = _eliminate(row, coeffs[b] * row[-2], prow)
+        return row
+
+    def _pivot(self, pr: int, pc: int, obj_row: list) -> None:
+        tableau = self.tableau
         prow = tableau[pr]
         prow[pc], prow[-2] = prow[-2], prow[pc]
         if prow[-2] < 0:
             prow = [-v for v in prow]
         prow = tableau[pr] = _reduce_content(prow)
-        work += len(tableau) * len(prow) * prow[-2].bit_length()
-        if work > work_limit:
-            raise LPSizeError(f"exceeded {work_limit} units of work")
-        basis[pr], nonbasic[pc] = nonbasic[pc], basis[pr]
+        self.work += len(tableau) * len(prow) * prow[-2].bit_length()
+        if self.work > self.work_limit:
+            raise LPSizeError(f"exceeded {self.work_limit} units of work")
+        self.basis[pr], self.nonbasic[pc] = self.nonbasic[pc], self.basis[pr]
         for i, row in enumerate(tableau):
             f = row[pc]
             if f and i != pr:
                 row[pc] = 0
-                tableau[i] = eliminate(row, f, prow)
+                tableau[i] = _eliminate(row, f, prow)
         f = obj_row[pc]
         if f:
             obj_row[pc] = 0
-            obj_row[:] = eliminate(obj_row, f, prow)
+            obj_row[:] = _eliminate(obj_row, f, prow)
 
-    def lowest(candidates) -> int | None:
-        """The index paired with the lowest-numbered variable among
-        (variable, index) pairs."""
-        best = min(candidates, default=None)
-        return None if best is None else best[1]
-
-    def run(obj_row: list) -> str:
+    def _run(self) -> str:
+        basis, obj_row = self.basis, self.obj
         while True:
-            enter = lowest((v, j) for j, v in enumerate(nonbasic) if obj_row[j] < 0)
+            enter = _lowest((v, j) for j, v in enumerate(self.nonbasic) if obj_row[j] < 0)
             if enter is None:
                 return "optimal"
             # minimum ratio row[-1] / row[enter]; a row's scale cancels, so
             # candidates compare by cross-multiplication
             leave = None
-            for i, row in enumerate(tableau):
+            for i, row in enumerate(self.tableau):
                 a = row[enter]
                 if a > 0 and (
                     leave is None
@@ -350,19 +366,20 @@ def _simplex_max(
                     leave, best_b, best_a = i, row[-1], a
             if leave is None:
                 return "unbounded"
-            pivot(leave, enter, obj_row)
+            self._pivot(leave, enter, obj_row)
 
-    def run_dual(obj_row: list, hold) -> int | None:
+    def _run_dual(self, obj_row: list, hold) -> int | None:
         """Dual pivots until no basic value is negative, the variables in
         `hold` staying nonbasic; the row left with no entering column, if
         one is."""
+        nonbasic = self.nonbasic
         while True:
-            leave = lowest((basis[i], i) for i, row in enumerate(tableau) if row[-1] < 0)
+            leave = _lowest((self.basis[i], i) for i, row in enumerate(self.tableau) if row[-1] < 0)
             if leave is None:
                 return None
             # minimum ratio obj_row[j] / -row[j], by cross-multiplication
             enter = None
-            for j, a in enumerate(tableau[leave][:-2]):
+            for j, a in enumerate(self.tableau[leave][:-2]):
                 if a < 0 and nonbasic[j] not in hold and (
                     enter is None
                     or (cmp := best_d * a - obj_row[j] * best_a) < 0
@@ -371,52 +388,39 @@ def _simplex_max(
                     enter, best_d, best_a = j, obj_row[j], a
             if enter is None:
                 return leave
-            pivot(leave, enter, obj_row)
+            self._pivot(leave, enter, obj_row)
 
-    def make_obj_row() -> list:
-        """z - cost.x = 0 with the basic variables substituted out; a basic
-        variable not yet substituted has coefficient -cost * scale."""
-        row = [-cost[v] for v in nonbasic] + [1, 0]
-        for prow, b in zip(tableau, basis):
-            if cost[b]:
-                row = eliminate(row, -cost[b] * row[-2], prow)
-        return row
+    def _prices(self, row: list, extra=()) -> dict:
+        """Each nonbasic slack's entry in `row`, and each in the (entry,
+        variable) pairs `extra`, over `row`'s scale, by key."""
+        pairs = (*zip(row, self.nonbasic), *extra)
+        return {v: Fraction(d, row[-2]) for d, v in pairs if v not in self.cost}
 
-    def prices(row: list, extra=()) -> list:
-        """Each row's price: its slack's entry in `row`, or in the (entry,
-        variable) pairs `extra`, over `row`'s scale; 0 for a basic slack."""
-        y = [Fraction(0)] * m
-        for d, v in (*zip(row, nonbasic), *extra):
-            if v >= nv:
-                y[v - nv] = Fraction(d, row[-2])
-        return y
+    def solve(self) -> tuple[str, Fraction | None, dict, dict]:
+        """(status, value, x, y): x holds the basic structural values by
+        key and y a price per slack key, 0 where y leaves one out.  At the
+        optimum y is the dual vector: y >= 0, y.rows >= cost and y.rhs =
+        value.  When the rows admit no point, y is a Farkas ray: y >= 0,
+        y.rows >= 0 and y.rhs < 0."""
+        hold = {v for d, v in zip(self.obj, self.nonbasic) if d < 0}
+        ray = self._run_dual(self.obj, hold)
+        if ray is not None and hold:
+            ray = self._run_dual([max(d, 0) for d in self.obj[:-2]] + self.obj[-2:], ())
+            self.obj = self._substituted({v: -c for v, c in self.cost.items()}, 0)
+        if ray is not None:
+            row = self.tableau[ray]
+            return "infeasible", None, {}, self._prices(row, [(row[-2], self.basis[ray])])
+        if self._run() == "unbounded":
+            return "unbounded", None, {}, {}
+        x = {b: Fraction(row[-1], row[-2]) for row, b in zip(self.tableau, self.basis) if b in self.cost}
+        return "optimal", Fraction(self.obj[-1], self.obj[-2]), x, self._prices(self.obj)
 
-    obj_row = make_obj_row()
-    chosen = set(start)
-    for v in start:
-        if v < nv:
-            pc = nonbasic.index(v)
-            pr = next(
-                (i for i, row in enumerate(tableau) if basis[i] not in chosen and row[pc]),
-                None,
-            )
-            if pr is not None:
-                pivot(pr, pc, obj_row)
-    hold = {v for d, v in zip(obj_row, nonbasic) if d < 0}
-    ray = run_dual(obj_row, hold)
-    if ray is not None and hold:
-        ray = run_dual([max(d, 0) for d in obj_row[:-2]] + obj_row[-2:], ())
-        obj_row = make_obj_row()
-    if ray is not None:
-        row = tableau[ray]
-        return "infeasible", None, [], prices(row, [(row[-2], basis[ray])]), work, basis
-    if run(obj_row) == "unbounded":
-        return "unbounded", None, [], [], work, basis
-    x = [Fraction(0)] * nv
-    for row, b in zip(tableau, basis):
-        if b < nv:
-            x[b] = Fraction(row[-1], row[-2])
-    return "optimal", Fraction(obj_row[-1], obj_row[-2]), x, prices(obj_row), work, basis
+
+def _lowest(candidates) -> int | None:
+    """The index paired with the lowest-keyed variable among (key, index)
+    pairs."""
+    best = min(candidates, default=None)
+    return None if best is None else best[1]
 
 
 def _common_scale(values: list) -> tuple[list[int], int]:
@@ -459,48 +463,48 @@ def solve_lp(q: int, n: int, r: int, t: int) -> LPSolution:
     # the master starts at the pinned weights, the floors' weights, the
     # middle weights and those near n - 2r; rows 1..t are always in it
     half = n // 2
-    start = {*range(1, t + 1), r + 1, 2 * r, 2 * r + 2}
-    start |= {*range(half - 1, half + 3), *range(n - 2 * r - 1, n - 2 * r + 4)}
-    columns = sorted(j for j in start if 1 <= j <= n)
-    cuts = sorted(i for i in start if t < i <= n)
-    work_left = LP_WORK_BUDGET
-    # whether each variable of the last master was basic, by label: ("B", j)
-    # for B_j, ("row", i) for row i's slack.  Each master starts from the
-    # last one's basis, with the slacks of its new rows
-    last: dict[tuple, bool] = {}
+    initial = {*range(1, t + 1), r + 1, 2 * r, 2 * r + 2}
+    initial |= {*range(half - 1, half + 3), *range(n - 2 * r - 1, n - 2 * r + 4)}
+    new_columns = sorted(j for j in initial if 1 <= j <= n)
+    new_cuts = sorted(i for i in initial if 1 <= i <= n)
+    columns: list[int] = []
+    cuts: list[int] = []  # the rows' weights, 1..t first
+    # B_j is variable (0, j) and row i's slack (1, i).  A row sum_j K_i(j)
+    # (lb_j + y_j) >= 0 reads -sum_j K_i(j) y_j <= h_i; rows 1..t are
+    # equalities, stated once more as `>=`, whose slack is (2, i).  Keys
+    # break ties, so they keep B_j, then the rows, then their twins in
+    # weight order
+    master = _Master(LP_WORK_BUDGET)
     while True:
-        # a row sum_j K_i(j) (lb_j + y_j) >= 0 reads -sum_j K_i(j) y_j <= h_i;
-        # rows 1..t are equalities, stated once more as `>=`, row -i
-        degrees = [*range(1, t + 1), *cuts]
-        krows = [row(i) for i in degrees]
-        h = [sum(k[j] * v for j, v in lb.items()) for k in krows]
-        master = [[-k[j] for j in columns] for k in krows]
-        master += [[-v for v in coeffs] for coeffs in master[:t]]
-        labels = [("B", j) for j in columns] + [("row", i) for i in degrees]
-        labels += [("row", -i) for i in degrees[:t]]
+        for j in new_columns:
+            twins = {(2, i): row(i)[j] for i in cuts[:t]}
+            master.add_column((0, j), -1, {(1, i): -row(i)[j] for i in cuts} | twins)
+        columns += new_columns
+        for i in new_cuts:
+            coeffs = {(0, j): -row(i)[j] for j in columns}
+            h = sum(row(i)[j] * v for j, v in lb.items())
+            master.add_row((1, i), coeffs, h)
+            if i <= t:
+                master.add_row((2, i), {v: -a for v, a in coeffs.items()}, -h)
+        cuts += new_cuts
         try:
-            status, _, x, y, work, basis = _simplex_max(
-                [-1] * len(columns), master, h + [-v for v in h[:t]],
-                work_limit=work_left,
-                start=[k for k, v in enumerate(labels) if last.get(v, v[0] == "row")],
-            )
+            status, _, x, y = master.solve()
         except LPSizeError:
             raise LPSizeError(
                 f"the weight LP at (q={q}, n={n}, r={r}, t={t}) needs more than "
                 f"{LP_WORK_BUDGET} units of simplex work"
             ) from None
-        work_left -= work
-        last = {v: k in basis for k, v in enumerate(labels)}
         if status == "unbounded":  # sum B >= 0 bounds the master
             raise RuntimeError("the master problem reported unbounded")
-        prices = y[: len(degrees)]
-        for k in range(t):  # an equality's price is free
-            prices[k] -= y[len(degrees) + k]
+        # row i's price; an equality's is free: its slack's less its twin's
+        prices = dict.fromkeys(cuts, 0)
+        for (kind, i), v in y.items():
+            prices[i] += v if kind == 1 else -v
         # column j's reduced cost is c_j - sum_i price_i K_i(j), times the
         # prices' denominator: c_j = 1 at the optimum and 0 on a Farkas ray
-        prices, unit = _common_scale(prices)
+        prices, unit = _common_scale(list(prices.values()))
         cost = unit if status == "optimal" else 0
-        weighed = _combine(prices, krows)
+        weighed = _combine(prices, [row(i) for i in cuts])
         negative = sorted((cost - weighed[j], j) for j in range(1, n + 1) if cost < weighed[j])
         new_columns = [j for _, j in negative if j not in columns][:COLUMN_BATCH]
         if status == "infeasible":
@@ -508,10 +512,10 @@ def solve_lp(q: int, n: int, r: int, t: int) -> LPSolution:
                 raise InfeasibleRelaxationError(
                     f"no code exists under relaxation at (q={q}, n={n}, r={r}, t={t})"
                 )
-            columns = sorted(columns + new_columns)
+            new_cuts = []
             continue
         b = dict(lb)
-        for j, v in zip(columns, x):
+        for (_, j), v in x.items():
             if v:
                 b[j] = b.get(j, 0) + v
         numerators, scale = _common_scale(list(b.values()))
@@ -524,8 +528,6 @@ def solve_lp(q: int, n: int, r: int, t: int) -> LPSolution:
         new_cuts = [i for _, i in violated if i not in cuts][:ROW_BATCH]
         if not new_cuts and not new_columns:
             break
-        cuts = sorted(cuts + new_cuts)
-        columns = sorted(columns + new_columns)
     if violated or negative or any(slack[1 : t + 1]):
         raise RuntimeError("the master's optimum fails its certificate on the full model")
     a = [Fraction(v, total) for v in slack[t + 1 :]]

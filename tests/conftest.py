@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from availcodes import (
     AvailabilityCode,
@@ -83,6 +84,14 @@ def flagged(trace, kind: str) -> bool:
 def support(row: int) -> tuple[int, ...]:
     """1-based coordinates of the ones in a bit-packed row."""
     return tuple(j + 1 for j in range(row.bit_length()) if (row >> j) & 1)
+
+
+def uniform_rows(draw, n: int):
+    """A strategy of n-bit rows of uniform random bits, for a composite
+    strategy's `draw`.  `st.integers(0, 2^n - 1)` is not uniform: it leans
+    to small and boundary values, and so to sparse rows."""
+    bits = draw(st.randoms(use_true_random=True))
+    return st.builds(bits.getrandbits, st.just(n))
 
 
 def dense_nullspace_check(rows: list[list[int]], vec: list[int]) -> bool:

@@ -2,7 +2,7 @@
 
 `reference_solve` is the straightforward rational tableau, one `Fraction`
 row per basic variable normalized so its basic entry is 1, under the pivot
-rules of `availcodes.lp._simplex_max` from the slack basis: dual pivots to
+rules of `availcodes.lp._Master` from the slack basis: dual pivots to
 a point (the lowest-numbered negative basic variable leaves, the least
 ratio of objective entry to negated row entry enters, ties to the lowest
 index), holding out the columns that price negative unless one of them is
@@ -10,11 +10,14 @@ needed, when they go on with those columns priced at 0; then Bland's
 primal pivots.  The rules are the same, so on every model the two must reach the
 same vertex and report the same status.
 
-`exact_solve` is the package's integer simplex on the A-space model with no
-work limit, the oracle of the B-space `lp_dimension_bound`; it is several
-times faster than the Fraction tableau on the weight LP.  Its dual prices
-are checked in integers by `certificate_violations`: the B-space solve
-prices its columns with the same simplex's duals.
+`slack_master` states a model as the package's integer master tableau at
+its slack basis, and `master_solve` reads a master's solve as a model's
+solution and prices; tests grow a solved master with more rows and columns
+and solve it again.  `exact_solve` is that master on the A-space model with
+no work limit, the oracle of the B-space `lp_dimension_bound`; it is
+several times faster than the Fraction tableau on the weight LP.  Its dual
+prices are checked in integers by `certificate_violations`: the B-space
+solve prices its columns with the same master's duals.
 """
 
 from __future__ import annotations
@@ -125,14 +128,32 @@ def reference_solve(model: LPModel) -> LPSolution:
     return _solution(model, *_simplex_max(list(model.objective), rows, rhs))
 
 
+def slack_master(model: LPModel, work_limit: float = math.inf) -> lp._Master:
+    """The model's `lp._Master` at its slack basis: variable j is (0, j) and
+    constraint i's slack (1, i), so the keys sort as the reference numbers
+    its variables."""
+    master = lp._Master(work_limit)
+    for j, c in enumerate(model.objective):
+        master.add_column((0, j), c, {})
+    for i, c in enumerate(model.constraints):
+        master.add_row((1, i), {(0, j): a for j, a in enumerate(c.coeffs)}, c.rhs)
+    return master
+
+
+def master_solve(master: lp._Master, model: LPModel) -> tuple[LPSolution, list]:
+    """The master solved, as the model's solution, and its prices: one per
+    constraint, the dual vector at the optimum and a Farkas ray when the
+    model is infeasible ([] when unbounded)."""
+    status, value, x, y = master.solve()
+    point = [x.get((0, j), Fraction(0)) for j in range(model.num_vars)]
+    rows = range(len(model.constraints))
+    prices = [] if status == "unbounded" else [y.get((1, i), Fraction(0)) for i in rows]
+    return _solution(model, status, value, point), prices
+
+
 def exact_solve(model: LPModel) -> tuple[LPSolution, list]:
-    """The model solved by `lp._simplex_max`, and its prices:
-    one per constraint, the dual vector at the optimum and a Farkas ray when
-    the model is infeasible ([] when unbounded)."""
-    rows = [c.coeffs for c in model.constraints]
-    rhs = [c.rhs for c in model.constraints]
-    status, value, x, y, _, _ = lp._simplex_max(model.objective, rows, rhs, work_limit=math.inf)
-    return _solution(model, status, value, x), y
+    """The model solved by its slack-basis master, and its prices."""
+    return master_solve(slack_master(model), model)
 
 
 def certificate_violations(model: LPModel, value, dual: list) -> list[str]:

@@ -29,7 +29,7 @@ from availcodes import (
 from availcodes import verification
 from availcodes.verification import GHW_SUBSPACE_BUDGET, gaussian_binomial
 from availcodes.weights import ENUMERATION_LIMIT
-from conftest import span_weights
+from conftest import span_weights, uniform_rows
 
 ORACLE_SUBSPACES = 100_000  # the unpruned search takes about 0.2 s here
 
@@ -54,12 +54,16 @@ def _dual_min(code):
 
 @st.composite
 def codes(draw, max_rows, max_cols):
-    """Dense or sparse rows, zero and repeated rows included."""
+    """Sparse, dense or uniformly random rows, zero and repeated rows
+    included."""
     n = draw(st.integers(1, max_cols))
-    if draw(st.booleans()):
+    arm = draw(st.sampled_from(("sparse", "dense", "uniform")))
+    if arm == "sparse":
         row = st.sets(st.integers(0, n - 1), max_size=3).map(lambda cols: sum(1 << c for c in cols))
-    else:
+    elif arm == "dense":
         row = st.integers(0, (1 << n) - 1)
+    else:
+        row = uniform_rows(draw, n)
     rows = draw(st.lists(row, max_size=max_rows))
     if rows and draw(st.booleans()):
         rows.append(draw(st.sampled_from(rows)))

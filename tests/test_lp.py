@@ -17,7 +17,7 @@ from availcodes import (
 )
 from availcodes import lp as lp_module
 from availcodes.lp import LPConstraint, LPModel, LPSizeError
-from fraction_simplex import certificate_violations, exact_solve, farkas_violations
+from fraction_simplex import certificate_violations, exact_solve, farkas_violations, slack_master
 from test_lp_differential import exact_solution, small_lps
 
 
@@ -86,9 +86,9 @@ def test_model_holds_integers_only():
 
 def test_work_limit_is_distinct():
     # a feasible model whose first pivot is over the limit: no status, an error
-    rows = [[1, 1], [-2, -2]]
+    master = slack_master(_model(2, [1, 1], [_le([1, 1], 1), _le([-2, -2], -1)]), work_limit=0)
     with pytest.raises(LPSizeError, match="exceeded 0 units of work"):
-        lp_module._simplex_max([1, 1], rows, [1, -1], work_limit=0)
+        master.solve()
 
 
 # -- model assembly ---------------------------------------------------------
@@ -238,7 +238,7 @@ def test_lp_size_limit_is_checked_before_any_krawtchouk_column(monkeypatch):
 
 
 def test_lp_work_budget_stops_the_master():
-    # (q, n, r, t) = (2, 441, 2, 5) needs 1.6 * 10^9 units of simplex work;
+    # (q, n, r, t) = (2, 441, 2, 5) needs 1.3 * 10^9 units of simplex work;
     # float mode runs the same exact master, which the budget stops at
     # (2, 141, 4, 5) after 0.7 s
     with pytest.raises(LPSizeError, match="units of simplex work"):
@@ -247,28 +247,32 @@ def test_lp_work_budget_stops_the_master():
         lp_dimension_bound(2, 141, 4, 5, mode="float")
 
 
-def test_warm_master_halves_the_later_rounds_work(monkeypatch):
+def test_one_master_tableau_pins_the_lp3_rows_work(monkeypatch):
     # the lp3 rows r = 3..6 re-solved every master after the first from the
     # slack basis: 139,758 + 325,088 + 279,802 + 2,615,622 units of simplex
-    # work in 15+20+16, 24+19, 19+19 and 43+38 pivots.  From the last basis
-    # they take 109,496 + 151,866 + 45,254 + 172,216 units in 33, 21, 9 and
-    # 15 pivots, of which 17, 9, 7 and 8 put the last basis back in
-    cold = 139_758 + 325_088 + 279_802 + 2_615_622
+    # work in 15+20+16, 24+19, 19+19 and 43+38 pivots.  Rebuilt and started
+    # from the last basis they took 109,496 + 151,866 + 45,254 + 172,216
+    # units in 33, 21, 9 and 15 pivots, of which 17, 9, 7 and 8 put the last
+    # basis back in.  One tableau kept across the rounds makes only the
+    # other 16, 12, 2 and 7
     works = []
-    simplex_max = lp_module._simplex_max
 
-    def counted(*args, **kwargs):
-        out = simplex_max(*args, **kwargs)
-        works.append(out[4])
-        return out
+    class Recorded(lp_module._Master):
+        def solve(self):
+            out = super().solve()
+            works.append(self.work)
+            return out
 
-    monkeypatch.setattr(lp_module, "_simplex_max", counted)
-    later = 0
-    for r in range(3, 7):
+    monkeypatch.setattr(lp_module, "_Master", Recorded)
+    totals, later = {}, {}
+    for r in range(3, 9):
         works.clear()
         lp_dimension_bound(2, (r + 1) ** 2, r, 3)
-        later += sum(works[1:])
-    assert later <= cold // 2
+        totals[r], later[r] = works[-1], works[-1] - works[0]
+    # 140,156, 214,902, 90,848, 202,204, 68,502 and 513,636 units when rebuilt
+    assert totals == {3: 91_988, 4: 168_306, 5: 61_720, 6: 157_236, 7: 57_854, 8: 223_157}
+    assert [later[r] for r in range(3, 7)] == [61_328, 105_270, 16_126, 127_248]
+    assert sum(later[r] for r in range(3, 7)) < 109_496 + 151_866 + 45_254 + 172_216
 
 
 def test_lp3_row_at_r20_is_within_both_limits():

@@ -35,7 +35,7 @@ from availcodes import (
 from availcodes import bitmatrix
 from availcodes.constructions import SIZE_LIMIT
 from availcodes.fields import prime_power
-from conftest import family_partitions
+from conftest import family_partitions, uniform_rows
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 K5_EDGES = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
@@ -56,8 +56,9 @@ def _sparse_row(n):
 
 @st.composite
 def matrices(draw, min_rows=1, max_rows=12, max_cols=14):
-    """Sparse or dense rows (zero rows and zero columns included), some rows
-    repeated, or two such blocks on disjoint columns (a disconnected walk)."""
+    """Sparse, dense or uniformly random rows (zero rows and zero columns
+    included), some rows repeated, or two such blocks on disjoint columns (a
+    disconnected walk)."""
     if draw(st.booleans()) and max_cols >= 2:
         split = draw(st.integers(1, max_cols - 1))
         top = draw(matrices(min_rows=0, max_rows=max_rows // 2, max_cols=split))
@@ -68,7 +69,13 @@ def matrices(draw, min_rows=1, max_rows=12, max_cols=14):
             rows.append(0)
         return BitMatrix.from_rows(rows, top.cols + bottom.cols)
     n = draw(st.integers(1, max_cols))
-    row = _sparse_row(n) if draw(st.booleans()) else st.integers(0, (1 << n) - 1)
+    arm = draw(st.sampled_from(("sparse", "dense", "uniform")))
+    if arm == "sparse":
+        row = _sparse_row(n)
+    elif arm == "dense":
+        row = st.integers(0, (1 << n) - 1)
+    else:
+        row = uniform_rows(draw, n)
     rows = draw(st.lists(row, min_size=min_rows, max_size=max_rows))
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
